@@ -9,6 +9,10 @@ class TruncationError(RuntimeError):
     """An operation leaked more norm past the mode cutoffs than tolerated."""
 
 
+class BlockUnitarityError(RuntimeError):
+    """A beam-splitter block departs from unitarity past the tolerance."""
+
+
 class TruncationWarning(UserWarning):
     """State has non-negligible weight on the last retained Fock level."""
 

@@ -3,10 +3,12 @@ import math
 import hypothesis.strategies as st
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 
 from wva_sim import fock
 from wva_sim.errors import (
+    BlockUnitarityError,
     DegenerateStateError,
     RegisterBudgetError,
     TruncationError,
@@ -323,6 +325,59 @@ class TestHelpers:
             block = fock._bs_block(total, 0.813)
             gram = block.T @ block
             assert np.max(np.abs(gram - np.eye(total + 1))) < 1e-12
+
+
+def hopping_generator(total):
+    """K_N = a2+ a1 - a1+ a2 on the N-photon multiplet, rows indexed by output m."""
+    m = np.arange(total)
+    off = np.sqrt((m + 1.0) * (total - m))
+    return np.diag(off, 1) - np.diag(off, -1)
+
+
+@pytest.fixture
+def cold_block_caches():
+    fock._bs_block.cache_clear()
+    fock._bs_eigensystem.cache_clear()
+    yield
+    fock._bs_block.cache_clear()
+    fock._bs_eigensystem.cache_clear()
+
+
+class TestBeamSplitterBlocks:
+    @pytest.mark.parametrize("total", [100, 200, 400])
+    @pytest.mark.parametrize("theta", [0.813, -2.1, math.pi / 2])
+    def test_unitary_at_large_n(self, total, theta):
+        block = fock._bs_block(total, theta)
+        gram = block @ block.T
+        assert np.max(np.abs(gram - np.eye(total + 1))) < 1e-12
+
+    @pytest.mark.parametrize("theta", [0.3, 0.813, -0.5, 1.0])
+    def test_matches_matrix_exponential(self, theta):
+        # scipy's expm itself drifts by ~2e-13 at N = 30 once |theta| passes
+        # about 1.5 (checked against 40-digit mpmath), so the independent
+        # reference stays at |theta| <= 1; larger angles follow from the
+        # composition property tested above.
+        for total in range(31):
+            expected = scipy.linalg.expm(theta * hopping_generator(total))
+            np.testing.assert_allclose(
+                fock._bs_block(total, theta), expected, rtol=0, atol=1e-13
+            )
+
+    def test_eigensystem_built_once_per_photon_number(self, cold_block_caches):
+        reg = fock.tensor(fock.make_coherent(1.0, 17), fock.make_coherent(0.5, 14))
+        n_totals = 17 + 14 - 1
+        for k in range(20):
+            fock.apply_beam_splitter(reg, 0, 1, 0.1 + 0.07 * k)
+        assert fock._bs_eigensystem.cache_info().misses == n_totals
+        assert fock._bs_block.cache_info().misses == 20 * n_totals
+
+    def test_non_unitary_block_raises(self, cold_block_caches, monkeypatch):
+        w, vecs = fock._bs_eigensystem(12)
+        perturbed = vecs.copy()
+        perturbed[3, 5] += 1e-9
+        monkeypatch.setattr(fock, "_bs_eigensystem", lambda total: (w, perturbed))
+        with pytest.raises(BlockUnitarityError, match="N=12"):
+            fock._bs_block(12, 0.4)
 
 
 class TestRegisterInvariants:

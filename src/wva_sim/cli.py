@@ -21,6 +21,10 @@ an execution detail: it never appears in output and never changes it.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import inspect
+import itertools
 import json
 import math
 import sys
@@ -33,7 +37,6 @@ from . import __version__, presets
 from .errors import DegenerateFitError, InsufficientDataError, InvalidRegimeError
 from .model import InterferometerParams
 from .montecarlo import (
-    NoiseModel,
     SchemeConfig,
     estimate_phases,
     fit_differential,
@@ -55,17 +58,7 @@ ORACLE_DEFAULTS: dict = {
     "tolerance": 0.05,
 }
 
-_CAMPAIGN_POINTS = [
-    {
-        "n_bar": p.n_bar,
-        "delta": p.delta,
-        "eta": p.eta,
-        "n_total": p.n_total,
-        "background": p.background,
-        "p_signal": p.p_signal,
-    }
-    for p in presets.CAMPAIGN
-]
+_CAMPAIGN_POINTS = [dataclasses.asdict(p) for p in presets.CAMPAIGN]
 
 FIG3_DEFAULTS: dict = {
     "phi_bar_urad": presets.PER_PHOTON_PHASE_URAD,
@@ -136,58 +129,77 @@ def _merged_config(defaults: dict, path: str | None, overrides: dict) -> dict:
     return config
 
 
-def _as_number(config: dict, field: str, lo: float | None = None, hi: float | None = None) -> float:
-    value = config[field]
+def _require(ok: bool, field: str, rule: str) -> None:
+    if not ok:
+        raise ConfigError(field, f"must be {rule}")
+
+
+def _number(value, field: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
         raise ConfigError(field, f"expected a finite number, got {value!r}")
-    if lo is not None and value < lo:
-        raise ConfigError(field, f"must be >= {lo}, got {value}")
-    if hi is not None and value > hi:
-        raise ConfigError(field, f"must be <= {hi}, got {value}")
     return float(value)
 
 
-def _as_number_list(config: dict, field: str) -> list[float]:
+def _number_list(config: dict, field: str) -> list[float]:
     value = config[field]
-    if not isinstance(value, list) or not value:
-        raise ConfigError(field, "expected a non-empty list of numbers")
-    out = []
-    for i, item in enumerate(value):
-        if not isinstance(item, (int, float)) or isinstance(item, bool) or not math.isfinite(item):
-            raise ConfigError(f"{field}[{i}]", f"expected a finite number, got {item!r}")
-        out.append(float(item))
-    return out
+    _require(isinstance(value, list) and bool(value), field, "a non-empty list of numbers")
+    return [_number(item, f"{field}[{i}]") for i, item in enumerate(value)]
 
 
-def _point_fields(raw: dict, field: str) -> dict:
+def _parse(make, raw, path: str):
+    """``make(**fields)`` from the config object ``raw`` found at ``path``.
+
+    ``raw`` must name only parameters of ``make`` and every parameter
+    without a default; each value must be a finite number, or null where
+    the default is None.  The frozen dataclasses start every ValueError
+    with the rejected field's name: one naming a field of ``raw`` is
+    reported at ``path.field``, any other propagates.
+    """
     if not isinstance(raw, dict):
-        raise ConfigError(field, "expected an object")
-    known = {"n_bar", "delta", "eta", "n_total", "background", "p_signal"}
+        raise ConfigError(path, "expected an object")
+    params = inspect.signature(make).parameters
     for key in raw:
-        if key not in known:
-            raise ConfigError(f"{field}.{key}", "unknown point field")
-    for key in ("n_bar", "delta", "eta", "n_total", "background"):
-        if key not in raw:
-            raise ConfigError(f"{field}.{key}", "missing required point field")
-    point = {
-        "n_bar": _as_number(raw, "n_bar", lo=0.0),
-        "delta": _as_number(raw, "delta"),
-        "eta": _as_number(raw, "eta", lo=0.0, hi=1.0),
-        "n_total": int(_as_number(raw, "n_total", lo=1)),
-        "background": _as_number(raw, "background", lo=0.0),
-    }
-    if not 0.0 < point["delta"] <= 1.0:
-        raise ConfigError(f"{field}.delta", "must lie in (0, 1]")
-    if raw.get("p_signal") is None:
-        point["p_signal"] = None
-    else:
-        point["p_signal"] = _as_number(raw, "p_signal", lo=0.0, hi=1.0)
-    return point
+        if key not in params:
+            raise ConfigError(f"{path}.{key}", "unknown field")
+    fields = {}
+    for name, param in params.items():
+        if name not in raw:
+            if param.default is param.empty:
+                raise ConfigError(f"{path}.{name}", "missing required field")
+        elif raw[name] is not None or param.default is not None:
+            fields[name] = _number(raw[name], f"{path}.{name}")
+    try:
+        return make(**fields)
+    except ValueError as exc:
+        field = str(exc).split()[0]
+        if field not in fields:
+            raise
+        raise ConfigError(f"{path}.{field}", str(exc)) from exc
 
 
-def _fail_config(exc: ConfigError) -> None:
-    click.echo(f"config error: {exc}", err=True)
-    sys.exit(1)
+def _fail(code: int, what: str, exc: Exception) -> None:
+    click.echo(f"{what}: {exc}", err=True)
+    sys.exit(code)
+
+
+def _exit_codes(command):
+    """Map a command's rejections onto the exit codes of the module docstring."""
+
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except ConfigError as exc:
+            _fail(1, "config error", exc)
+        except InsufficientDataError as exc:
+            _fail(2, "estimation failure", exc)
+        except DegenerateFitError as exc:
+            _fail(2, "fit failure", exc)
+        except ValueError as exc:
+            # a dataclass rejecting a top-level field, or --workers
+            _fail(1, "config error", ConfigError(str(exc).split()[0], str(exc)))
+
+    return run
 
 
 def _header_lines(command: str, config: dict, seed: int | None) -> list[str]:
@@ -213,48 +225,99 @@ def _g(value: float) -> str:
     return format(value, ".17g")
 
 
-def _check_seed(seed: int) -> int:
-    if not 0 <= seed < 2**64:
-        raise ConfigError("seed", "must be an unsigned 64-bit integer")
-    return seed
+def _check_seed(seed: int) -> None:
+    _require(0 <= seed < 2**64, "seed", "an unsigned 64-bit integer")
+
+
+def _trials_scale(value) -> float:
+    scale = _number(value, "trials_scale")
+    _require(scale > 0.0, "trials_scale", "a positive number")
+    return scale
 
 
 def _point_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1, np.uint64)[0])
 
 
-def _campaign_rows(config: dict, seed: int, trials_scale: float, workers: int):
-    """Simulate every configured campaign point; shared by fig3 and fig4."""
-    phi_bar_urad = _as_number(config, "phi_bar_urad")
-    span_urad = _as_number(config, "span_urad")
-    beta = _as_number(config, "beta", lo=0.0)
-    phase_sigma = _as_number(config, "phase_sigma", lo=0.0)
-    if not isinstance(config["points"], list) or not config["points"]:
-        raise ConfigError("points", "expected a non-empty list")
-    phi_plus, phi_minus = presets.phi_pair_from_urad(phi_bar_urad, span_urad)
-    rows = []
-    for i, raw in enumerate(config["points"]):
-        point = _point_fields(raw, f"points[{i}]")
-        params = InterferometerParams(
-            alpha=math.sqrt(point["n_bar"]),
-            beta=beta,
-            delta=point["delta"],
-            eta=point["eta"],
-            phi_plus=phi_plus,
-            phi_minus=phi_minus,
+def _campaign(command, config, seed, workers, out_path, fit_name, fit, columns, cells) -> None:
+    """The fig3 / fig4 pipeline: simulate every configured point, fit, write.
+
+    One TrialBatch is alive at a time; only its EstimatorResult is kept.
+    ``fit(results)`` returns the FitResult and any further fit JSON fields;
+    ``cells(point, est, noisy)`` gives the command's own ``columns``.
+    """
+    _check_seed(seed)
+    phi_bar_urad, span_urad, beta, phase_sigma = (
+        _number(config[k], k) for k in ("phi_bar_urad", "span_urad", "beta", "phase_sigma")
+    )
+    scale = _trials_scale(config["trials_scale"])
+    raw_points = config["points"]
+    _require(isinstance(raw_points, list) and bool(raw_points), "points", "a non-empty list")
+    points = [
+        _parse(presets.CampaignPoint, raw, f"points[{i}]") for i, raw in enumerate(raw_points)
+    ]
+    results = []
+    for i, point in enumerate(points):
+        params = presets.point_params(point, phi_bar_urad, span_urad, beta)
+        noise = presets.point_noise(point, phase_sigma)
+        trials = max(2, round(point.n_total * scale))
+        try:
+            batch = simulate_trials(
+                params,
+                noise,
+                trials,
+                _point_seed(seed, i),
+                p_signal=point.p_signal,
+                workers=workers,
+            )
+        except InvalidRegimeError as exc:
+            raise ConfigError(f"points[{i}]", str(exc)) from exc
+        results.append((point, trials, estimate_phases(batch)))
+        del batch  # before the next point's batch is allocated
+
+    noisy = phase_sigma > 0.0
+    fit_note = "skipped (zero-noise run has no stderr)"
+    if noisy:
+        result, extra = fit(results)
+        fit_json = {
+            f"{fit_name}_urad": result.parameter / URAD,
+            "stderr_urad": result.stderr / URAD,
+            "chi_squared": result.chi_squared,
+            "dof": result.dof,
+            **extra,
+        }
+        fit_note = json.dumps(fit_json, sort_keys=True)
+    lines = _header_lines(command, config, seed)
+    lines.append("# phases in microradians, full double precision")
+    lines.append(f"# fit_{fit_name}: {fit_note}")
+    lines.append("delta,n_bar,eta,trials,click_fraction," + columns)
+    for point, trials, est in results:
+        shared = [_g(point.delta), _g(point.n_bar), _g(point.eta), str(trials)]
+        lines.append(",".join(shared + [_g(est.click_fraction)] + cells(point, est, noisy)))
+    _write_text(out_path, "\n".join(lines) + "\n")
+    if noisy:
+        if out_path is not None:
+            Path(out_path).with_suffix(".fit.json").write_text(
+                json.dumps(fit_json, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+            )
+        click.echo(
+            f"{command}: {fit_name} = {fit_json[f'{fit_name}_urad']:.4g} "
+            f"+/- {fit_json['stderr_urad']:.4g} urad",
+            err=True,
         )
-        noise = NoiseModel(phase_sigma=phase_sigma, background_click_rate=point["background"])
-        trials = max(2, round(point["n_total"] * trials_scale))
-        batch = simulate_trials(
-            params,
-            noise,
-            trials,
-            _point_seed(seed, i),
-            p_signal=point["p_signal"],
-            workers=workers,
-        )
-        rows.append((point, trials, estimate_phases(batch)))
-    return rows, phase_sigma
+
+
+def _campaign_options(command):
+    options = (
+        click.option("--config", "config_path", type=click.Path(), help="JSON config file."),
+        click.option("--out", "out_path", type=click.Path(), help="CSV output path (default stdout)."),
+        click.option("--seed", type=int, required=True, help="Master seed (required; no silent entropy)."),
+        click.option("--trials-scale", type=float, help="Fraction of each point's trial count."),
+        click.option("--workers", type=int, default=1, help="Worker threads; never changes the output."),
+    )
+    for option in reversed(options):
+        command = option(command)
+    return command
 
 
 @click.group()
@@ -268,41 +331,31 @@ def main() -> None:
 @click.option("--out", "out_path", type=click.Path(), default=None, help="CSV output path (default stdout).")
 @click.option("--seed", type=int, default=None, help="Echoed for provenance; this command is deterministic.")
 @click.option("--tolerance", type=float, default=None, help="Override the relative-error gate.")
+@_exit_codes
 def oracle_validate(config_path, out_path, seed, tolerance) -> None:
     """Sweep the exact pipeline against the closed forms; gate valid rows."""
-    try:
-        config = _merged_config(ORACLE_DEFAULTS, config_path, {"tolerance": tolerance})
-        alphas = _as_number_list(config, "alpha")
-        deltas = _as_number_list(config, "delta")
-        betas = _as_number_list(config, "beta")
-        etas = _as_number_list(config, "eta")
-        phi_bars = _as_number_list(config, "phi_bar_urad")
-        span_ratio = _as_number(config, "span_over_phi_bar", lo=0.0)
-        gate = _as_number(config, "tolerance", lo=0.0)
-    except ConfigError as exc:
-        _fail_config(exc)
-
+    config = _merged_config(ORACLE_DEFAULTS, config_path, {"tolerance": tolerance})
+    alphas, deltas, betas, etas, phi_bars = (
+        _number_list(config, k) for k in ("alpha", "delta", "beta", "eta", "phi_bar_urad")
+    )
+    span_ratio, gate = (_number(config[k], k) for k in ("span_over_phi_bar", "tolerance"))
+    _require(span_ratio >= 0.0, "span_over_phi_bar", ">= 0")
+    _require(gate >= 0.0, "tolerance", ">= 0")
     grid = []
-    for alpha in alphas:
-        for delta in deltas:
-            for beta in betas:
-                for phi_bar_urad in phi_bars:
-                    for eta in etas:
-                        phi_bar = phi_bar_urad * URAD
-                        half_span = 0.5 * span_ratio * phi_bar
-                        try:
-                            grid.append(
-                                InterferometerParams(
-                                    alpha=alpha,
-                                    beta=beta,
-                                    delta=delta,
-                                    eta=eta,
-                                    phi_plus=phi_bar + half_span,
-                                    phi_minus=phi_bar - half_span,
-                                )
-                            )
-                        except ValueError as exc:
-                            _fail_config(ConfigError("grid", str(exc)))
+    axes = itertools.product(alphas, deltas, betas, phi_bars, etas)
+    for alpha, delta, beta, phi_bar_urad, eta in axes:
+        phi_bar = phi_bar_urad * URAD
+        half_span = 0.5 * span_ratio * phi_bar
+        grid.append(
+            InterferometerParams(
+                alpha=alpha,
+                beta=beta,
+                delta=delta,
+                eta=eta,
+                phi_plus=phi_bar + half_span,
+                phi_minus=phi_bar - half_span,
+            )
+        )
 
     rows = sweep_validity(grid)
     lines = _header_lines("oracle-validate", config, seed)
@@ -352,194 +405,46 @@ def oracle_validate(config_path, out_path, seed, tolerance) -> None:
 
 
 @main.command("fig3")
-@click.option("--config", "config_path", type=click.Path(), default=None, help="JSON config file.")
-@click.option("--out", "out_path", type=click.Path(), default=None, help="CSV output path (default stdout).")
-@click.option("--seed", type=int, required=True, help="Master seed (required; no silent entropy).")
-@click.option("--trials-scale", type=float, default=None, help="Fraction of each point's trial count.")
-@click.option("--workers", type=int, default=1, help="Worker threads; never changes the output.")
+@_campaign_options
+@_exit_codes
 def fig3(config_path, out_path, seed, trials_scale, workers) -> None:
     """Click / no-click phase scan with the per-photon-phase fit."""
-    try:
-        _check_seed(seed)
-        config = _merged_config(FIG3_DEFAULTS, config_path, {"trials_scale": trials_scale})
-        scale = _as_number(config, "trials_scale", lo=0.0)
-        rows, phase_sigma = _campaign_rows(config, seed, scale, workers)
-    except ConfigError as exc:
-        _fail_config(exc)
-    except InsufficientDataError as exc:
-        click.echo(f"estimation failure: {exc}", err=True)
-        sys.exit(2)
-    except (InvalidRegimeError, ValueError) as exc:
-        _fail_config(ConfigError("points", str(exc)))
+    config = _merged_config(FIG3_DEFAULTS, config_path, {"trials_scale": trials_scale})
 
-    fit_note = "skipped (zero-noise run has no stderr)"
-    fit_json = None
-    if phase_sigma > 0.0:
-        fit_points = [
-            (point["n_bar"], est.phi_noclick[0], est.phi_noclick[1])
-            for point, _, est in rows
-        ]
-        try:
-            fit = fit_per_photon_phase(fit_points)
-            fit_json = {
-                "phi0_urad": fit.parameter / URAD,
-                "stderr_urad": fit.stderr / URAD,
-                "chi_squared": fit.chi_squared,
-                "dof": fit.dof,
-            }
-            fit_note = json.dumps(fit_json, sort_keys=True)
-        except DegenerateFitError as exc:
-            click.echo(f"fit failure: {exc}", err=True)
-            sys.exit(2)
+    def fit(results):
+        points = [(point.n_bar, *est.phi_noclick) for point, _, est in results]
+        return fit_per_photon_phase(points), {}
 
-    lines = _header_lines("fig3", config, seed)
-    lines.append("# phases in microradians, full double precision")
-    lines.append(f"# fit_phi0: {fit_note}")
-    lines.append(
-        "delta,n_bar,eta,trials,click_fraction,"
-        "phi_click,phi_click_stderr,phi_noclick,phi_noclick_stderr,diff,diff_stderr"
-    )
-    for point, trials, est in rows:
-        lines.append(
-            ",".join(
-                [
-                    _g(point["delta"]),
-                    _g(point["n_bar"]),
-                    _g(point["eta"]),
-                    str(trials),
-                    _g(est.click_fraction),
-                    _g(est.phi_click[0] / URAD),
-                    _g(est.phi_click[1] / URAD),
-                    _g(est.phi_noclick[0] / URAD),
-                    _g(est.phi_noclick[1] / URAD),
-                    _g(est.differential[0] / URAD),
-                    _g(est.differential[1] / URAD),
-                ]
-            )
-        )
-    _write_text(out_path, "\n".join(lines) + "\n")
-    if fit_json is not None:
-        if out_path is not None:
-            Path(out_path).with_suffix(".fit.json").write_text(
-                json.dumps(fit_json, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-            )
-        click.echo(
-            "fig3: phi0 = {:.4g} +/- {:.4g} urad".format(
-                fit_json["phi0_urad"], fit_json["stderr_urad"]
-            ),
-            err=True,
-        )
+    def cells(point, est, noisy):
+        return [_g(value / URAD) for value in (*est.phi_click, *est.phi_noclick, *est.differential)]
+
+    columns = "phi_click,phi_click_stderr,phi_noclick,phi_noclick_stderr,diff,diff_stderr"
+    _campaign("fig3", config, seed, workers, out_path, "phi0", fit, columns, cells)
 
 
 @main.command("fig4")
-@click.option("--config", "config_path", type=click.Path(), default=None, help="JSON config file.")
-@click.option("--out", "out_path", type=click.Path(), default=None, help="CSV output path (default stdout).")
-@click.option("--seed", type=int, required=True, help="Master seed (required; no silent entropy).")
-@click.option("--trials-scale", type=float, default=None, help="Fraction of each point's trial count.")
-@click.option("--workers", type=int, default=1, help="Worker threads; never changes the output.")
+@_campaign_options
+@_exit_codes
 def fig4(config_path, out_path, seed, trials_scale, workers) -> None:
     """Differential phase versus overlap, with the amplified-split fit."""
-    try:
-        _check_seed(seed)
-        config = _merged_config(FIG4_DEFAULTS, config_path, {"trials_scale": trials_scale})
-        scale = _as_number(config, "trials_scale", lo=0.0)
-        phi_bar_fixed = _as_number(config, "phi_bar_fixed_urad") * URAD
-        include_d1 = config["include_delta_one"]
-        if not isinstance(include_d1, bool):
-            raise ConfigError("include_delta_one", "expected true/false")
-        rows, phase_sigma = _campaign_rows(config, seed, scale, workers)
-    except ConfigError as exc:
-        _fail_config(exc)
-    except InsufficientDataError as exc:
-        click.echo(f"estimation failure: {exc}", err=True)
-        sys.exit(2)
-    except (InvalidRegimeError, ValueError) as exc:
-        _fail_config(ConfigError("points", str(exc)))
+    config = _merged_config(FIG4_DEFAULTS, config_path, {"trials_scale": trials_scale})
+    phi_bar_fixed = _number(config["phi_bar_fixed_urad"], "phi_bar_fixed_urad") * URAD
+    include_d1 = config["include_delta_one"]
+    _require(isinstance(include_d1, bool), "include_delta_one", "true or false")
 
-    fit_json = None
-    fit_note = "skipped (zero-noise run has no stderr)"
-    if phase_sigma > 0.0:
-        fit_points = [
-            (point["delta"], est.differential[0], est.differential[1])
-            for point, _, est in rows
-        ]
-        try:
-            fit = fit_differential(fit_points, phi_bar_fixed, include_delta_one=include_d1)
-        except DegenerateFitError as exc:
-            click.echo(f"fit failure: {exc}", err=True)
-            sys.exit(2)
-        fit_json = {
-            "span_urad": fit.parameter / URAD,
-            "stderr_urad": fit.stderr / URAD,
-            "chi_squared": fit.chi_squared,
-            "dof": fit.dof,
-            "phi_bar_fixed_urad": phi_bar_fixed / URAD,
-            "include_delta_one": include_d1,
-        }
-        fit_note = json.dumps(fit_json, sort_keys=True)
+    def fit(results):
+        points = [(point.delta, *est.differential) for point, _, est in results]
+        extra = {"phi_bar_fixed_urad": phi_bar_fixed / URAD, "include_delta_one": include_d1}
+        return fit_differential(points, phi_bar_fixed, include_delta_one=include_d1), extra
 
-    lines = _header_lines("fig4", config, seed)
-    lines.append("# phases in microradians, full double precision")
-    lines.append(f"# fit_span: {fit_note}")
-    lines.append("delta,n_bar,eta,trials,click_fraction,diff,diff_stderr,amplification,in_fit")
-    for point, trials, est in rows:
-        in_fit = phase_sigma > 0.0 and (include_d1 or point["delta"] < 1.0)
-        lines.append(
-            ",".join(
-                [
-                    _g(point["delta"]),
-                    _g(point["n_bar"]),
-                    _g(point["eta"]),
-                    str(trials),
-                    _g(est.click_fraction),
-                    _g(est.differential[0] / URAD),
-                    _g(est.differential[1] / URAD),
-                    _g(est.differential[0] / phi_bar_fixed),
-                    "1" if in_fit else "0",
-                ]
-            )
-        )
-    _write_text(out_path, "\n".join(lines) + "\n")
-    if fit_json is not None:
-        if out_path is not None:
-            Path(out_path).with_suffix(".fit.json").write_text(
-                json.dumps(fit_json, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-            )
-        click.echo(
-            "fig4: span = {:.4g} +/- {:.4g} urad".format(
-                fit_json["span_urad"], fit_json["stderr_urad"]
-            ),
-            err=True,
-        )
+    def cells(point, est, noisy):
+        in_fit = noisy and (include_d1 or point.delta < 1.0)
+        diff, diff_stderr = est.differential
+        amplification = _g(diff / phi_bar_fixed)
+        return [_g(diff / URAD), _g(diff_stderr / URAD), amplification, "1" if in_fit else "0"]
 
-
-def _scheme_from_config(raw: dict, field: str, beta: float, phase_sigma: float) -> SchemeConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError(field, "expected an object")
-    known = {"n_bar", "delta", "eta", "background", "p_signal", "phi_bar_urad", "span_urad"}
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"{field}.{key}", "unknown scheme field")
-    for key in known - {"p_signal"}:
-        if key not in raw:
-            raise ConfigError(f"{field}.{key}", "missing required scheme field")
-    phi_plus, phi_minus = presets.phi_pair_from_urad(
-        _as_number(raw, "phi_bar_urad"), _as_number(raw, "span_urad")
-    )
-    params = InterferometerParams(
-        alpha=math.sqrt(_as_number(raw, "n_bar", lo=0.0)),
-        beta=beta,
-        delta=_as_number(raw, "delta"),
-        eta=_as_number(raw, "eta", lo=0.0, hi=1.0),
-        phi_plus=phi_plus,
-        phi_minus=phi_minus,
-    )
-    noise = NoiseModel(
-        phase_sigma=phase_sigma,
-        background_click_rate=_as_number(raw, "background", lo=0.0),
-    )
-    p_signal = None if raw.get("p_signal") is None else _as_number(raw, "p_signal", lo=0.0, hi=1.0)
-    return SchemeConfig(params=params, noise=noise, p_signal=p_signal)
+    columns = "diff,diff_stderr,amplification,in_fit"
+    _campaign("fig4", config, seed, workers, out_path, "span", fit, columns, cells)
 
 
 @main.command("snr")
@@ -548,30 +453,30 @@ def _scheme_from_config(raw: dict, field: str, beta: float, phase_sigma: float) 
 @click.option("--seed", type=int, required=True, help="Master seed (required; no silent entropy).")
 @click.option("--trials-scale", type=float, default=None, help="Multiplier on the configured trial count.")
 @click.option("--workers", type=int, default=1, help="Worker threads; never changes the output.")
+@_exit_codes
 def snr(config_path, out_path, seed, trials_scale, workers) -> None:
     """Compare the amplified and direct schemes at equal trial budgets."""
-    try:
-        _check_seed(seed)
-        config = _merged_config(SNR_DEFAULTS, config_path, {})
-        beta = _as_number(config, "beta", lo=0.0)
-        phase_sigma = _as_number(config, "phase_sigma", lo=0.0)
-        n_trials = int(_as_number(config, "n_trials", lo=2))
-        if trials_scale is not None:
-            if not (trials_scale > 0.0 and math.isfinite(trials_scale)):
-                raise ConfigError("trials_scale", "must be a positive number")
-            n_trials = max(2, round(n_trials * trials_scale))
-        wva_scheme = _scheme_from_config(config["wva"], "wva", beta, phase_sigma)
-        direct_scheme = _scheme_from_config(config["direct"], "direct", beta, phase_sigma)
-    except ConfigError as exc:
-        _fail_config(exc)
-    except ValueError as exc:
-        _fail_config(ConfigError("<config>", str(exc)))
+    _check_seed(seed)
+    config = _merged_config(SNR_DEFAULTS, config_path, {})
+    beta, phase_sigma, n_trials = (
+        _number(config[k], k) for k in ("beta", "phase_sigma", "n_trials")
+    )
+    _require(n_trials >= 2, "n_trials", ">= 2")
+    n_trials = int(n_trials)
+    if trials_scale is not None:
+        n_trials = max(2, round(n_trials * _trials_scale(trials_scale)))
 
+    def scheme(n_bar, delta, eta, background, phi_bar_urad, span_urad, p_signal=None):
+        # a scheme is a campaign point run for n_trials at its own phases
+        point = presets.CampaignPoint(n_bar, delta, eta, n_trials, background, p_signal)
+        params = presets.point_params(point, phi_bar_urad, span_urad, beta)
+        return SchemeConfig(params, presets.point_noise(point, phase_sigma), p_signal)
+
+    wva_scheme, direct_scheme = (_parse(scheme, config[k], k) for k in ("wva", "direct"))
     try:
         comparison = snr_compare(wva_scheme, direct_scheme, n_trials, seed, workers=workers)
-    except (InvalidRegimeError, InsufficientDataError) as exc:
-        click.echo(f"estimation failure: {exc}", err=True)
-        sys.exit(2)
+    except InvalidRegimeError as exc:
+        raise ConfigError("<config>", str(exc)) from exc
 
     report = {
         "generator": f"wva-sim {__version__}",

@@ -19,6 +19,7 @@ the output, bit for bit.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -129,10 +130,13 @@ def simulate_trials(
     ``p_signal`` overrides the design click probability eta delta^2 n_bar
     (needed when that dark-port formula is outside its regime, e.g. a
     bright-port control point).  Deterministic given the seed; ``workers``
-    only parallelizes chunk evaluation.
+    only parallelizes chunk evaluation, on at most one thread per chunk
+    and per CPU.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 bits")
     p_s = signal_click_probability(params) if p_signal is None else float(p_signal)
@@ -163,8 +167,10 @@ def simulate_trials(
         phases[sl] = true_phase + sigma * noise_z
 
     n_chunks = (n_trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
-    if workers > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    # a thread beyond the chunk count or the cores would only wait
+    threads = min(workers, n_chunks, os.cpu_count() or 1)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(fill, range(n_chunks)))
     else:
         for chunk in range(n_chunks):

@@ -14,6 +14,7 @@ Per-photon phases: the strongly and weakly coupled arms imprint 9.94 and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .model import InterferometerParams
@@ -40,6 +41,20 @@ class CampaignPoint:
     n_total: int
     background: float
     p_signal: float | None = None  # overrides eta*delta^2*n_bar when set
+
+    def __post_init__(self) -> None:
+        # each rejection starts with the field's name, which the CLI reports
+        rules = (
+            ("n_bar", math.isfinite(self.n_bar) and self.n_bar >= 0.0, "finite and >= 0"),
+            ("delta", 0.0 < self.delta <= 1.0, "in (0, 1]"),
+            ("eta", 0.0 <= self.eta <= 1.0, "in [0, 1]"),
+            ("n_total", float(self.n_total).is_integer() and self.n_total >= 1, "an integer >= 1"),
+            ("background", 0.0 <= self.background < 1.0, "in [0, 1)"),
+            ("p_signal", self.p_signal is None or 0.0 <= self.p_signal <= 1.0, "in [0, 1]"),
+        )
+        for name, ok, rule in rules:
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 CAMPAIGN: tuple[CampaignPoint, ...] = (
@@ -73,7 +88,7 @@ def point_params(
 ) -> InterferometerParams:
     phi_plus, phi_minus = phi_pair_from_urad(phi_bar_urad, span_urad)
     return InterferometerParams(
-        alpha=point.n_bar**0.5,
+        alpha=math.sqrt(point.n_bar),
         beta=beta,
         delta=point.delta,
         eta=point.eta,

@@ -146,6 +146,15 @@ class TestFig3:
         assert result.exit_code == 2
         assert "estimation failure" in result.output
 
+    @pytest.mark.parametrize("flag,value", [("--trials-scale", "0"), ("--workers", "-3")])
+    def test_nonpositive_scale_or_workers_is_config_error(self, runner, flag, value):
+        result = runner.invoke(
+            main, ["fig3", "--seed", "7", "--trials-scale", "1e-4", flag, value]
+        )
+        assert result.exit_code == 1
+        assert "config error" in result.output
+        assert flag.lstrip("-").replace("-", "_") in result.output
+
     def test_fit_written_with_noise(self, runner, tmp_path):
         out = tmp_path / "fig3.csv"
         result = runner.invoke(
@@ -211,14 +220,19 @@ class TestFig4:
         assert result.exit_code == 1
         assert "seed" in result.output
 
-    def test_bad_point_field_named(self, runner, tmp_path):
+    @pytest.mark.parametrize(
+        "bad,field",
+        [({"delta": 2.0}, "points[0].delta"), ({"background": 1.5}, "points[0].background")],
+        ids=["delta", "background"],
+    )
+    def test_bad_point_field_named(self, runner, tmp_path, bad, field):
         config = tmp_path / "bad.json"
         config.write_text(
             json.dumps(
                 {
                     "points": [
-                        {"n_bar": 95, "delta": 2.0, "eta": 0.2,
-                         "n_total": 1000, "background": 0.06}
+                        dict({"n_bar": 95, "delta": 0.1, "eta": 0.2,
+                              "n_total": 1000, "background": 0.06}, **bad)
                     ]
                 }
             )
@@ -227,7 +241,13 @@ class TestFig4:
             main, ["fig4", "--config", str(config), "--seed", "1"]
         )
         assert result.exit_code == 1
-        assert "points[0].delta" in result.output
+        assert field in result.output
+
+
+SNR_WVA = {
+    "n_bar": 95.0, "delta": 0.10, "eta": 0.2, "background": 0.06,
+    "phi_bar_urad": 5.59, "span_urad": 8.7,
+}
 
 
 class TestSnr:
@@ -259,3 +279,52 @@ class TestSnr:
             report["snr_wva"] / report["snr_direct"], rel=1e-12
         )
         assert report["ratio"] > 1.0
+
+    def test_no_noclick_population_is_config_error(self, runner, tmp_path):
+        # same rejection, same exit code as fig3 / fig4
+        config = tmp_path / "snr.json"
+        config.write_text(json.dumps({"wva": dict(SNR_WVA, p_signal=0.99)}))
+        result = runner.invoke(main, ["snr", "--config", str(config), "--seed", "1"])
+        assert result.exit_code == 1
+        assert "config error" in result.output
+
+    def test_bad_scheme_field_named(self, runner, tmp_path):
+        config = tmp_path / "snr.json"
+        config.write_text(json.dumps({"wva": dict(SNR_WVA, background=1.5)}))
+        result = runner.invoke(main, ["snr", "--config", str(config), "--seed", "1"])
+        assert result.exit_code == 1
+        assert "wva.background" in result.output
+
+
+def echoed_config(command, output):
+    if command == "snr":
+        return json.loads(output)["config"]
+    header, _, _ = parse_csv(output)
+    return json.loads(header["config"])
+
+
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ("oracle-validate", []),
+        ("fig3", ["--seed", "7", "--trials-scale", "2e-4"]),
+        ("fig4", ["--seed", "9", "--trials-scale", "2e-4"]),
+        ("snr", ["--seed", "5", "--trials-scale", "0.05"]),
+    ],
+)
+def test_echoed_config_reproduces_output(runner, tmp_path, command, flags):
+    """The echoed config is itself a valid config that gives the same bytes."""
+    if command == "oracle-validate":
+        small = tmp_path / "small.json"
+        small.write_text(json.dumps(SMALL_ORACLE))
+        first_flags = ["--config", str(small)]
+    else:
+        first_flags = []
+    first, second = tmp_path / "first.out", tmp_path / "second.out"
+    result = runner.invoke(main, [command, *first_flags, *flags, "--out", str(first)])
+    assert result.exit_code == 0, result.output
+    echo = tmp_path / "echo.json"
+    echo.write_text(json.dumps(echoed_config(command, first.read_text())))
+    result = runner.invoke(main, [command, "--config", str(echo), *flags, "--out", str(second)])
+    assert result.exit_code == 0, result.output
+    assert second.read_bytes() == first.read_bytes()

@@ -92,6 +92,44 @@ class TestSimulateTrials:
         c = simulate_trials(params, noise, n, seed=78)
         assert not np.array_equal(a.phases, c.phases)
 
+    @pytest.mark.parametrize(
+        "workers,chunks,cpus,threads",
+        [(64, 3, 8, 3), (64, 10, 4, 4), (2, 10, 8, 2), (400, 400, None, None)],
+    )
+    def test_thread_count_capped(self, monkeypatch, workers, chunks, cpus, threads):
+        import wva_sim.montecarlo as montecarlo
+
+        pools = []
+
+        class RecordingExecutor:
+            """Records max_workers and runs the chunks serially: starts no thread."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", 16)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        params, noise = row1_params(), NoiseModel(0.1, 0.06)
+        batch = simulate_trials(params, noise, 16 * chunks, seed=3, workers=workers)
+        assert pools == ([] if threads is None else [threads])  # None: cpu_count unknown, serial
+        serial = simulate_trials(params, noise, 16 * chunks, seed=3)
+        assert np.array_equal(batch.phases, serial.phases)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            simulate_trials(row1_params(), NoiseModel(), 100, seed=1, workers=workers)
+
     def test_batches_are_frozen(self):
         batch = simulate_trials(row1_params(), NoiseModel(), 100, seed=1)
         with pytest.raises(ValueError):

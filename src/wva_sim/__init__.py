@@ -14,9 +14,10 @@ from .model import (  # noqa: F401
 from .montecarlo import (  # noqa: F401
     EstimatorResult,
     FitResult,
+    GroupStats,
     NoiseModel,
     SchemeConfig,
-    TrialBatch,
+    TrialStats,
     estimate_phases,
     fit_differential,
     fit_per_photon_phase,

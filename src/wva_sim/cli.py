@@ -38,6 +38,7 @@ from .errors import DegenerateFitError, InsufficientDataError, InvalidRegimeErro
 from .model import InterferometerParams
 from .montecarlo import (
     SchemeConfig,
+    check_regime,
     estimate_phases,
     fit_differential,
     fit_per_photon_phase,
@@ -242,7 +243,8 @@ def _point_seed(seed: int, index: int) -> int:
 def _campaign(command, config, seed, workers, out_path, fit_name, fit, columns, cells) -> None:
     """The fig3 / fig4 pipeline: simulate every configured point, fit, write.
 
-    One TrialBatch is alive at a time; only its EstimatorResult is kept.
+    Each point is reduced to its group statistics as it is simulated, in
+    memory bounded by the worker count, and only its EstimatorResult is kept.
     ``fit(results)`` returns the FitResult and any further fit JSON fields;
     ``cells(point, est, noisy)`` gives the command's own ``columns``.
     """
@@ -262,7 +264,7 @@ def _campaign(command, config, seed, workers, out_path, fit_name, fit, columns, 
         noise = presets.point_noise(point, phase_sigma)
         trials = max(2, round(point.n_total * scale))
         try:
-            batch = simulate_trials(
+            stats = simulate_trials(
                 params,
                 noise,
                 trials,
@@ -272,8 +274,7 @@ def _campaign(command, config, seed, workers, out_path, fit_name, fit, columns, 
             )
         except InvalidRegimeError as exc:
             raise ConfigError(f"points[{i}]", str(exc)) from exc
-        results.append((point, trials, estimate_phases(batch)))
-        del batch  # before the next point's batch is allocated
+        results.append((point, trials, estimate_phases(stats)))
 
     noisy = phase_sigma > 0.0
     fit_note = "skipped (zero-noise run has no stderr)"
@@ -472,11 +473,15 @@ def snr(config_path, out_path, seed, trials_scale, workers) -> None:
         params = presets.point_params(point, phi_bar_urad, span_urad, beta)
         return SchemeConfig(params, presets.point_noise(point, phase_sigma), p_signal)
 
-    wva_scheme, direct_scheme = (_parse(scheme, config[k], k) for k in ("wva", "direct"))
-    try:
-        comparison = snr_compare(wva_scheme, direct_scheme, n_trials, seed, workers=workers)
-    except InvalidRegimeError as exc:
-        raise ConfigError("<config>", str(exc)) from exc
+    schemes = []
+    for name in ("wva", "direct"):
+        parsed = _parse(scheme, config[name], name)
+        try:
+            check_regime(parsed.params, parsed.noise, parsed.p_signal)
+        except InvalidRegimeError as exc:
+            raise ConfigError(name, str(exc)) from exc
+        schemes.append(parsed)
+    comparison = snr_compare(*schemes, n_trials, seed, workers=workers)
 
     report = {
         "generator": f"wva-sim {__version__}",

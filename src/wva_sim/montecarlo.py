@@ -7,19 +7,27 @@ model; background-only clicks are false post-selections that add no
 photon, so they carry the no-click phase.  Measured phase = true phase +
 Gaussian read-out noise.
 
-Reproducibility contract: a batch is a pure function of
-(params, noise, n_trials, seed).  Trials are laid out in fixed chunks of
-``CHUNK_TRIALS``; chunk k draws from a counter-based Philox stream keyed
-(seed, k) and consumes exactly three uniforms per trial (the Gaussian
-noise uses the inverse normal CDF rather than rejection sampling so the
-draw count per trial is constant).  Worker count therefore never changes
-the output, bit for bit.
+The estimators need only the count, mean and summed squared deviation
+(M2) of each conditioning group, so trials are never kept: each chunk of
+``CHUNK_TRIALS`` trials is reduced to its two group triples as soon as it
+is drawn, and the triples are merged in chunk order with the pairwise
+update of Chan, Golub & LeVeque (Am. Stat. 37(3), 1983).  Memory is
+O(threads x chunk) for any trial count.
+
+Reproducibility contract: the statistics are a pure function of
+(params, noise, n_trials, seed).  Chunk k draws from a counter-based
+Philox stream keyed (seed, k) and consumes exactly three uniforms per
+trial (the Gaussian noise uses the inverse normal CDF rather than
+rejection sampling so the draw count per trial is constant), and the merge
+order is fixed.  Worker count therefore never changes the output, bit for
+bit.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -55,19 +63,54 @@ class NoiseModel:
 
 
 @dataclass(frozen=True)
-class TrialBatch:
-    """Per-trial click flags and measured phase samples (radians)."""
+class GroupStats:
+    """Count, mean and summed squared deviation (M2) of one group's phases."""
+
+    count: int = 0
+    mean: float = 0.0
+    m2: float = 0.0
+
+    @classmethod
+    def of(cls, samples: np.ndarray, shift: float) -> GroupStats:
+        """Two-pass statistics of ``samples``, with the mean summed about ``shift``.
+
+        ``shift`` should lie near the group mean.  It is rounded to 24 bits,
+        so that ``samples - shift`` rounds without a bias from its low bits,
+        and a group whose every sample equals ``shift`` gets that mean and
+        M2 = 0 exactly.
+        """
+        if samples.size == 0:
+            return cls()
+        shift = float(np.float32(shift))
+        dev = samples - shift
+        mean = shift + float(dev.mean())
+        np.subtract(samples, mean, out=dev)
+        # np.square + sum, not a BLAS dot: a dot starts BLAS threads
+        return cls(samples.size, mean, float(np.square(dev, out=dev).sum()))
+
+    def merge(self, other: GroupStats) -> GroupStats:
+        """The statistics of both groups together (Chan, Golub & LeVeque)."""
+        if other.count == 0:
+            return self
+        if self.count == 0:
+            return other
+        n = self.count + other.count
+        delta = other.mean - self.mean
+        return GroupStats(
+            count=n,
+            mean=self.mean + delta * (other.count / n),
+            m2=self.m2 + other.m2 + delta * delta * (self.count * other.count / n),
+        )
+
+
+@dataclass(frozen=True)
+class TrialStats:
+    """Sufficient statistics of one simulated point: click and no-click groups."""
 
     n_trials: int
-    clicks: np.ndarray
-    phases: np.ndarray
     seed: int
-
-    def __post_init__(self) -> None:
-        if self.clicks.shape != (self.n_trials,) or self.phases.shape != (self.n_trials,):
-            raise ValueError("clicks and phases must both have length n_trials")
-        self.clicks.setflags(write=False)
-        self.phases.setflags(write=False)
+    click: GroupStats
+    noclick: GroupStats
 
 
 @dataclass(frozen=True)
@@ -109,11 +152,42 @@ def signal_click_probability(params: InterferometerParams) -> float:
     return params.eta * params.delta**2 * params.n_bar
 
 
-def _chunk_samples(seed: int, chunk: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def check_regime(
+    params: InterferometerParams, noise: NoiseModel, p_signal: float | None = None
+) -> float:
+    """The signal click probability, checked to leave a no-click population.
+
+    ``p_signal`` overrides the design value; raises InvalidRegimeError.
+    """
+    p_s = signal_click_probability(params) if p_signal is None else float(p_signal)
+    b = noise.background_click_rate
+    if p_s < 0.0 or p_s + b >= 1.0:
+        raise InvalidRegimeError(
+            f"signal click probability {p_s:.4g} plus background {b:.4g} "
+            "leaves no no-click population"
+        )
+    return p_s
+
+
+def _chunk_samples(seed: int, chunk: int, out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fill ``out`` (count x 3) with chunk ``chunk``'s uniforms; return its columns."""
     key = np.array([seed, chunk], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    u = gen.random((count, 3))
-    return u[:, 0], u[:, 1], u[:, 2]
+    np.random.Generator(np.random.Philox(key=key)).random(out=out)
+    return out[:, 0], out[:, 1], out[:, 2]
+
+
+class _ChunkBuffers(threading.local):
+    """One thread's work arrays, reused by every chunk that thread draws.
+
+    Arrays allocated afresh for each chunk would go back to the OS between
+    chunks and be faulted in again page by page: about a quarter of a
+    serial run's time on a 2-core x86 VM.
+    """
+
+    def __init__(self) -> None:
+        self.uniforms = np.empty((CHUNK_TRIALS, 3))
+        self.noise = np.empty(CHUNK_TRIALS)
+        self.phases = np.empty(CHUNK_TRIALS)
 
 
 def simulate_trials(
@@ -124,8 +198,8 @@ def simulate_trials(
     *,
     p_signal: float | None = None,
     workers: int = 1,
-) -> TrialBatch:
-    """Simulate one campaign point.
+) -> TrialStats:
+    """Simulate one campaign point and reduce it to its group statistics.
 
     ``p_signal`` overrides the design click probability eta delta^2 n_bar
     (needed when that dark-port formula is outside its regime, e.g. a
@@ -139,67 +213,63 @@ def simulate_trials(
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 bits")
-    p_s = signal_click_probability(params) if p_signal is None else float(p_signal)
+    p_s = check_regime(params, noise, p_signal)
     b = noise.background_click_rate
-    if p_s < 0.0 or p_s + b >= 1.0:
-        raise InvalidRegimeError(
-            f"signal click probability {p_s:.4g} plus background {b:.4g} "
-            "leaves no no-click population"
-        )
     prediction = predict_phases(params)
     phi_c, phi_n = prediction.phase_click, prediction.phase_noclick
     sigma = noise.phase_sigma
 
-    clicks = np.empty(n_trials, dtype=bool)
-    phases = np.empty(n_trials, dtype=np.float64)
+    buffers = _ChunkBuffers()
 
-    def fill(chunk: int) -> None:
-        start = chunk * CHUNK_TRIALS
-        count = min(CHUNK_TRIALS, n_trials - start)
-        u_sig, u_bg, u_ph = _chunk_samples(seed, chunk, count)
+    def reduce_chunk(chunk: int) -> tuple[GroupStats, GroupStats]:
+        count = min(CHUNK_TRIALS, n_trials - chunk * CHUNK_TRIALS)
+        u_sig, u_bg, u_ph = _chunk_samples(seed, chunk, buffers.uniforms[:count])
         signal = u_sig < p_s
-        background = u_bg < b
-        sl = slice(start, start + count)
-        clicks[sl] = signal | background
-        true_phase = np.where(signal, phi_c, phi_n)
+        clicks = signal | (u_bg < b)
         # clip away the measure-zero u == 0 so ndtri stays finite
-        noise_z = ndtri(np.maximum(u_ph, 1e-300))
-        phases[sl] = true_phase + sigma * noise_z
+        noise_z = np.maximum(u_ph, 1e-300, out=buffers.noise[:count])
+        ndtri(noise_z, out=noise_z)
+        noise_z *= sigma
+        phases = buffers.phases[:count]  # true phase + sigma * z
+        phases.fill(phi_n)
+        phases[signal] = phi_c
+        phases += noise_z
+        click = GroupStats.of(np.extract(clicks, phases), phi_c)
+        return click, GroupStats.of(np.extract(~clicks, phases), phi_n)
+
+    def merged(chunk_stats) -> TrialStats:
+        click = noclick = GroupStats()
+        for chunk_click, chunk_noclick in chunk_stats:  # in chunk order
+            click, noclick = click.merge(chunk_click), noclick.merge(chunk_noclick)
+        return TrialStats(n_trials=n_trials, seed=seed, click=click, noclick=noclick)
 
     n_chunks = (n_trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     # a thread beyond the chunk count or the cores would only wait
     threads = min(workers, n_chunks, os.cpu_count() or 1)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(n_chunks)))
-    else:
-        for chunk in range(n_chunks):
-            fill(chunk)
-    return TrialBatch(n_trials=n_trials, clicks=clicks, phases=phases, seed=seed)
+            return merged(pool.map(reduce_chunk, range(n_chunks)))
+    return merged(map(reduce_chunk, range(n_chunks)))
 
 
-def _group_stats(samples: np.ndarray) -> tuple[float, float]:
-    mean = float(samples.mean())
-    stderr = float(samples.std(ddof=1) / math.sqrt(samples.size))
-    return mean, stderr
+def _group_estimate(group: GroupStats) -> tuple[float, float]:
+    return group.mean, math.sqrt(group.m2 / (group.count - 1)) / math.sqrt(group.count)
 
 
-def estimate_phases(batch: TrialBatch) -> EstimatorResult:
+def estimate_phases(stats: TrialStats) -> EstimatorResult:
     """Click / no-click group means, standard errors, and their difference."""
-    click_samples = batch.phases[batch.clicks]
-    noclick_samples = batch.phases[~batch.clicks]
-    if click_samples.size < _MIN_GROUP or noclick_samples.size < _MIN_GROUP:
+    if stats.click.count < _MIN_GROUP or stats.noclick.count < _MIN_GROUP:
         raise InsufficientDataError(
             f"need at least {_MIN_GROUP} samples in each group, got "
-            f"{click_samples.size} clicks / {noclick_samples.size} no-clicks"
+            f"{stats.click.count} clicks / {stats.noclick.count} no-clicks"
         )
-    mc, sc = _group_stats(click_samples)
-    mn, sn = _group_stats(noclick_samples)
+    mc, sc = _group_estimate(stats.click)
+    mn, sn = _group_estimate(stats.noclick)
     return EstimatorResult(
         phi_click=(mc, sc),
         phi_noclick=(mn, sn),
         differential=(mc - mn, math.hypot(sc, sn)),
-        click_fraction=float(batch.clicks.mean()),
+        click_fraction=stats.click.count / stats.n_trials,
     )
 
 
@@ -281,7 +351,7 @@ def fit_differential(
 
 
 def _scheme_snr(config: SchemeConfig, n_trials: int, seed: int, workers: int) -> float:
-    batch = simulate_trials(
+    stats = simulate_trials(
         config.params,
         config.noise,
         n_trials,
@@ -289,7 +359,7 @@ def _scheme_snr(config: SchemeConfig, n_trials: int, seed: int, workers: int) ->
         p_signal=config.p_signal,
         workers=workers,
     )
-    est = estimate_phases(batch)
+    est = estimate_phases(stats)
     value, stderr = est.differential
     if not math.isfinite(stderr) or stderr <= 0.0:
         return SNR_CAP

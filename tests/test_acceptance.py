@@ -128,10 +128,10 @@ def _campaign_estimates(trials_scale, seed):
         params = point_params(point)
         trials = max(2, round(point.n_total * trials_scale))
         row_seed = int(np.random.SeedSequence((seed, i)).generate_state(1, np.uint64)[0])
-        batch = simulate_trials(
+        stats = simulate_trials(
             params, point_noise(point), trials, row_seed, p_signal=point.p_signal
         )
-        rows.append((point, estimate_phases(batch)))
+        rows.append((point, estimate_phases(stats)))
     return rows
 
 
@@ -170,10 +170,10 @@ def test_criterion_5_delta_one_control():
 
     row_seed = int(np.random.SeedSequence((20260808, 4)).generate_state(1, np.uint64)[0])
     trials = max(2, round(point.n_total * trials_scale))
-    batch = simulate_trials(
+    stats = simulate_trials(
         params, point_noise(point), trials, row_seed, p_signal=point.p_signal
     )
-    est = estimate_phases(batch)
+    est = estimate_phases(stats)
     mc_pull = abs(est.differential[0] - expected) / est.differential[1]
 
     # full-campaign scale: our stderr shrinks by sqrt(trials_scale); the

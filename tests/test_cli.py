@@ -287,6 +287,7 @@ class TestSnr:
         result = runner.invoke(main, ["snr", "--config", str(config), "--seed", "1"])
         assert result.exit_code == 1
         assert "config error" in result.output
+        assert "field 'wva'" in result.output
 
     def test_bad_scheme_field_named(self, runner, tmp_path):
         config = tmp_path / "snr.json"

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from wva_sim.errors import (
     DegenerateFitError,
@@ -14,6 +16,7 @@ from wva_sim.montecarlo import (
     SNR_CAP,
     NoiseModel,
     SchemeConfig,
+    _chunk_samples,
     estimate_phases,
     fit_differential,
     fit_per_photon_phase,
@@ -41,8 +44,8 @@ class TestSimulateTrials:
 
     def test_zero_noise_click_group_is_exact(self):
         params = row1_params()
-        batch = simulate_trials(params, NoiseModel(0.0, 0.0), 50_000, seed=9)
-        est = estimate_phases(batch)
+        stats = simulate_trials(params, NoiseModel(0.0, 0.0), 50_000, seed=9)
+        est = estimate_phases(stats)
         pred = predict_phases(params)
         assert est.phi_click[0] == pytest.approx(pred.phase_click, rel=1e-12)
         assert est.phi_noclick[0] == pytest.approx(pred.phase_noclick, rel=1e-12)
@@ -52,21 +55,21 @@ class TestSimulateTrials:
 
     def test_row1_click_fraction_includes_background(self):
         params = row1_params()
-        batch = simulate_trials(params, NoiseModel(0.1, 0.06), 200_000, seed=5)
+        stats = simulate_trials(params, NoiseModel(0.1, 0.06), 200_000, seed=5)
         expected = 0.19 + 0.06 * (1.0 - 0.19)  # ~0.24 design value
-        assert batch.clicks.mean() == pytest.approx(expected, abs=0.005)
+        assert stats.click.count / stats.n_trials == pytest.approx(expected, abs=0.005)
 
     def test_delta_one_control_click_fraction(self):
         point = CAMPAIGN[4]
         params = point_params(point)
-        batch = simulate_trials(
+        stats = simulate_trials(
             params,
             point_noise(point),
             200_000,
             seed=6,
             p_signal=point.p_signal,
         )
-        assert batch.clicks.mean() == pytest.approx(0.20, abs=0.005)
+        assert stats.click.count / stats.n_trials == pytest.approx(0.20, abs=0.005)
 
     def test_delta_one_without_override_is_invalid_regime(self):
         # the dark-port design formula gives eta delta^2 n_bar = 1.2 there
@@ -87,10 +90,9 @@ class TestSimulateTrials:
         n = CHUNK_TRIALS + 12_345  # spans a chunk boundary
         a = simulate_trials(params, noise, n, seed=77)
         b = simulate_trials(params, noise, n, seed=77, workers=4)
-        assert np.array_equal(a.clicks, b.clicks)
-        assert np.array_equal(a.phases, b.phases)
+        assert a == b  # every count, mean and M2 bit for bit
         c = simulate_trials(params, noise, n, seed=78)
-        assert not np.array_equal(a.phases, c.phases)
+        assert c.click != a.click and c.noclick != a.noclick
 
     @pytest.mark.parametrize(
         "workers,chunks,cpus,threads",
@@ -120,10 +122,10 @@ class TestSimulateTrials:
         monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", 16)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         params, noise = row1_params(), NoiseModel(0.1, 0.06)
-        batch = simulate_trials(params, noise, 16 * chunks, seed=3, workers=workers)
+        stats = simulate_trials(params, noise, 16 * chunks, seed=3, workers=workers)
         assert pools == ([] if threads is None else [threads])  # None: cpu_count unknown, serial
         serial = simulate_trials(params, noise, 16 * chunks, seed=3)
-        assert np.array_equal(batch.phases, serial.phases)
+        assert stats == serial
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
@@ -131,34 +133,77 @@ class TestSimulateTrials:
             simulate_trials(row1_params(), NoiseModel(), 100, seed=1, workers=workers)
 
     def test_batches_are_frozen(self):
-        batch = simulate_trials(row1_params(), NoiseModel(), 100, seed=1)
-        with pytest.raises(ValueError):
-            batch.phases[0] = 0.0
+        stats = simulate_trials(row1_params(), NoiseModel(), 100, seed=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stats.click = stats.noclick
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stats.click.mean = 0.0
 
-    def test_batch_length_mismatch_rejected(self):
-        from wva_sim.montecarlo import TrialBatch
+    def test_merged_chunks_match_concatenated_samples(self, monkeypatch):
+        import wva_sim.montecarlo as montecarlo
 
-        with pytest.raises(ValueError):
-            TrialBatch(
-                n_trials=3,
-                clicks=np.zeros(3, dtype=bool),
-                phases=np.zeros(2),
-                seed=0,
-            )
+        chunk = 1000
+        monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", chunk)
+        params, noise = row1_params(), NoiseModel(0.1, 0.06)
+        n, seed = 3 * chunk + 417, 31  # three full chunks and a partial one
+        pred = predict_phases(params)
+        clicks, phases = [], []
+        for k in range(4):
+            u_sig, u_bg, u_ph = _chunk_samples(seed, k, np.empty((min(chunk, n - k * chunk), 3)))
+            signal = u_sig < signal_click_probability(params)
+            clicks.append(signal | (u_bg < noise.background_click_rate))
+            true_phase = np.where(signal, pred.phase_click, pred.phase_noclick)
+            phases.append(true_phase + noise.phase_sigma * ndtri(u_ph))
+        clicks, phases = np.concatenate(clicks), np.concatenate(phases)
+        stats = simulate_trials(params, noise, n, seed=seed)
+        est = estimate_phases(stats)
+        for group, samples, (mean, stderr) in (
+            (stats.click, phases[clicks], est.phi_click),
+            (stats.noclick, phases[~clicks], est.phi_noclick),
+        ):
+            assert group.count == samples.size
+            assert group.mean == pytest.approx(samples.mean(), rel=1e-12)
+            std = samples.std(ddof=1)
+            assert math.sqrt(group.m2 / (group.count - 1)) == pytest.approx(std, rel=1e-12)
+            assert mean == group.mean
+            assert stderr == pytest.approx(std / math.sqrt(samples.size), rel=1e-12)
+
+    def test_single_phase_click_group_has_zero_stderr(self):
+        # no noise, no background: every click carries exactly the click phase
+        params = row1_params()
+        stats = simulate_trials(params, NoiseModel(0.0, 0.0), 3 * CHUNK_TRIALS + 5, seed=12)
+        est = estimate_phases(stats)
+        assert est.phi_click == (predict_phases(params).phase_click, 0.0)
+        assert est.phi_noclick[1] == 0.0
+
+    def test_memory_bounded_in_trial_count(self):
+        import tracemalloc
+
+        params, noise = row1_params(), NoiseModel(0.1, 0.06)
+        peaks = []
+        for chunks in (8, 64):
+            tracemalloc.start()
+            try:
+                simulate_trials(params, noise, chunks * CHUNK_TRIALS, seed=5, workers=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
+        assert max(peaks) < 64 * 2**20
 
 
 class TestEstimatePhases:
     def test_all_click_batch_is_insufficient(self):
         params = row1_params()
-        batch = simulate_trials(params, NoiseModel(0.1, 0.0), 1000, seed=2, p_signal=0.999)
+        stats = simulate_trials(params, NoiseModel(0.1, 0.0), 1000, seed=2, p_signal=0.999)
         with pytest.raises(InsufficientDataError):
-            estimate_phases(batch)
+            estimate_phases(stats)
 
     def test_zero_noise_mixture_mean(self):
         params = row1_params()
         background = 0.06
-        batch = simulate_trials(params, NoiseModel(0.0, background), 400_000, seed=3)
-        est = estimate_phases(batch)
+        stats = simulate_trials(params, NoiseModel(0.0, background), 400_000, seed=3)
+        est = estimate_phases(stats)
         expected = mixture_click_mean(params, 0.19, background)
         # realized group composition fluctuates binomially around the mixture
         assert est.phi_click[0] == pytest.approx(expected, rel=2e-3)
@@ -173,8 +218,8 @@ class TestEstimatePhases:
             assert abs(est.phi_click[0] - expected) < 5 * est.phi_click[1]
 
     def test_differential_stderr_combines_in_quadrature(self):
-        batch = simulate_trials(row1_params(), NoiseModel(0.1, 0.06), 50_000, seed=4)
-        est = estimate_phases(batch)
+        stats = simulate_trials(row1_params(), NoiseModel(0.1, 0.06), 50_000, seed=4)
+        est = estimate_phases(stats)
         assert est.differential[1] == pytest.approx(
             math.hypot(est.phi_click[1], est.phi_noclick[1]), rel=1e-12
         )
@@ -194,10 +239,10 @@ class TestEstimatePhases:
         # overlap 1 control: differential -> phi_bar + span/2 = 9.94 urad
         point = CAMPAIGN[4]
         params = point_params(point)
-        batch = simulate_trials(
+        stats = simulate_trials(
             params, NoiseModel(0.0, 0.0), 100_000, seed=17, p_signal=point.p_signal
         )
-        est = estimate_phases(batch)
+        est = estimate_phases(stats)
         assert est.differential[0] == pytest.approx(9.94e-6, rel=1e-3)
 
     def test_background_dilution_is_monotone(self):
@@ -205,10 +250,10 @@ class TestEstimatePhases:
         pred = predict_phases(params)
         means = []
         for background in (0.0, 0.1, 0.3, 0.6):
-            batch = simulate_trials(
+            stats = simulate_trials(
                 params, NoiseModel(0.0, background), 500_000, seed=8
             )
-            means.append(estimate_phases(batch).phi_click[0])
+            means.append(estimate_phases(stats).phi_click[0])
         assert all(a > b for a, b in zip(means, means[1:]))
         assert means[0] == pytest.approx(pred.phase_click, rel=1e-9)
         assert means[-1] > pred.phase_noclick
@@ -228,10 +273,10 @@ class TestFits:
         points = []
         for i, point in enumerate(CAMPAIGN[:4]):
             params = point_params(point)
-            batch = simulate_trials(
+            stats = simulate_trials(
                 params, point_noise(point), 400_000, seed=100 + i
             )
-            est = estimate_phases(batch)
+            est = estimate_phases(stats)
             points.append((point.n_bar, est.phi_noclick[0], est.phi_noclick[1]))
         fit = fit_per_photon_phase(points)
         assert abs(fit.parameter - phi_bar) < 3 * fit.stderr

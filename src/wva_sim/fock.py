@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import gammaln
 
 from .errors import (
     BlockUnitarityError,
@@ -130,16 +131,22 @@ def suggested_cutoff(amplitude: complex) -> int:
 def make_coherent(amplitude: complex, cutoff: int) -> FockRegister:
     """Truncated coherent state c_n = exp(-|a|^2/2) a^n / sqrt(n!).
 
-    The truncation deficit 1 - sum |c_n|^2 is recoverable from the returned
-    register via :func:`truncation_deficit`.
+    |c_n| is built in log space, -|a|^2/2 + n ln|a| - lgamma(n+1)/2, with
+    phase n arg(a): a recursion from c_0 = exp(-|a|^2/2) starts subnormal
+    past |a|^2 of about 1416 and loses the whole state.  The truncation
+    deficit 1 - sum |c_n|^2 is recoverable from the returned register via
+    :func:`truncation_deficit`.
     """
     if not (np.isfinite(np.real(amplitude)) and np.isfinite(np.imag(amplitude))):
         raise ValueError(f"coherent amplitude must be finite, got {amplitude!r}")
     spec = ModeSpec(int(cutoff))
-    amps = np.zeros(spec.cutoff, dtype=np.complex128)
-    amps[0] = math.exp(-0.5 * abs(amplitude) ** 2)
-    for n in range(1, spec.cutoff):
-        amps[n] = amps[n - 1] * amplitude / math.sqrt(n)
+    n = np.arange(spec.cutoff)
+    r = abs(amplitude)
+    if r == 0.0:
+        amps = (n == 0).astype(np.complex128)
+    else:
+        log_mag = -0.5 * r * r + n * math.log(r) - 0.5 * gammaln(n + 1.0)
+        amps = np.exp(log_mag + 1j * (n * np.angle(amplitude)))
     return FockRegister((spec,), amps)
 
 

@@ -6,16 +6,18 @@ Runs the full pipeline in truncated Fock space with no approximations:
     -> cross-Kerr phi_plus on (arm 1, probe)
     -> cross-Kerr phi_minus on (arm 2, probe)
     -> recombining beam splitter at theta(delta)   [arms -> bright, dark]
-    -> detector beam splitter at asin(sqrt(eta))   [dark -> undetected, detected]
-    -> condition on the detected mode holding |1> (click) or |0> (no click)
+    -> detector of efficiency eta on the dark port, as its POVM on the
+       dark-port count d: one click with weight d eta (1-eta)^(d-1), no
+       click with weight (1-eta)^d
 
-The undetected mode is never factored out: probabilities come from branch
-norms, and the probe phase is the argument of the conditional mean field
-computed on the joint subnormalized branch state, referenced against an
-alpha = 0 run of the same preparation (which leaves the probe untouched,
-so the reference equals the truncated probe state itself).  Components
-with two or more detected photons are tallied into ``p_multi`` and kept
-out of the phase statistics.
+The register holds three modes (bright, dark, probe); the detector needs no
+mode of its own, because the photons it misses are orthogonal across d and
+so enter probe observables only through the weights.  Probabilities come
+from the dark-port distribution, and the probe phase is the argument of the
+conditional mean field.  For the real beta >= 0 that the parameters admit,
+the unperturbed probe field is real and positive, so the phase needs no
+reference run.  Outcomes with two or more detected photons are tallied into
+``p_multi`` and kept out of the phase statistics.
 
 Everything here is deterministic; sweeps are embarrassingly parallel.
 """
@@ -26,6 +28,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import fock
 from .model import InterferometerParams, PhasePrediction, check_validity, predict_phases
@@ -81,26 +85,18 @@ def default_cutoffs(params: InterferometerParams) -> tuple[int, int, int]:
     return arm, arm, probe
 
 
-def _reference_phase(params: InterferometerParams, probe_cutoff: int, probe_phase: float) -> float:
-    # The alpha = 0 run leaves the probe exactly in its prepared coherent
-    # state (vacuum arms make both Kerr gates and the recombiner identity),
-    # so the reference reduces to the truncated probe itself.
-    probe = fock.make_coherent(params.beta * cmath.exp(1j * probe_phase), probe_cutoff)
-    return cmath.phase(fock.mean_field(probe, 0))
-
-
 def run_protocol(
-    params: InterferometerParams,
-    cutoffs: Sequence[int] | None = None,
-    *,
-    probe_phase: float = 0.0,
+    params: InterferometerParams, cutoffs: Sequence[int] | None = None
 ) -> ProtocolResult:
-    """Execute the exact pipeline and condition on the detected mode.
+    """Execute the exact pipeline and condition on the detector's POVM.
 
-    ``cutoffs`` optionally overrides (arm1, arm2, probe); the detector
-    ancilla always matches the dark-port cutoff so the detector splitter
-    cannot leak.  ``probe_phase`` rotates the prepared probe amplitude; the
-    reported phases are invariant under it (they are referenced).
+    ``cutoffs`` optionally overrides (arm1, arm2, probe).  The detector acts
+    on the dark-port count d with the binomial weights w0 = (1-eta)^d (no
+    click) and w1 = d eta (1-eta)^(d-1) (one click); the rest, nonzero only
+    for d >= 2, is ``p_multi``.  Branch probabilities are sums of w_k(d)
+    P(d); the conditioned probe field is the w_k(d) P(d)-weighted sum of the
+    probe mean fields at fixed d, since the undetected d - k photons are
+    orthogonal across d.
     """
     if cutoffs is None:
         cutoffs = default_cutoffs(params)
@@ -112,43 +108,42 @@ def run_protocol(
             fock.make_coherent(params.alpha / root2, arm1_cut),
             fock.make_coherent(params.alpha / root2, arm2_cut),
         ),
-        fock.make_coherent(params.beta * cmath.exp(1j * probe_phase), probe_cut),
+        fock.make_coherent(params.beta, probe_cut),
     )
     # modes: 0 arm1, 1 arm2, 2 probe
     reg = fock.apply_cross_kerr(reg, 0, 2, params.phi_plus)
     reg = fock.apply_cross_kerr(reg, 1, 2, params.phi_minus)
     reg = fock.apply_beam_splitter(reg, 0, 1, params.theta)
     # modes: 0 bright port, 1 dark port, 2 probe
-    dark_cut = reg.modes[1].cutoff
-    reg = fock.tensor(reg, fock.make_fock(0, dark_cut))
-    reg = fock.apply_beam_splitter(reg, 1, 3, math.asin(math.sqrt(params.eta)))
-    # modes: 0 bright port, 1 undetected, 2 probe, 3 detected
 
     deficit = fock.truncation_deficit(reg)
-    detected = fock.fock_distribution(reg, 3)
-    p_noclick = float(detected[0])
-    p_click = float(detected[1]) if detected.size > 1 else 0.0
-    p_multi = float(detected[2:].sum()) if detected.size > 2 else 0.0
+    dark = fock.fock_distribution(reg, 1)
+    d = np.arange(dark.size)
+    w_noclick = (1.0 - params.eta) ** d
+    # the factor d makes w1(0) exactly 0, also where 0**0 = 1 at eta = 1
+    w_click = d * params.eta * (1.0 - params.eta) ** np.maximum(d - 1, 0)
+    w_multi = np.where(d > 1, np.maximum(1.0 - w_noclick - w_click, 0.0), 0.0)
+    p_noclick, p_click, p_multi = (float(w @ dark) for w in (w_noclick, w_click, w_multi))
 
-    ref = _reference_phase(params, probe_cut, probe_phase)
-
-    # branch registers keep modes (bright, undetected, probe); probe is axis 2
-    click_branch = fock.project_fock(reg, 3, 1).state
-    noclick_branch = fock.project_fock(reg, 3, 0).state
+    # unnormalized probe field at each dark count the two branches weigh
+    fields = np.zeros(dark.size, dtype=np.complex128)
+    for n in np.flatnonzero((dark > 0.0) & (w_noclick + w_click > 0.0)):
+        fields[n] = dark[n] * fock.mean_field(fock.project_fock(reg, 1, int(n)).state, 1)
 
     click_degenerate = p_click < DEGENERATE_NORM2
     noclick_degenerate = p_noclick < DEGENERATE_NORM2
 
+    # beta >= 0 is real, so the unperturbed probe field has phase exactly 0
     if click_degenerate:
         phase_click = math.nan
         amp_click = complex(math.nan, math.nan)
     else:
-        amp_click = fock.mean_field(click_branch, 2)
-        phase_click = cmath.phase(amp_click * cmath.exp(-1j * ref))
+        amp_click = complex(w_click @ fields) / p_click
+        phase_click = cmath.phase(amp_click)
     if noclick_degenerate:
         phase_noclick = math.nan
     else:
-        phase_noclick = cmath.phase(fock.mean_field(noclick_branch, 2) * cmath.exp(-1j * ref))
+        phase_noclick = cmath.phase(complex(w_noclick @ fields))
 
     return ProtocolResult(
         p_click=p_click,

@@ -280,6 +280,12 @@ class TestSnr:
         )
         assert report["ratio"] > 1.0
 
+    def test_too_few_trials_exits_two(self, runner):
+        # two trials per scheme: no click group to estimate from
+        result = runner.invoke(main, ["snr", "--seed", "1", "--trials-scale", "1e-6"])
+        assert result.exit_code == 2
+        assert "estimation failure" in result.output
+
     def test_no_noclick_population_is_config_error(self, runner, tmp_path):
         # same rejection, same exit code as fig3 / fig4
         config = tmp_path / "snr.json"

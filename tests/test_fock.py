@@ -69,9 +69,21 @@ class TestCoherent:
         assert fock.truncation_deficit(reg) == pytest.approx(expected, rel=1e-12)
 
     def test_policy_cutoff_keeps_deficit_tiny(self):
-        for alpha in (0.3, 1.0, 2.0, 3.0):
+        # 38.3 and 44.72 (the campaign probe) put exp(-|a|^2 / 2) below the
+        # smallest normal double
+        for alpha in (0.3, 1.0, 2.0, 3.0, 38.3, 44.72):
             reg = fock.make_coherent(alpha, fock.suggested_cutoff(alpha))
             assert fock.truncation_deficit(reg) < 1e-9
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.5, 0.7 - 0.4j, -1.1 + 0.9j, 2j])
+    def test_matches_recursion_at_small_amplitude(self, alpha):
+        cutoff = fock.suggested_cutoff(alpha)
+        expected = np.zeros(cutoff, dtype=np.complex128)
+        expected[0] = math.exp(-0.5 * abs(alpha) ** 2)
+        for n in range(1, cutoff):
+            expected[n] = expected[n - 1] * alpha / math.sqrt(n)
+        amps = fock.make_coherent(alpha, cutoff).amplitudes
+        assert np.max(np.abs(amps - expected)) < 1e-14
 
     def test_rejects_non_finite_amplitude(self):
         with pytest.raises(ValueError):

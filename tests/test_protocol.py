@@ -22,6 +22,21 @@ def make_params(**kwargs):
     return InterferometerParams(**defaults)
 
 
+def recombined_register(p):
+    """Dense (bright, dark, probe) register after the recombiner, from fock primitives."""
+    arm_cut, _, probe_cut = default_cutoffs(p)
+    reg = fock.tensor(
+        fock.tensor(
+            fock.make_coherent(p.alpha / math.sqrt(2), arm_cut),
+            fock.make_coherent(p.alpha / math.sqrt(2), arm_cut),
+        ),
+        fock.make_coherent(p.beta, probe_cut),
+    )
+    reg = fock.apply_cross_kerr(reg, 0, 2, p.phi_plus)
+    reg = fock.apply_cross_kerr(reg, 1, 2, p.phi_minus)
+    return fock.apply_beam_splitter(reg, 0, 1, p.theta)
+
+
 class TestRunProtocol:
     def test_no_interaction_means_no_phase(self):
         p = make_params(phi_plus=0.0, phi_minus=0.0, alpha=0.5, delta=0.3, eta=0.8)
@@ -93,33 +108,36 @@ class TestRunProtocol:
         r = run_protocol(p)
         # rebuild the pipeline without the detector splitter and project the
         # dark port directly onto |1>
-        arm_cut, _, probe_cut = default_cutoffs(p)
-        reg = fock.tensor(
-            fock.tensor(
-                fock.make_coherent(p.alpha / math.sqrt(2), arm_cut),
-                fock.make_coherent(p.alpha / math.sqrt(2), arm_cut),
-            ),
-            fock.make_coherent(p.beta, probe_cut),
-        )
-        reg = fock.apply_cross_kerr(reg, 0, 2, p.phi_plus)
-        reg = fock.apply_cross_kerr(reg, 1, 2, p.phi_minus)
-        reg = fock.apply_beam_splitter(reg, 0, 1, p.theta)
+        reg = recombined_register(p)
         outcome = fock.project_fock(reg, 1, 1)
-        ref = cmath.phase(fock.mean_field(fock.make_coherent(p.beta, probe_cut), 0))
+        ref = cmath.phase(fock.mean_field(fock.make_coherent(p.beta, reg.cutoffs[2]), 0))
         phase = cmath.phase(fock.mean_field(outcome.state, 1) * cmath.exp(-1j * ref))
         assert outcome.probability == pytest.approx(r.p_click, abs=1e-12)
         assert phase == pytest.approx(r.phase_click_exact, abs=1e-12)
 
-    def test_reference_independence(self):
-        p = make_params(alpha=0.4, beta=0.9, delta=0.3, eta=0.7)
-        base = run_protocol(p)
-        shifted = run_protocol(p, probe_phase=0.7)
-        assert shifted.phase_click_exact == pytest.approx(
-            base.phase_click_exact, abs=1e-12
-        )
-        assert shifted.phase_noclick_exact == pytest.approx(
-            base.phase_noclick_exact, abs=1e-12
-        )
+    @pytest.mark.parametrize(
+        "params",
+        [
+            make_params(alpha=0.8, beta=1.2, delta=0.4, eta=0.3, phi_minus=2e-4),
+            make_params(alpha=0.8, beta=1.2, delta=0.4, eta=0.7, phi_minus=2e-4),
+            make_params(alpha=0.3, beta=2.0, delta=0.2, eta=1.0, phi_plus=0.5),
+        ],
+        ids=["eta0.3", "eta0.7", "criterion2"],
+    )
+    def test_povm_equals_detector_ancilla_splitter(self, params):
+        # reference formulation: the detector as a fourth mode behind a
+        # splitter of transmission eta, conditioned on that mode's count
+        r = run_protocol(params)
+        reg = recombined_register(params)
+        reg = fock.tensor(reg, fock.make_fock(0, reg.cutoffs[1]))
+        reg = fock.apply_beam_splitter(reg, 1, 3, math.asin(math.sqrt(params.eta)))
+        detected = fock.fock_distribution(reg, 3)
+        assert detected[1] == pytest.approx(r.p_click, abs=1e-12)
+        assert detected[0] == pytest.approx(r.p_noclick, abs=1e-12)
+        assert detected[2:].sum() == pytest.approx(r.p_multi, abs=1e-12)
+        for k, phase in ((1, r.phase_click_exact), (0, r.phase_noclick_exact)):
+            branch = fock.project_fock(reg, 3, k).state
+            assert cmath.phase(fock.mean_field(branch, 2)) == pytest.approx(phase, abs=1e-12)
 
     def test_degenerate_click_branch_at_zero_signal(self):
         r = run_protocol(make_params(alpha=0.0))

@@ -1,7 +1,8 @@
 """State-vector engine for a register of truncated bosonic modes.
 
-A register holds a dense complex amplitude tensor over a product of
-single-mode Fock spaces, each truncated to ``cutoff`` levels.  The three
+A register is its dense complex amplitude tensor over a product of
+single-mode Fock spaces: axis k holds mode k's levels |0>, ..., |c_k - 1>,
+so the tensor's shape is the tuple of cutoffs.  The three
 primitives a post-selected interferometer needs are provided exactly:
 coherent-state preparation, a two-mode beam-splitter rotation (built
 blockwise per total photon number, so photon number is conserved by
@@ -15,9 +16,10 @@ the surface.
 
 All operations are pure: they take a register and return a new one.
 Amplitude arrays are frozen after construction, so registers are safe to
-share between threads or processes.  States may be subnormalized (norm
-below one) after projection; renormalization is always an explicit
-caller action because post-selection probabilities are data.
+share between threads or processes.  A projected register keeps its norm
+below one: its squared norm is the outcome probability.  Renormalizing,
+dividing the amplitudes by sqrt(norm_squared), is left to the caller
+because post-selection probabilities are data.
 """
 
 from __future__ import annotations
@@ -54,33 +56,20 @@ _NORM_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
-class ModeSpec:
-    """A single truncated mode; the Fock basis is {|0>, ..., |cutoff-1>}."""
-
-    cutoff: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.cutoff, (int, np.integer)) or self.cutoff < 1:
-            raise ValueError(f"cutoff must be an integer >= 1, got {self.cutoff!r}")
-
-
-@dataclass(frozen=True)
 class FockRegister:
-    """Immutable register: ordered modes plus a dense amplitude tensor.
+    """Immutable register: a dense amplitude tensor with one axis per mode.
 
-    The amplitude array is frozen in place at construction (no copy), so
-    pass ownership rather than a buffer you intend to keep writing.
+    The cutoffs are the tensor's shape; a 0-d tensor is a register with no
+    modes left.  The amplitude array is frozen in place at construction (no
+    copy), so pass ownership rather than a buffer you intend to keep writing.
     """
 
-    modes: tuple[ModeSpec, ...]
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        shape = tuple(m.cutoff for m in self.modes)
-        if self.amplitudes.shape != shape:
+        if 0 in self.amplitudes.shape:
             raise ValueError(
-                f"amplitude tensor shape {self.amplitudes.shape} does not match "
-                f"mode cutoffs {shape}"
+                f"amplitude tensor shape {self.amplitudes.shape} has a zero-length axis"
             )
         if self.amplitudes.dtype != np.complex128:
             object.__setattr__(self, "amplitudes", self.amplitudes.astype(np.complex128))
@@ -90,20 +79,8 @@ class FockRegister:
         self.amplitudes.setflags(write=False)
 
     @property
-    def n_modes(self) -> int:
-        return len(self.modes)
-
-    @property
     def cutoffs(self) -> tuple[int, ...]:
-        return tuple(m.cutoff for m in self.modes)
-
-
-@dataclass(frozen=True)
-class ProjectionOutcome:
-    """Reduced register (projected mode removed) and the outcome probability."""
-
-    state: FockRegister
-    probability: float
+        return self.amplitudes.shape
 
 
 def norm_squared(state: FockRegister) -> float:
@@ -113,13 +90,6 @@ def norm_squared(state: FockRegister) -> float:
 def truncation_deficit(state: FockRegister) -> float:
     """Norm^2 missing relative to a unit-norm preparation (clipped at 0)."""
     return max(0.0, 1.0 - norm_squared(state))
-
-
-def normalized(state: FockRegister) -> FockRegister:
-    n2 = norm_squared(state)
-    if n2 <= 0.0:
-        raise DegenerateStateError("cannot normalize a zero-norm state")
-    return FockRegister(state.modes, state.amplitudes / math.sqrt(n2))
 
 
 def suggested_cutoff(amplitude: complex) -> int:
@@ -139,43 +109,41 @@ def make_coherent(amplitude: complex, cutoff: int) -> FockRegister:
     """
     if not (np.isfinite(np.real(amplitude)) and np.isfinite(np.imag(amplitude))):
         raise ValueError(f"coherent amplitude must be finite, got {amplitude!r}")
-    spec = ModeSpec(int(cutoff))
-    n = np.arange(spec.cutoff)
+    n = np.arange(int(cutoff))
     r = abs(amplitude)
     if r == 0.0:
         amps = (n == 0).astype(np.complex128)
     else:
         log_mag = -0.5 * r * r + n * math.log(r) - 0.5 * gammaln(n + 1.0)
         amps = np.exp(log_mag + 1j * (n * np.angle(amplitude)))
-    return FockRegister((spec,), amps)
+    return FockRegister(amps)
 
 
 def make_fock(n: int, cutoff: int) -> FockRegister:
     """Single-mode number state |n>."""
-    spec = ModeSpec(int(cutoff))
-    if not 0 <= n < spec.cutoff:
-        raise ValueError(f"Fock level {n} outside [0, {spec.cutoff - 1}]")
-    amps = np.zeros(spec.cutoff, dtype=np.complex128)
+    cutoff = int(cutoff)
+    if not 0 <= n < cutoff:
+        raise ValueError(f"Fock level {n} outside [0, {cutoff - 1}]")
+    amps = np.zeros(cutoff, dtype=np.complex128)
     amps[n] = 1.0
-    return FockRegister((spec,), amps)
+    return FockRegister(amps)
 
 
-def tensor(
-    a: FockRegister, b: FockRegister, budget: int = DEFAULT_AMPLITUDE_BUDGET
-) -> FockRegister:
-    """Tensor product; mode lists concatenate and norms multiply."""
+def tensor(a: FockRegister, b: FockRegister) -> FockRegister:
+    """Tensor product; mode axes concatenate and norms multiply."""
     size = a.amplitudes.size * b.amplitudes.size
-    if size > budget:
+    if size > DEFAULT_AMPLITUDE_BUDGET:
         raise RegisterBudgetError(
-            f"tensor product needs {size} amplitudes, budget is {budget}"
+            f"tensor product needs {size} amplitudes, budget is {DEFAULT_AMPLITUDE_BUDGET}"
         )
-    amps = np.multiply.outer(a.amplitudes, b.amplitudes)
-    return FockRegister(a.modes + b.modes, amps)
+    return FockRegister(np.multiply.outer(a.amplitudes, b.amplitudes))
 
 
 def _check_mode(state: FockRegister, mode: int) -> int:
-    if not 0 <= mode < state.n_modes:
-        raise ValueError(f"mode index {mode} outside register of {state.n_modes} modes")
+    if not 0 <= mode < state.amplitudes.ndim:
+        raise ValueError(
+            f"mode index {mode} outside register of {state.amplitudes.ndim} modes"
+        )
     return mode
 
 
@@ -226,13 +194,7 @@ def _bs_block(total: int, theta: float) -> np.ndarray:
 
 
 def apply_beam_splitter(
-    state: FockRegister,
-    mode_a: int,
-    mode_b: int,
-    theta: float,
-    *,
-    warn_tol: float = LEAK_WARN_TOL,
-    fail_tol: float = LEAK_FAIL_TOL,
+    state: FockRegister, mode_a: int, mode_b: int, theta: float
 ) -> FockRegister:
     """Two-mode rotation: coherent amplitudes map to
     (cos(theta) a - sin(theta) b, sin(theta) a + cos(theta) b).
@@ -240,8 +202,8 @@ def apply_beam_splitter(
     Exactly number-conserving: every total-photon multiplet is rotated by a
     unitary block.  Multiplets that do not fit inside the cutoffs lose their
     clipped part; the lost norm^2 is raised as a truncation error past
-    ``fail_tol``.  Occupation on the last retained level of either mode
-    triggers a truncation warning above ``warn_tol``.
+    LEAK_FAIL_TOL.  Occupation on the last retained level of either mode
+    triggers a truncation warning above LEAK_WARN_TOL.
     """
     mode_a = _check_mode(state, mode_a)
     mode_b = _check_mode(state, mode_b)
@@ -250,8 +212,7 @@ def apply_beam_splitter(
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
 
-    da = state.modes[mode_a].cutoff
-    db = state.modes[mode_b].cutoff
+    da, db = state.cutoffs[mode_a], state.cutoffs[mode_b]
     work = np.moveaxis(state.amplitudes, (mode_a, mode_b), (0, 1))
     tail_shape = work.shape[2:]
     work = work.reshape(da, db, -1)
@@ -259,7 +220,7 @@ def apply_beam_splitter(
     edge = float(np.sum(np.abs(work[da - 1, :, :]) ** 2)) + float(
         np.sum(np.abs(work[:, db - 1, :]) ** 2)
     )
-    if edge > warn_tol:
+    if edge > LEAK_WARN_TOL:
         warnings.warn(
             f"beam splitter input has weight {edge:.3e} on the last Fock level",
             TruncationWarning,
@@ -282,15 +243,15 @@ def apply_beam_splitter(
             out[ms, total - ms, :] = rotated[ms]
             leaked += float(np.sum(np.abs(rotated[:lo]) ** 2))
             leaked += float(np.sum(np.abs(rotated[hi + 1 :]) ** 2))
-    if leaked > fail_tol:
+    if leaked > LEAK_FAIL_TOL:
         raise TruncationError(
             f"beam splitter leaked norm^2 {leaked:.3e} past the cutoffs "
-            f"(tolerance {fail_tol:.1e})"
+            f"(tolerance {LEAK_FAIL_TOL:.1e})"
         )
 
     out = out.reshape((da, db) + tail_shape)
     out = np.moveaxis(out, (0, 1), (mode_a, mode_b))
-    return FockRegister(state.modes, np.ascontiguousarray(out))
+    return FockRegister(np.ascontiguousarray(out))
 
 
 def apply_cross_kerr(
@@ -303,33 +264,26 @@ def apply_cross_kerr(
         raise ValueError("cross-Kerr coupling needs two distinct modes")
     if not math.isfinite(phi):
         raise ValueError("phi must be finite")
-    ns = np.arange(state.modes[mode_s].cutoff, dtype=np.float64)
-    npr = np.arange(state.modes[mode_pr].cutoff, dtype=np.float64)
-    # phase table broadcast over the untouched axes
-    shape_s = [1] * state.n_modes
-    shape_s[mode_s] = ns.size
-    shape_pr = [1] * state.n_modes
-    shape_pr[mode_pr] = npr.size
-    exponent = ns.reshape(shape_s) * npr.reshape(shape_pr)
-    return FockRegister(state.modes, state.amplitudes * np.exp(1j * phi * exponent))
+    # level grids, one per axis, so the phase table broadcasts over the rest
+    levels = np.ix_(*(np.arange(c, dtype=np.float64) for c in state.cutoffs))
+    exponent = levels[mode_s] * levels[mode_pr]
+    return FockRegister(state.amplitudes * np.exp(1j * phi * exponent))
 
 
-def project_fock(state: FockRegister, mode: int, n: int) -> ProjectionOutcome:
-    """Project one mode onto |n>, returning the reduced register unrenormalized."""
+def project_fock(state: FockRegister, mode: int, n: int) -> FockRegister:
+    """Project one mode onto |n>: the reduced register, not rescaled.
+
+    Its ``norm_squared`` is the outcome probability.
+    """
     mode = _check_mode(state, mode)
-    if not 0 <= n < state.modes[mode].cutoff:
-        raise ValueError(
-            f"Fock level {n} outside mode cutoff {state.modes[mode].cutoff}"
-        )
+    if not 0 <= n < state.cutoffs[mode]:
+        raise ValueError(f"Fock level {n} outside mode cutoff {state.cutoffs[mode]}")
     reduced = np.take(state.amplitudes, n, axis=mode)
-    rest = state.modes[:mode] + state.modes[mode + 1 :]
-    shape = tuple(m.cutoff for m in rest)
-    out = FockRegister(rest, np.array(reduced, dtype=np.complex128).reshape(shape))
-    return ProjectionOutcome(state=out, probability=norm_squared(out))
+    return FockRegister(np.array(reduced, dtype=np.complex128))
 
 
 def fock_distribution(state: FockRegister, mode: int) -> np.ndarray:
-    """Unnormalized occupation probabilities P(n) for one mode."""
+    """Occupation probabilities P(n) for one mode; they sum to norm_squared."""
     mode = _check_mode(state, mode)
     moved = np.moveaxis(state.amplitudes, mode, 0)
     flat = moved.reshape(moved.shape[0], -1)
@@ -351,7 +305,7 @@ def mean_field(state: FockRegister, mode: int) -> complex:
 
 
 def number_expectation(state: FockRegister, mode: int) -> float:
-    """<n> for one mode, normalized by the state's squared norm."""
+    """<n> for one mode, divided by the state's squared norm."""
     n2 = norm_squared(state)
     if n2 <= 0.0:
         raise DegenerateStateError("<n> of a zero-norm state is undefined")

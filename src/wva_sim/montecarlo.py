@@ -147,19 +147,15 @@ class SnrComparison:
     ratio: float
 
 
-def signal_click_probability(params: InterferometerParams) -> float:
-    """Design post-selection probability eta delta^2 n_bar."""
-    return params.eta * params.delta**2 * params.n_bar
-
-
 def check_regime(
     params: InterferometerParams, noise: NoiseModel, p_signal: float | None = None
 ) -> float:
     """The signal click probability, checked to leave a no-click population.
 
-    ``p_signal`` overrides the design value; raises InvalidRegimeError.
+    The design value is ``predict_phases(params).p_click``, eta delta^2
+    n_bar; ``p_signal`` overrides it.  Raises InvalidRegimeError.
     """
-    p_s = signal_click_probability(params) if p_signal is None else float(p_signal)
+    p_s = predict_phases(params).p_click if p_signal is None else float(p_signal)
     b = noise.background_click_rate
     if p_s < 0.0 or p_s + b >= 1.0:
         raise InvalidRegimeError(

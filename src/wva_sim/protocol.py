@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -85,12 +85,10 @@ def default_cutoffs(params: InterferometerParams) -> tuple[int, int, int]:
     return arm, arm, probe
 
 
-def run_protocol(
-    params: InterferometerParams, cutoffs: Sequence[int] | None = None
-) -> ProtocolResult:
+def run_protocol(params: InterferometerParams) -> ProtocolResult:
     """Execute the exact pipeline and condition on the detector's POVM.
 
-    ``cutoffs`` optionally overrides (arm1, arm2, probe).  The detector acts
+    Modes are truncated at ``default_cutoffs(params)``.  The detector acts
     on the dark-port count d with the binomial weights w0 = (1-eta)^d (no
     click) and w1 = d eta (1-eta)^(d-1) (one click); the rest, nonzero only
     for d >= 2, is ``p_multi``.  Branch probabilities are sums of w_k(d)
@@ -98,9 +96,7 @@ def run_protocol(
     probe mean fields at fixed d, since the undetected d - k photons are
     orthogonal across d.
     """
-    if cutoffs is None:
-        cutoffs = default_cutoffs(params)
-    arm1_cut, arm2_cut, probe_cut = (int(c) for c in cutoffs)
+    arm1_cut, arm2_cut, probe_cut = default_cutoffs(params)
 
     root2 = math.sqrt(2.0)
     reg = fock.tensor(
@@ -125,10 +121,10 @@ def run_protocol(
     w_multi = np.where(d > 1, np.maximum(1.0 - w_noclick - w_click, 0.0), 0.0)
     p_noclick, p_click, p_multi = (float(w @ dark) for w in (w_noclick, w_click, w_multi))
 
-    # unnormalized probe field at each dark count the two branches weigh
+    # P(d)-weighted probe field at each dark count the two branches weigh
     fields = np.zeros(dark.size, dtype=np.complex128)
     for n in np.flatnonzero((dark > 0.0) & (w_noclick + w_click > 0.0)):
-        fields[n] = dark[n] * fock.mean_field(fock.project_fock(reg, 1, int(n)).state, 1)
+        fields[n] = dark[n] * fock.mean_field(fock.project_fock(reg, 1, int(n)), 1)
 
     click_degenerate = p_click < DEGENERATE_NORM2
     noclick_degenerate = p_noclick < DEGENERATE_NORM2
@@ -167,10 +163,7 @@ def differential_rel_error(result: ProtocolResult, prediction: PhasePrediction) 
     return abs(exact - analytic) / abs(analytic)
 
 
-def sweep_validity(
-    params_grid: Iterable[InterferometerParams],
-    cutoffs: Sequence[int] | None = None,
-) -> list[SweepRow]:
+def sweep_validity(params_grid: Iterable[InterferometerParams]) -> list[SweepRow]:
     """Oracle-versus-analytic comparison over a parameter grid.
 
     One row per point; per-point failures (truncation, degenerate branches)
@@ -184,7 +177,7 @@ def sweep_validity(
         prediction = predict_phases(params)
         verdict = check_validity(params).verdict
         try:
-            result = run_protocol(params, cutoffs)
+            result = run_protocol(params)
         except Exception as exc:  # recorded in-row by contract
             rows.append(
                 SweepRow(params, prediction, None, math.nan, verdict, note=f"error: {exc}")

@@ -207,7 +207,7 @@ def test_criterion_6_unitarity_suite():
         amps[top + 1 :, :, :] = 0.0
         amps[:, top + 1 :, :] = 0.0
         amps /= np.linalg.norm(amps)
-        reg = fock.FockRegister(tuple(fock.ModeSpec(c) for c in shape), amps)
+        reg = fock.FockRegister(amps)
 
         occupied_totals = {
             i + j

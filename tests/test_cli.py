@@ -303,6 +303,45 @@ class TestSnr:
         assert "wva.background" in result.output
 
 
+FIG4_POINT = {"n_bar": 95, "delta": 0.1, "eta": 0.2, "n_total": 1000, "background": 0.06}
+
+
+@pytest.mark.parametrize(
+    "command,config,flags,field",
+    [
+        ("oracle-validate", None, [], "<config>"),
+        ("oracle-validate", "dir", [], "<config>"),
+        ("oracle-validate", "{not json", [], "<config>"),
+        ("oracle-validate", [], [], "<config>"),
+        ("snr", [], ["--seed", "1"], "<config>"),
+        ("oracle-validate", dict(SMALL_ORACLE, alpha=[-1.0]), [], "alpha"),
+        ("oracle-validate", dict(SMALL_ORACLE, span_over_phi_bar=-1), [], "span_over_phi_bar"),
+        ("oracle-validate", SMALL_ORACLE, ["--tolerance", "-1"], "tolerance"),
+        ("fig4", {"points": [5]}, ["--seed", "1"], "points[0]"),
+        ("fig4", {"points": [{k: v for k, v in FIG4_POINT.items() if k != "n_total"}]},
+         ["--seed", "1"], "points[0].n_total"),
+        ("fig4", {"points": [FIG4_POINT], "include_delta_one": "yes"}, ["--seed", "1"],
+         "include_delta_one"),
+    ],
+    ids=[
+        "missing-file", "directory", "invalid-json", "array-oracle", "array-snr",
+        "negative-alpha", "negative-span", "negative-tolerance", "point-not-object",
+        "point-missing-n_total", "include_delta_one-not-bool",
+    ],
+)
+def test_config_errors_exit_one_and_name_field(runner, tmp_path, command, config, flags, field):
+    path = tmp_path / "config.json"
+    if config == "dir":
+        path.mkdir()
+    elif isinstance(config, str):
+        path.write_text(config)
+    elif config is not None:
+        path.write_text(json.dumps(config))
+    result = runner.invoke(main, [command, "--config", str(path), *flags])
+    assert result.exit_code == 1, result.output
+    assert f"field '{field}'" in result.output
+
+
 def echoed_config(command, output):
     if command == "snr":
         return json.loads(output)["config"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
@@ -25,7 +26,7 @@ def random_register(rng, cutoffs, max_level=None):
             idx[axis] = slice(max_level + 1, cut)
             amps[tuple(idx)] = 0.0
     amps /= np.linalg.norm(amps)
-    return fock.FockRegister(tuple(fock.ModeSpec(c) for c in cutoffs), amps)
+    return fock.FockRegister(amps)
 
 
 complex_amps = st.lists(
@@ -44,7 +45,7 @@ def register_from_list(pairs):
     if norm == 0:
         amps[0] = 1.0
         norm = 1.0
-    return fock.FockRegister((fock.ModeSpec(len(pairs)),), amps / norm)
+    return fock.FockRegister(amps / norm)
 
 
 class TestCoherent:
@@ -117,9 +118,18 @@ class TestTensor:
         np.testing.assert_allclose(prod.amplitudes, expected, atol=1e-15)
 
     def test_budget_guard(self):
-        big = fock.make_coherent(1.0, 4000)
-        with pytest.raises(RegisterBudgetError):
-            fock.tensor(big, big, budget=1_000_000)
+        # 8001^2 = 64,016,001 amplitudes, just over DEFAULT_AMPLITUDE_BUDGET
+        big = fock.make_coherent(1.0, 8001)
+        assert big.amplitudes.size**2 > fock.DEFAULT_AMPLITUDE_BUDGET
+        tracemalloc.start()
+        try:
+            with pytest.raises(RegisterBudgetError):
+                fock.tensor(big, big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # rejected before the ~1 GiB product is allocated
+        assert peak < 1_000_000
 
 
 class TestBeamSplitter:
@@ -194,7 +204,7 @@ class TestBeamSplitter:
     def test_edge_occupation_warns(self):
         reg = fock.tensor(fock.make_fock(2, 3), fock.make_fock(0, 3))
         with pytest.warns(TruncationWarning):
-            fock.apply_beam_splitter(reg, 0, 1, 0.2, fail_tol=1.0)
+            fock.apply_beam_splitter(reg, 0, 1, 0.2)
 
     def test_same_mode_rejected(self):
         reg = fock.tensor(fock.make_fock(0, 3), fock.make_fock(0, 3))
@@ -245,18 +255,18 @@ class TestCrossKerr:
 class TestProjection:
     def test_vacuum_projects_to_one(self):
         reg = fock.make_coherent(0.0, 4)
-        assert fock.project_fock(reg, 0, 0).probability == pytest.approx(1.0)
+        assert fock.norm_squared(fock.project_fock(reg, 0, 0)) == pytest.approx(1.0)
 
     def test_coherent_single_photon_weight(self):
         reg = fock.make_coherent(0.3, 12)
         out = fock.project_fock(reg, 0, 1)
-        assert out.probability == pytest.approx(math.exp(-0.09) * 0.09, rel=1e-12)
+        assert fock.norm_squared(out) == pytest.approx(math.exp(-0.09) * 0.09, rel=1e-12)
 
     @given(complex_amps)
     def test_completeness(self, pairs):
         reg = register_from_list(pairs)
         probs = [
-            fock.project_fock(reg, 0, n).probability for n in range(reg.cutoffs[0])
+            fock.norm_squared(fock.project_fock(reg, 0, n)) for n in range(reg.cutoffs[0])
         ]
         assert sum(probs) == pytest.approx(fock.norm_squared(reg), abs=1e-12)
 
@@ -268,7 +278,7 @@ class TestProjection:
     def test_projection_reduces_register(self):
         reg = fock.tensor(fock.make_coherent(0.5, 6), fock.make_coherent(0.2, 4))
         out = fock.project_fock(reg, 1, 0)
-        assert out.state.cutoffs == (6,)
+        assert out.cutoffs == (6,)
 
 
 class TestExpectations:
@@ -293,9 +303,7 @@ class TestExpectations:
         assert fock.number_expectation(reg, 0) == pytest.approx(1.69, abs=1e-8)
 
     def test_zero_norm_state_rejected(self):
-        zero = fock.FockRegister(
-            (fock.ModeSpec(3),), np.zeros(3, dtype=np.complex128)
-        )
+        zero = fock.FockRegister(np.zeros(3, dtype=np.complex128))
         with pytest.raises(DegenerateStateError):
             fock.mean_field(zero, 0)
         with pytest.raises(DegenerateStateError):
@@ -303,17 +311,6 @@ class TestExpectations:
 
 
 class TestHelpers:
-    def test_normalized_restores_unit_norm(self):
-        reg = fock.project_fock(fock.make_coherent(0.6, 10), 0, 1).state
-        assert fock.norm_squared(reg) < 1.0
-        unit = fock.normalized(fock.tensor(reg, fock.make_fock(0, 2)))
-        assert fock.norm_squared(unit) == pytest.approx(1.0, abs=1e-14)
-
-    def test_normalized_rejects_zero_norm(self):
-        zero = fock.FockRegister((fock.ModeSpec(2),), np.zeros(2, dtype=np.complex128))
-        with pytest.raises(DegenerateStateError):
-            fock.normalized(zero)
-
     def test_fock_distribution_matches_poisson(self):
         reg = fock.make_coherent(0.8, 14)
         dist = fock.fock_distribution(reg, 0)
@@ -398,12 +395,21 @@ class TestRegisterInvariants:
         with pytest.raises(ValueError):
             reg.amplitudes[0] = 0.0
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            fock.FockRegister((fock.ModeSpec(3),), np.zeros(4, dtype=np.complex128))
+    def test_zero_length_axis_rejected(self):
+        with pytest.raises(ValueError, match="zero-length axis"):
+            fock.FockRegister(np.zeros((3, 0), dtype=np.complex128))
+        # projecting out the last mode leaves a legal 0-d register
+        assert fock.FockRegister(np.array(1.0 + 0.0j)).cutoffs == ()
+
+    def test_mode_index_out_of_range_rejected(self):
+        reg = fock.tensor(fock.make_fock(0, 3), fock.make_fock(0, 3))
+        with pytest.raises(ValueError, match="mode index 2"):
+            fock.apply_beam_splitter(reg, 0, 2, 0.1)
+        with pytest.raises(ValueError, match="mode index -1"):
+            fock.project_fock(reg, -1, 0)
+        with pytest.raises(ValueError, match="mode index 2"):
+            fock.apply_cross_kerr(reg, 2, 0, 0.1)
 
     def test_overnormalized_rejected(self):
         with pytest.raises(ValueError):
-            fock.FockRegister(
-                (fock.ModeSpec(2),), np.array([1.0, 1.0], dtype=np.complex128)
-            )
+            fock.FockRegister(np.array([1.0, 1.0], dtype=np.complex128))

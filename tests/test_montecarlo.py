@@ -20,7 +20,6 @@ from wva_sim.montecarlo import (
     estimate_phases,
     fit_differential,
     fit_per_photon_phase,
-    signal_click_probability,
     simulate_trials,
     snr_compare,
 )
@@ -40,7 +39,7 @@ def mixture_click_mean(params, p_signal, background):
 
 class TestSimulateTrials:
     def test_design_click_probability(self):
-        assert signal_click_probability(row1_params()) == pytest.approx(0.19)
+        assert predict_phases(row1_params()).p_click == pytest.approx(0.19)
 
     def test_zero_noise_click_group_is_exact(self):
         params = row1_params()
@@ -75,7 +74,7 @@ class TestSimulateTrials:
         # the dark-port design formula gives eta delta^2 n_bar = 1.2 there
         point = CAMPAIGN[4]
         params = point_params(point)
-        assert signal_click_probability(params) == pytest.approx(1.2)
+        assert predict_phases(params).p_click == pytest.approx(1.2)
         with pytest.raises(InvalidRegimeError):
             simulate_trials(params, point_noise(point), 100, seed=0)
 
@@ -150,7 +149,7 @@ class TestSimulateTrials:
         clicks, phases = [], []
         for k in range(4):
             u_sig, u_bg, u_ph = _chunk_samples(seed, k, np.empty((min(chunk, n - k * chunk), 3)))
-            signal = u_sig < signal_click_probability(params)
+            signal = u_sig < pred.p_click
             clicks.append(signal | (u_bg < noise.background_click_rate))
             true_phase = np.where(signal, pred.phase_click, pred.phase_noclick)
             phases.append(true_phase + noise.phase_sigma * ndtri(u_ph))

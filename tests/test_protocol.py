@@ -111,8 +111,8 @@ class TestRunProtocol:
         reg = recombined_register(p)
         outcome = fock.project_fock(reg, 1, 1)
         ref = cmath.phase(fock.mean_field(fock.make_coherent(p.beta, reg.cutoffs[2]), 0))
-        phase = cmath.phase(fock.mean_field(outcome.state, 1) * cmath.exp(-1j * ref))
-        assert outcome.probability == pytest.approx(r.p_click, abs=1e-12)
+        phase = cmath.phase(fock.mean_field(outcome, 1) * cmath.exp(-1j * ref))
+        assert fock.norm_squared(outcome) == pytest.approx(r.p_click, abs=1e-12)
         assert phase == pytest.approx(r.phase_click_exact, abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -136,7 +136,7 @@ class TestRunProtocol:
         assert detected[0] == pytest.approx(r.p_noclick, abs=1e-12)
         assert detected[2:].sum() == pytest.approx(r.p_multi, abs=1e-12)
         for k, phase in ((1, r.phase_click_exact), (0, r.phase_noclick_exact)):
-            branch = fock.project_fock(reg, 3, k).state
+            branch = fock.project_fock(reg, 3, k)
             assert cmath.phase(fock.mean_field(branch, 2)) == pytest.approx(phase, abs=1e-12)
 
     def test_degenerate_click_branch_at_zero_signal(self):
@@ -157,11 +157,6 @@ class TestRunProtocol:
         p = make_params()
         r = run_protocol(p)
         assert abs(r.probe_amplitude_click) == pytest.approx(p.beta, rel=1e-3)
-
-    def test_custom_cutoffs_accepted(self):
-        p = make_params(alpha=0.2, beta=0.5)
-        r = run_protocol(p, cutoffs=(8, 8, 10))
-        assert r.truncation_deficit < 1e-6
 
 
 class TestBreakdown:
@@ -194,13 +189,15 @@ class TestSweep:
         assert rows[1].note == "degenerate branch"
         assert math.isnan(rows[1].rel_error)
 
-    @pytest.mark.filterwarnings("ignore::wva_sim.errors.TruncationWarning")
     def test_point_failure_captured_in_row(self):
-        # cutoffs far too small for the amplitude: truncation error recorded
-        grid = [make_params(alpha=2.5)]
-        rows = sweep_validity(grid, cutoffs=(3, 3, 4))
+        # a 170 x 170 x 2279 = 65.9M-amplitude register, over the budget:
+        # the RegisterBudgetError is recorded
+        grid = [make_params(alpha=10.0, beta=44.72)]
+        assert math.prod(default_cutoffs(grid[0])) > fock.DEFAULT_AMPLITUDE_BUDGET
+        rows = sweep_validity(grid)
         assert rows[0].result is None
         assert "error" in rows[0].note
+        assert "budget" in rows[0].note
 
     def test_empty_interaction_sentinel(self):
         rows = sweep_validity([make_params(phi_plus=0.0, phi_minus=0.0)])

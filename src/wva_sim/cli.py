@@ -335,6 +335,8 @@ def main() -> None:
 @_exit_codes
 def oracle_validate(config_path, out_path, seed, tolerance) -> None:
     """Sweep the exact pipeline against the closed forms; gate valid rows."""
+    if seed is not None:
+        _check_seed(seed)
     config = _merged_config(ORACLE_DEFAULTS, config_path, {"tolerance": tolerance})
     alphas, deltas, betas, etas, phi_bars = (
         _number_list(config, k) for k in ("alpha", "delta", "beta", "eta", "phi_bar_urad")
@@ -462,7 +464,7 @@ def snr(config_path, out_path, seed, trials_scale, workers) -> None:
     beta, phase_sigma, n_trials = (
         _number(config[k], k) for k in ("beta", "phase_sigma", "n_trials")
     )
-    _require(n_trials >= 2, "n_trials", ">= 2")
+    _require(n_trials.is_integer() and n_trials >= 2, "n_trials", "an integer >= 2")
     n_trials = int(n_trials)
     if trials_scale is not None:
         n_trials = max(2, round(n_trials * _trials_scale(trials_scale)))

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     BlockUnitarityError,
@@ -101,10 +100,11 @@ def suggested_cutoff(amplitude: complex) -> int:
 def make_coherent(amplitude: complex, cutoff: int) -> FockRegister:
     """Truncated coherent state c_n = exp(-|a|^2/2) a^n / sqrt(n!).
 
-    |c_n| is built in log space, -|a|^2/2 + n ln|a| - lgamma(n+1)/2, with
-    phase n arg(a): a recursion from c_0 = exp(-|a|^2/2) starts subnormal
-    past |a|^2 of about 1416 and loses the whole state.  The truncation
-    deficit 1 - sum |c_n|^2 is recoverable from the returned register via
+    |c_n| is built in log space, -|a|^2/2 + n ln|a| - lgamma(n+1)/2 with
+    :func:`math.lgamma` (the C library's), and its phase is n arg(a): a
+    recursion from c_0 = exp(-|a|^2/2) starts subnormal past |a|^2 of
+    about 1416 and loses the whole state.  The truncation deficit
+    1 - sum |c_n|^2 is recoverable from the returned register via
     :func:`truncation_deficit`.
     """
     if not (np.isfinite(np.real(amplitude)) and np.isfinite(np.imag(amplitude))):
@@ -114,7 +114,8 @@ def make_coherent(amplitude: complex, cutoff: int) -> FockRegister:
     if r == 0.0:
         amps = (n == 0).astype(np.complex128)
     else:
-        log_mag = -0.5 * r * r + n * math.log(r) - 0.5 * gammaln(n + 1.0)
+        log_factorial = np.fromiter(map(math.lgamma, n + 1.0), float, n.size)
+        log_mag = -0.5 * r * r + n * math.log(r) - 0.5 * log_factorial
         amps = np.exp(log_mag + 1j * (n * np.angle(amplitude)))
     return FockRegister(amps)
 

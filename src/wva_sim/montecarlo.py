@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DegenerateFitError, InsufficientDataError, InvalidRegimeError
 from .model import InterferometerParams, predict_phases
@@ -210,6 +209,10 @@ def simulate_trials(
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 bits")
     p_s = check_regime(params, noise, p_signal)
+    # imported here, before any worker thread starts, and not at module level:
+    # processes that draw no noise (the oracle, --help) never load scipy
+    from scipy.special import ndtri
+
     b = noise.background_click_rate
     prediction = predict_phases(params)
     phi_c, phi_n = prediction.phase_click, prediction.phase_noclick

@@ -80,6 +80,19 @@ class TestOracleValidate:
         )
         assert result.exit_code == 2
 
+    def test_largest_seed_echoed(self, runner, tmp_path):
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps(dict(SMALL_ORACLE, delta=[0.1])))
+        out = tmp_path / "oracle.csv"
+        result = runner.invoke(
+            main,
+            ["oracle-validate", "--config", str(config), "--out", str(out),
+             "--seed", str(2**64 - 1)],
+        )
+        assert result.exit_code == 0, result.output
+        header, _, _ = parse_csv(out.read_text())
+        assert header["seed"] == str(2**64 - 1)
+
     def test_malformed_config_names_field(self, runner, tmp_path):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps(dict(SMALL_ORACLE, delta="not-a-list")))
@@ -317,6 +330,9 @@ FIG4_POINT = {"n_bar": 95, "delta": 0.1, "eta": 0.2, "n_total": 1000, "backgroun
         ("oracle-validate", dict(SMALL_ORACLE, alpha=[-1.0]), [], "alpha"),
         ("oracle-validate", dict(SMALL_ORACLE, span_over_phi_bar=-1), [], "span_over_phi_bar"),
         ("oracle-validate", SMALL_ORACLE, ["--tolerance", "-1"], "tolerance"),
+        ("oracle-validate", SMALL_ORACLE, ["--seed", "-1"], "seed"),
+        ("oracle-validate", SMALL_ORACLE, ["--seed", str(2**64)], "seed"),
+        ("snr", {"n_trials": 2000000.5}, ["--seed", "1"], "n_trials"),
         ("fig4", {"points": [5]}, ["--seed", "1"], "points[0]"),
         ("fig4", {"points": [{k: v for k, v in FIG4_POINT.items() if k != "n_total"}]},
          ["--seed", "1"], "points[0].n_total"),
@@ -325,7 +341,8 @@ FIG4_POINT = {"n_bar": 95, "delta": 0.1, "eta": 0.2, "n_total": 1000, "backgroun
     ],
     ids=[
         "missing-file", "directory", "invalid-json", "array-oracle", "array-snr",
-        "negative-alpha", "negative-span", "negative-tolerance", "point-not-object",
+        "negative-alpha", "negative-span", "negative-tolerance", "oracle-negative-seed",
+        "oracle-seed-over-64-bits", "snr-fractional-n_trials", "point-not-object",
         "point-missing-n_total", "include_delta_one-not-bool",
     ],
 )

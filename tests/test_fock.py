@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.special import gammaln
 from hypothesis import given
 
 from wva_sim import fock
@@ -85,6 +86,24 @@ class TestCoherent:
             expected[n] = expected[n - 1] * alpha / math.sqrt(n)
         amps = fock.make_coherent(alpha, cutoff).amplitudes
         assert np.max(np.abs(amps - expected)) < 1e-14
+
+    @pytest.mark.parametrize("alpha", [0.5, 3.0, 44.72])
+    def test_matches_scipy_gammaln_reference(self, alpha):
+        # the log-space formula with scipy's gammaln; at 44.72 (the campaign
+        # probe) the exponent's terms reach ~1.7e4, where one ulp is 3.6e-12,
+        # so both evaluations are only good to a few eps times those terms
+        cutoff = fock.suggested_cutoff(alpha)
+        n = np.arange(cutoff)
+        terms = (-0.5 * alpha * alpha, n * math.log(alpha), -0.5 * gammaln(n + 1.0))
+        expected = np.exp(sum(terms))
+        scale = sum(np.abs(t) for t in terms)
+        amps = fock.make_coherent(alpha, cutoff).amplitudes
+        assert np.all(amps.imag == 0.0)
+        kept = expected > 1e-300
+        rel = np.abs(amps.real[kept] - expected[kept]) / expected[kept]
+        assert np.all(rel <= np.maximum(1e-13, 2 * np.finfo(float).eps * scale[kept]))
+        norm = float(np.sum(expected**2))
+        assert fock.norm_squared(fock.FockRegister(amps)) == pytest.approx(norm, rel=1e-12)
 
     def test_rejects_non_finite_amplitude(self):
         with pytest.raises(ValueError):

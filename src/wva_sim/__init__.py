@@ -2,7 +2,19 @@
 
 __version__ = "0.1.0"
 
-from .model import (  # noqa: F401
+import os
+
+# Loading numpy, and again scipy, starts a pool of busy-waiting OpenBLAS
+# threads sized to the CPU count.  The harness's linear algebra is on small
+# blocks and its parallelism is ``workers``, so BLAS runs on one thread unless
+# the caller chose a count through one of these variables.  This must run
+# before the first numpy import: once numpy is loaded its pool is sized, and
+# the pin changes nothing.
+BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(name in os.environ for name in BLAS_THREAD_VARIABLES):
+    os.environ["OMP_NUM_THREADS"] = "1"
+
+from .model import (  # noqa: E402, F401
     InterferometerParams,
     PhasePrediction,
     ValidityReport,
@@ -11,7 +23,7 @@ from .model import (  # noqa: F401
     weak_value_finite_efficiency,
     weak_value_photon_number,
 )
-from .montecarlo import (  # noqa: F401
+from .montecarlo import (  # noqa: E402, F401
     EstimatorResult,
     FitResult,
     GroupStats,
@@ -24,4 +36,4 @@ from .montecarlo import (  # noqa: F401
     simulate_trials,
     snr_compare,
 )
-from .protocol import ProtocolResult, run_protocol, sweep_validity  # noqa: F401
+from .protocol import ProtocolResult, run_protocol, sweep_validity  # noqa: E402, F401

@@ -200,7 +200,7 @@ def simulate_trials(
     (needed when that dark-port formula is outside its regime, e.g. a
     bright-port control point).  Deterministic given the seed; ``workers``
     only parallelizes chunk evaluation, on at most one thread per chunk
-    and per CPU.
+    and per CPU this process may use.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -243,8 +243,13 @@ def simulate_trials(
         return TrialStats(n_trials=n_trials, seed=seed, click=click, noclick=noclick)
 
     n_chunks = (n_trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
-    # a thread beyond the chunk count or the cores would only wait
-    threads = min(workers, n_chunks, os.cpu_count() or 1)
+    # a thread beyond the chunk count or the usable CPUs would only wait; the
+    # affinity mask, where the platform has one, honours taskset and cpusets
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    threads = min(workers, n_chunks, cpus)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return merged(pool.map(reduce_chunk, range(n_chunks)))

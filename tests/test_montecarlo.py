@@ -95,7 +95,7 @@ class TestSimulateTrials:
 
     @pytest.mark.parametrize(
         "workers,chunks,cpus,threads",
-        [(64, 3, 8, 3), (64, 10, 4, 4), (2, 10, 8, 2), (400, 400, None, None)],
+        [(64, 3, 8, 3), (64, 10, 4, 4), (2, 10, 8, 2), (400, 400, None, None), (64, 10, 1, None)],
     )
     def test_thread_count_capped(self, monkeypatch, workers, chunks, cpus, threads):
         import wva_sim.montecarlo as montecarlo
@@ -119,10 +119,18 @@ class TestSimulateTrials:
 
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", 16)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        # cpus: the affinity mask's size, on a 64-CPU host; None: a platform
+        # with no affinity call whose CPU count is unknown
+        if cpus is None:
+            monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+        else:
+            affinity = set(range(cpus))
+            monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+            monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
         params, noise = row1_params(), NoiseModel(0.1, 0.06)
         stats = simulate_trials(params, noise, 16 * chunks, seed=3, workers=workers)
-        assert pools == ([] if threads is None else [threads])  # None: cpu_count unknown, serial
+        assert pools == ([] if threads is None else [threads])  # None: serial, no pool
         serial = simulate_trials(params, noise, 16 * chunks, seed=3)
         assert stats == serial
 

@@ -12,11 +12,12 @@ from wva_sim.errors import (
 )
 from wva_sim.model import InterferometerParams, predict_phases
 from wva_sim.montecarlo import (
+    BLOCK,
     CHUNK_TRIALS,
     SNR_CAP,
     NoiseModel,
     SchemeConfig,
-    _chunk_samples,
+    _chunk_generator,
     estimate_phases,
     fit_differential,
     fit_per_photon_phase,
@@ -146,17 +147,21 @@ class TestSimulateTrials:
         with pytest.raises(dataclasses.FrozenInstanceError):
             stats.click.mean = 0.0
 
-    def test_merged_chunks_match_concatenated_samples(self, monkeypatch):
+    # 300 divides neither the full chunks nor the partial one
+    @pytest.mark.parametrize("block", [BLOCK, 300], ids=["whole-chunk", "block-300"])
+    def test_merged_chunks_match_concatenated_samples(self, monkeypatch, block):
         import wva_sim.montecarlo as montecarlo
 
         chunk = 1000
         monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", chunk)
+        monkeypatch.setattr(montecarlo, "BLOCK", block)
         params, noise = row1_params(), NoiseModel(0.1, 0.06)
         n, seed = 3 * chunk + 417, 31  # three full chunks and a partial one
         pred = predict_phases(params)
         clicks, phases = [], []
         for k in range(4):
-            u_sig, u_bg, u_ph = _chunk_samples(seed, k, np.empty((min(chunk, n - k * chunk), 3)))
+            # each chunk's uniforms in one fill; simulate_trials draws them block by block
+            u_sig, u_bg, u_ph = _chunk_generator(seed, k).random((min(chunk, n - k * chunk), 3)).T
             signal = u_sig < pred.p_click
             clicks.append(signal | (u_bg < noise.background_click_rate))
             true_phase = np.where(signal, pred.phase_click, pred.phase_noclick)
@@ -183,6 +188,24 @@ class TestSimulateTrials:
         assert est.phi_click == (predict_phases(params).phase_click, 0.0)
         assert est.phi_noclick[1] == 0.0
 
+    def test_zero_noise_two_phase_click_group_is_exact(self):
+        # no noise, with background: the click group holds exactly two phases
+        params, background = row1_params(), 0.06
+        n, seed = CHUNK_TRIALS - 1000, 13  # one chunk of several blocks
+        stats = simulate_trials(params, NoiseModel(0.0, background), n, seed=seed)
+        pred = predict_phases(params)
+        u_sig, u_bg, _ = _chunk_generator(seed, 0).random((n, 3)).T
+        signal = u_sig < pred.p_click
+        n_s = int(np.count_nonzero(signal))
+        n_b = int(np.count_nonzero(~signal & (u_bg < background)))
+        n_click = n_s + n_b
+        delta = pred.phase_noclick - pred.phase_click
+        assert stats.click.count == n_click
+        # the mixture mean and M2 n_s n_b / n (phi_c - phi_n)^2, in the merge's rounding
+        assert stats.click.mean == pred.phase_click + delta * (n_b / n_click)
+        assert stats.click.m2 == delta * delta * (n_s * n_b / n_click)
+        assert estimate_phases(stats).phi_noclick == (pred.phase_noclick, 0.0)
+
     def test_memory_bounded_in_trial_count(self):
         import tracemalloc
 
@@ -197,6 +220,19 @@ class TestSimulateTrials:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0]
         assert max(peaks) < 64 * 2**20
+
+    def test_serial_run_holds_only_block_buffers(self):
+        import tracemalloc
+
+        params, noise = row1_params(), NoiseModel(0.1, 0.06)
+        simulate_trials(params, noise, 100, seed=5)  # imports ndtri before tracing
+        tracemalloc.start()
+        try:
+            simulate_trials(params, noise, 4 * CHUNK_TRIALS + 5, seed=5, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestEstimatePhases:

@@ -20,7 +20,6 @@ from .model import (  # noqa: E402, F401
     ValidityReport,
     check_validity,
     predict_phases,
-    weak_value_finite_efficiency,
     weak_value_photon_number,
 )
 from .montecarlo import (  # noqa: E402, F401
@@ -28,12 +27,10 @@ from .montecarlo import (  # noqa: E402, F401
     FitResult,
     GroupStats,
     NoiseModel,
-    SchemeConfig,
     TrialStats,
     estimate_phases,
     fit_differential,
     fit_per_photon_phase,
     simulate_trials,
-    snr_compare,
 )
 from .protocol import ProtocolResult, run_protocol, sweep_validity  # noqa: E402, F401

@@ -9,10 +9,12 @@ result bit-exactly:
                    with the per-photon-phase fit from the no-click column
   fig4             differential phase versus post-selection overlap, with
                    the one-parameter amplified-split fit (CSV + fit JSON)
-  snr              amplified versus direct scheme signal-to-noise (JSON)
+  snr              amplified versus direct scheme signal-to-noise (JSON):
+                   each scheme is one point, run through the same Monte
+                   Carlo step as a fig3 / fig4 point
 
-Exit codes: 0 success, 1 config/usage error, 2 tolerance or estimation
-failure.  Config files are single JSON documents; command-line flags
+Exit codes: 0 success, 1 config/usage error, 2 tolerance, estimation or
+fit failure.  Config files are single JSON documents; command-line flags
 override file fields.  Phases in configs and outputs are microradians
 unless a field says otherwise; internals run in radians.  Monte Carlo
 commands require an explicit --seed (no silent entropy).  Worker count is
@@ -37,17 +39,18 @@ from . import __version__, presets
 from .errors import DegenerateFitError, InsufficientDataError, InvalidRegimeError
 from .model import InterferometerParams
 from .montecarlo import (
-    SchemeConfig,
-    check_regime,
     estimate_phases,
     fit_differential,
     fit_per_photon_phase,
     simulate_trials,
-    snr_compare,
 )
 from .protocol import sweep_validity
 
 URAD = presets.URAD
+
+# snr reported for a scheme whose spread collapses to zero (noise-free data),
+# so two noise-free schemes compare at ratio 1
+SNR_CAP = 1e9
 
 ORACLE_DEFAULTS: dict = {
     "alpha": [0.2, 0.5, 1.0],
@@ -240,6 +243,21 @@ def _point_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1, np.uint64)[0])
 
 
+def _simulate_point(field, point, params, noise, n_trials, seed, workers):
+    """Simulate ``point`` for ``n_trials`` trials; return its EstimatorResult.
+
+    The one Monte Carlo step of fig3, fig4 and snr.  A point whose click
+    probabilities leave no no-click population is a config error at ``field``.
+    """
+    try:
+        stats = simulate_trials(
+            params, noise, n_trials, seed, p_signal=point.p_signal, workers=workers
+        )
+    except InvalidRegimeError as exc:
+        raise ConfigError(field, str(exc)) from exc
+    return estimate_phases(stats)
+
+
 def _campaign(command, config, seed, workers, out_path, fit_name, fit, columns, cells) -> None:
     """The fig3 / fig4 pipeline: simulate every configured point, fit, write.
 
@@ -263,18 +281,9 @@ def _campaign(command, config, seed, workers, out_path, fit_name, fit, columns, 
         params = presets.point_params(point, phi_bar_urad, span_urad, beta)
         noise = presets.point_noise(point, phase_sigma)
         trials = max(2, round(point.n_total * scale))
-        try:
-            stats = simulate_trials(
-                params,
-                noise,
-                trials,
-                _point_seed(seed, i),
-                p_signal=point.p_signal,
-                workers=workers,
-            )
-        except InvalidRegimeError as exc:
-            raise ConfigError(f"points[{i}]", str(exc)) from exc
-        results.append((point, trials, estimate_phases(stats)))
+        point_seed = _point_seed(seed, i)
+        est = _simulate_point(f"points[{i}]", point, params, noise, trials, point_seed, workers)
+        results.append((point, trials, est))
 
     noisy = phase_sigma > 0.0
     fit_note = "skipped (zero-noise run has no stderr)"
@@ -473,17 +482,20 @@ def snr(config_path, out_path, seed, trials_scale, workers) -> None:
         # a scheme is a campaign point run for n_trials at its own phases
         point = presets.CampaignPoint(n_bar, delta, eta, n_trials, background, p_signal)
         params = presets.point_params(point, phi_bar_urad, span_urad, beta)
-        return SchemeConfig(params, presets.point_noise(point, phase_sigma), p_signal)
+        return point, params, presets.point_noise(point, phase_sigma)
 
-    schemes = []
-    for name in ("wva", "direct"):
-        parsed = _parse(scheme, config[name], name)
-        try:
-            check_regime(parsed.params, parsed.noise, parsed.p_signal)
-        except InvalidRegimeError as exc:
-            raise ConfigError(name, str(exc)) from exc
-        schemes.append(parsed)
-    comparison = snr_compare(*schemes, n_trials, seed, workers=workers)
+    names = ("wva", "direct")
+    schemes = [_parse(scheme, config[name], name) for name in names]
+    # equal trial budgets on independent streams derived from the seed
+    seeds = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    snrs = []
+    for name, scheme_args, scheme_seed in zip(names, schemes, seeds):
+        est = _simulate_point(name, *scheme_args, n_trials, int(scheme_seed), workers)
+        value, stderr = est.differential
+        capped = not math.isfinite(stderr) or stderr <= 0.0
+        snrs.append(SNR_CAP if capped else min(abs(value) / stderr, SNR_CAP))
+    snr_wva, snr_direct = snrs
+    ratio = snr_wva / snr_direct
 
     report = {
         "generator": f"wva-sim {__version__}",
@@ -491,14 +503,13 @@ def snr(config_path, out_path, seed, trials_scale, workers) -> None:
         "config": config,
         "seed": seed,
         "n_trials": n_trials,
-        "snr_wva": comparison.snr_wva,
-        "snr_direct": comparison.snr_direct,
-        "ratio": comparison.ratio,
+        "snr_wva": snr_wva,
+        "snr_direct": snr_direct,
+        "ratio": ratio,
     }
     _write_text(out_path, json.dumps(report, sort_keys=True, indent=2) + "\n")
     click.echo(
-        f"snr: wva {comparison.snr_wva:.4g}, direct {comparison.snr_direct:.4g}, "
-        f"ratio {comparison.ratio:.4g}",
+        f"snr: wva {snr_wva:.4g}, direct {snr_direct:.4g}, ratio {ratio:.4g}",
         err=True,
     )
 

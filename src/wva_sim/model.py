@@ -137,34 +137,6 @@ def weak_value_photon_number(n_bar: float, delta: float) -> tuple[float, float]:
     return n_plus, n_minus
 
 
-def weak_value_finite_efficiency(
-    alpha: float, theta: float, eta: float
-) -> tuple[float, float]:
-    """Arm weak values with the detector modeled as an eta beam splitter.
-
-    n1 = a^2/2 + s/(c+s) - (eta a^2/2) s(s+c)   (strong arm)
-    n2 = a^2/2 + c/(c+s) - (eta a^2/2) c(s+c)   (weak arm)
-
-    At eta = 0 and theta on the dark-port side of -pi/4 this reduces to
-    :func:`weak_value_photon_number`; crossing to the other side of -pi/4
-    swaps which arm feeds the monitored port, so the pair swaps too.
-    """
-    if not math.isfinite(alpha):
-        raise ValueError("alpha must be finite")
-    if not (0.0 <= eta <= 1.0):
-        raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
-    c, s = math.cos(theta), math.sin(theta)
-    denom = c + s
-    if abs(denom) < 1e-12:
-        raise DivergentWeakValueError(
-            "cos(theta) + sin(theta) = 0: perfectly dark port"
-        )
-    half_n = 0.5 * alpha**2
-    n1 = half_n + s / denom - eta * half_n * (s * denom)
-    n2 = half_n + c / denom - eta * half_n * (c * denom)
-    return n1, n2
-
-
 def predict_phases(params: InterferometerParams) -> PhasePrediction:
     """Closed-form click / no-click / differential probe phases.
 

@@ -1,4 +1,9 @@
-"""Monte Carlo model of the measurement campaign.
+"""Monte Carlo model of the measurement campaign, one point at a time.
+
+``simulate_trials`` draws one point, ``estimate_phases`` turns it into
+group means with standard errors, and the two fits combine the points;
+the commands that run points (fig3, fig4 and the snr comparison) are in
+``cli``.
 
 Each trial is one probe shot: the dark-port detector clicks with the
 design probability (signal) or fires on a stray photon (background), and
@@ -46,9 +51,6 @@ from .model import InterferometerParams, predict_phases
 CHUNK_TRIALS = 1 << 17
 # Trials drawn and reduced at a time within a chunk: 384 KB of uniforms.
 BLOCK = 1 << 14
-
-# SNR sentinel when a scheme's spread collapses to zero (noise-free data).
-SNR_CAP = 1e9
 
 _MIN_GROUP = 2  # samples needed per conditioning group for a stderr
 
@@ -120,40 +122,6 @@ class FitResult:
     dof: int
 
 
-@dataclass(frozen=True)
-class SchemeConfig:
-    """One measurement scheme for the SNR comparison."""
-
-    params: InterferometerParams
-    noise: NoiseModel
-    p_signal: float | None = None
-
-
-@dataclass(frozen=True)
-class SnrComparison:
-    snr_wva: float
-    snr_direct: float
-    ratio: float
-
-
-def check_regime(
-    params: InterferometerParams, noise: NoiseModel, p_signal: float | None = None
-) -> float:
-    """The signal click probability, checked to leave a no-click population.
-
-    The design value is ``predict_phases(params).p_click``, eta delta^2
-    n_bar; ``p_signal`` overrides it.  Raises InvalidRegimeError.
-    """
-    p_s = predict_phases(params).p_click if p_signal is None else float(p_signal)
-    b = noise.background_click_rate
-    if p_s < 0.0 or p_s + b >= 1.0:
-        raise InvalidRegimeError(
-            f"signal click probability {p_s:.4g} plus background {b:.4g} "
-            "leaves no no-click population"
-        )
-    return p_s
-
-
 def _chunk_generator(seed: int, chunk: int) -> np.random.Generator:
     """Chunk ``chunk``'s Philox stream: three uniforms per trial, in trial order."""
     return np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
@@ -201,9 +169,11 @@ def simulate_trials(
 
     ``p_signal`` overrides the design click probability eta delta^2 n_bar
     (needed when that dark-port formula is outside its regime, e.g. a
-    bright-port control point).  Deterministic given the seed; ``workers``
-    only parallelizes chunk evaluation, on at most one thread per chunk
-    and per CPU this process may use.
+    bright-port control point).  Raises InvalidRegimeError when that
+    probability is negative or, with the background, leaves no no-click
+    population.  Deterministic given the seed; ``workers`` only
+    parallelizes chunk evaluation, on at most one thread per chunk and per
+    CPU this process may use.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -211,13 +181,18 @@ def simulate_trials(
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 bits")
-    p_s = check_regime(params, noise, p_signal)
+    prediction = predict_phases(params)
+    p_s = prediction.p_click if p_signal is None else float(p_signal)
+    b = noise.background_click_rate
+    if p_s < 0.0 or p_s + b >= 1.0:
+        raise InvalidRegimeError(
+            f"signal click probability {p_s:.4g} plus background {b:.4g} "
+            "leaves no no-click population"
+        )
     # imported here, before any worker thread starts, and not at module level:
     # processes that draw no noise (the oracle, --help) never load scipy
     from scipy.special import ndtri
 
-    b = noise.background_click_rate
-    prediction = predict_phases(params)
     phi_c, phi_n = prediction.phase_click, prediction.phase_noclick
     sigma = noise.phase_sigma
 
@@ -294,8 +269,11 @@ def _validated_points(points: Sequence[tuple[float, float, float]], what: str):
     x = np.array([p[0] for p in points], dtype=np.float64)
     y = np.array([p[1] for p in points], dtype=np.float64)
     s = np.array([p[2] for p in points], dtype=np.float64)
-    if np.any(s <= 0.0) or not np.all(np.isfinite(s)):
+    if np.any(s < 0.0) or not np.all(np.isfinite(s)):
         raise ValueError(f"{what} sigmas must be positive and finite")
+    if np.any(s == 0.0):
+        # a noise-free point, or a stderr that underflowed: infinite weight
+        raise DegenerateFitError(f"{what} has a zero sigma")
     return x, y, s
 
 
@@ -363,41 +341,3 @@ def fit_differential(
         chi_squared=chi2,
         dof=int(x.size - 1),
     )
-
-
-def _scheme_snr(config: SchemeConfig, n_trials: int, seed: int, workers: int) -> float:
-    stats = simulate_trials(
-        config.params,
-        config.noise,
-        n_trials,
-        seed,
-        p_signal=config.p_signal,
-        workers=workers,
-    )
-    est = estimate_phases(stats)
-    value, stderr = est.differential
-    if not math.isfinite(stderr) or stderr <= 0.0:
-        return SNR_CAP
-    return min(abs(value) / stderr, SNR_CAP)
-
-
-def snr_compare(
-    wva_config: SchemeConfig,
-    direct_config: SchemeConfig,
-    n_trials: int,
-    seed: int,
-    *,
-    workers: int = 1,
-) -> SnrComparison:
-    """|differential| / stderr for the amplified and the direct scheme.
-
-    Equal trial budgets; independent substreams derived from the seed.
-    Zero-spread schemes return the capped sentinel, so two noise-free
-    schemes compare at ratio 1.
-    """
-    seed_wva, seed_direct = (
-        int(s) for s in np.random.SeedSequence(seed).generate_state(2, np.uint64)
-    )
-    snr_wva = _scheme_snr(wva_config, n_trials, seed_wva, workers)
-    snr_direct = _scheme_snr(direct_config, n_trials, seed_direct, workers)
-    return SnrComparison(snr_wva=snr_wva, snr_direct=snr_direct, ratio=snr_wva / snr_direct)

@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from wva_sim.cli import main
+from wva_sim.cli import SNR_DEFAULTS, main
 
 
 @pytest.fixture
@@ -159,6 +159,16 @@ class TestFig3:
         assert result.exit_code == 2
         assert "estimation failure" in result.output
 
+    def test_underflowed_stderr_is_fit_failure(self, runner, tmp_path):
+        # sigma^2 underflows, so a no-click stderr is exactly 0
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps({"phase_sigma": 1e-200}))
+        result = runner.invoke(
+            main, ["fig3", "--config", str(config), "--seed", "1", "--trials-scale", "1e-4"]
+        )
+        assert result.exit_code == 2, result.output
+        assert "fit failure" in result.output
+
     @pytest.mark.parametrize("flag,value", [("--trials-scale", "0"), ("--workers", "-3")])
     def test_nonpositive_scale_or_workers_is_config_error(self, runner, flag, value):
         result = runner.invoke(
@@ -180,14 +190,18 @@ class TestFig3:
 
 
 class TestFig4:
-    def test_byte_identical_across_worker_counts(self, runner, tmp_path):
+    # snr at this scale runs 400000 trials per scheme: four chunks
+    @pytest.mark.parametrize(
+        "command,scale", [("fig4", "3e-4"), ("snr", "0.2")], ids=["fig4", "snr"]
+    )
+    def test_byte_identical_across_worker_counts(self, runner, tmp_path, command, scale):
         outs = []
-        for workers, name in ((1, "a.csv"), (4, "b.csv")):
+        for workers, name in ((1, "a.out"), (4, "b.out")):
             out = tmp_path / name
             result = runner.invoke(
                 main,
-                ["fig4", "--out", str(out), "--seed", "123",
-                 "--trials-scale", "3e-4", "--workers", str(workers)],
+                [command, "--out", str(out), "--seed", "123",
+                 "--trials-scale", scale, "--workers", str(workers)],
             )
             assert result.exit_code == 0, result.output
             outs.append(out.read_bytes())
@@ -292,6 +306,24 @@ class TestSnr:
             report["snr_wva"] / report["snr_direct"], rel=1e-12
         )
         assert report["ratio"] > 1.0
+
+    def test_zero_noise_returns_capped_sentinel(self, runner, tmp_path):
+        config = tmp_path / "snr.json"
+        direct = dict(SNR_DEFAULTS["direct"], background=0.0)
+        config.write_text(
+            json.dumps(
+                {"phase_sigma": 0.0, "n_trials": 10000,
+                 "wva": dict(SNR_WVA, background=0.0), "direct": direct}
+            )
+        )
+        out = tmp_path / "snr.json.out"
+        result = runner.invoke(
+            main, ["snr", "--config", str(config), "--seed", "23", "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        report = json.loads(out.read_text())
+        assert report["snr_wva"] == report["snr_direct"] == 1e9
+        assert report["ratio"] == 1.0
 
     def test_too_few_trials_exits_two(self, runner):
         # two trials per scheme: no click group to estimate from

@@ -9,7 +9,6 @@ from wva_sim.model import (
     InterferometerParams,
     check_validity,
     predict_phases,
-    weak_value_finite_efficiency,
     weak_value_photon_number,
 )
 
@@ -88,40 +87,6 @@ class TestWeakValuePhotonNumber:
             weak_value_photon_number(-1.0, 0.5)
         with pytest.raises(ValueError):
             weak_value_photon_number(1.0, 1.5)
-
-
-class TestWeakValueFiniteEfficiency:
-    def test_matches_ideal_form_at_dark_side_theta(self):
-        # at eta = 0 and theta(delta) the reduction is algebraically exact
-        for delta in (0.05, 0.14, 0.5, 1.0):
-            p = make_params(alpha=0.8, delta=delta)
-            n1, n2 = weak_value_finite_efficiency(0.8, p.theta, 0.0)
-            ideal = weak_value_photon_number(0.64, delta)
-            assert n1 == pytest.approx(ideal[0], rel=1e-12)
-            assert n2 == pytest.approx(ideal[1], rel=1e-12)
-
-    def test_bright_side_theta_swaps_ports(self):
-        # crossing -pi/4 swaps which arm feeds the monitored port
-        eps = 1e-4
-        n1, n2 = weak_value_finite_efficiency(0.8, -math.pi / 4 + eps, 0.0)
-        n_plus, n_minus = weak_value_photon_number(0.64, eps)
-        assert n1 == pytest.approx(n_minus, abs=5e-4 * abs(n_minus))
-        assert n2 == pytest.approx(n_plus, abs=5e-4 * abs(n_plus))
-
-    def test_vacuum_signal_holds_one_photon(self):
-        n1, n2 = weak_value_finite_efficiency(0.0, -0.9, 0.4)
-        c, s = math.cos(-0.9), math.sin(-0.9)
-        assert n1 == pytest.approx(s / (c + s))
-        assert n2 == pytest.approx(c / (c + s))
-        assert n1 + n2 == pytest.approx(1.0)
-
-    def test_eta_one_theta_zero(self):
-        n1, n2 = weak_value_finite_efficiency(1.3, 0.0, 1.0)
-        assert n1 == pytest.approx(1.3**2 / 2)
-
-    def test_perfectly_dark_port_diverges(self):
-        with pytest.raises(DivergentWeakValueError):
-            weak_value_finite_efficiency(1.0, -math.pi / 4, 0.5)
 
 
 class TestPredictPhases:

@@ -10,19 +10,16 @@ from wva_sim.errors import (
     InsufficientDataError,
     InvalidRegimeError,
 )
-from wva_sim.model import InterferometerParams, predict_phases
+from wva_sim.model import predict_phases
 from wva_sim.montecarlo import (
     BLOCK,
     CHUNK_TRIALS,
-    SNR_CAP,
     NoiseModel,
-    SchemeConfig,
     _chunk_generator,
     estimate_phases,
     fit_differential,
     fit_per_photon_phase,
     simulate_trials,
-    snr_compare,
 )
 from wva_sim.presets import CAMPAIGN, point_noise, point_params
 
@@ -364,38 +361,6 @@ class TestFits:
             fit_differential(
                 [(1.0, 1e-5, 1e-6), (1.0, 1.1e-5, 1e-6)], 5.59e-6
             )
-
-
-class TestSnr:
-    # only sigma / sqrt(N) matters, so shrinking the per-shot noise stands in
-    # for the campaign's 1e8-to-1e9 trial budgets at desk-scale trial counts
-
-    def test_identical_configs_ratio_near_one(self):
-        config = SchemeConfig(row1_params(), NoiseModel(0.001, 0.06))
-        cmp = snr_compare(config, config, 1_000_000, seed=21)
-        assert cmp.ratio == pytest.approx(1.0, abs=0.3)
-
-    def test_amplified_scheme_wins_at_equal_budget(self):
-        wva = SchemeConfig(row1_params(), NoiseModel(0.001, 0.06))
-        direct_params = InterferometerParams(
-            alpha=1.0,
-            beta=CAMPAIGN[0].n_bar**0.5,
-            delta=1.0,
-            eta=0.3,
-            phi_plus=9.94e-6,
-            phi_minus=9.94e-6,
-        )
-        direct = SchemeConfig(direct_params, NoiseModel(0.001, 0.0))
-        cmp = snr_compare(wva, direct, 1_000_000, seed=22)
-        assert cmp.snr_wva > cmp.snr_direct > 1.0
-        assert cmp.ratio > 1.5
-
-    def test_zero_noise_returns_capped_sentinel(self):
-        config = SchemeConfig(row1_params(), NoiseModel(0.0, 0.0))
-        cmp = snr_compare(config, config, 10_000, seed=23)
-        assert cmp.snr_wva == SNR_CAP
-        assert cmp.snr_direct == SNR_CAP
-        assert cmp.ratio == 1.0
 
 
 class TestNoiseModel:

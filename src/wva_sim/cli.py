@@ -492,8 +492,7 @@ def snr(config_path, out_path, seed, trials_scale, workers) -> None:
     for name, scheme_args, scheme_seed in zip(names, schemes, seeds):
         est = _simulate_point(name, *scheme_args, n_trials, int(scheme_seed), workers)
         value, stderr = est.differential
-        capped = not math.isfinite(stderr) or stderr <= 0.0
-        snrs.append(SNR_CAP if capped else min(abs(value) / stderr, SNR_CAP))
+        snrs.append(SNR_CAP if stderr == 0.0 else min(abs(value) / stderr, SNR_CAP))
     snr_wva, snr_direct = snrs
     ratio = snr_wva / snr_direct
 

@@ -51,10 +51,11 @@ class InterferometerParams:
     phi_minus: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
-        if not (math.isfinite(self.beta) and self.beta >= 0.0):
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
+        for name in ("alpha", "beta"):
+            # the mean photon numbers alpha^2 and beta^2 must be finite too
+            value = getattr(self, name)
+            if not (math.isfinite(value * value) and value >= 0.0):
+                raise ValueError(f"{name} must be >= 0 with a finite square, got {value!r}")
         if not (0.0 < self.delta <= 1.0):
             raise ValueError(f"delta must lie in (0, 1], got {self.delta!r}")
         if not (0.0 <= self.eta <= 1.0):

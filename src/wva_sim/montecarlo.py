@@ -19,10 +19,10 @@ count, sum and sum of squares of the unit noise z (phase = true phase +
 sigma z) in three constant-phase subgroups: signal clicks, background-only
 clicks and no-clicks.  Each chunk of ``CHUNK_TRIALS`` trials is drawn in
 blocks of ``BLOCK`` trials, and each block is reduced at once to those
-subgroup sums.  At the end of the chunk, each subgroup becomes a triple;
-the two click subgroups and then the chunks, in chunk order, are merged
-with the pairwise update of Chan, Golub & LeVeque (Am. Stat. 37(3),
-1983).  Memory is O(threads x block) for any trial count.
+subgroup sums.  Sums add, so the chunks' sums are added in chunk order;
+only then does each subgroup become a triple, and one pairwise update of
+Chan, Golub & LeVeque (Am. Stat. 37(3), 1983) joins the two click
+subgroups.  Memory is O(threads x block) for any trial count.
 
 Reproducibility contract: the statistics are a pure function of
 (params, noise, n_trials, seed).  Chunk k draws from a counter-based
@@ -30,15 +30,14 @@ Philox stream keyed (seed, k) and consumes exactly three uniforms per
 trial (the Gaussian noise uses the inverse normal CDF rather than
 rejection sampling so the draw count per trial is constant); its blocks
 are consecutive draws from that one stream, so they hold the same
-uniforms as one fill of the whole chunk.  The summation and merge order
-is fixed.  Worker count therefore never changes the output, bit for bit.
+uniforms as one fill of the whole chunk.  The summation order is fixed.
+Worker count therefore never changes the output, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -99,7 +98,6 @@ class TrialStats:
     """Sufficient statistics of one simulated point: click and no-click groups."""
 
     n_trials: int
-    seed: int
     click: GroupStats
     noclick: GroupStats
 
@@ -125,19 +123,6 @@ class FitResult:
 def _chunk_generator(seed: int, chunk: int) -> np.random.Generator:
     """Chunk ``chunk``'s Philox stream: three uniforms per trial, in trial order."""
     return np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
-
-
-class _BlockBuffers(threading.local):
-    """One thread's work arrays, reused by every block that thread draws.
-
-    Allocating them afresh for each block made a serial run about an eighth
-    slower on a 2-vCPU x86 VM.
-    """
-
-    def __init__(self) -> None:
-        self.uniforms = np.empty((BLOCK, 3))
-        self.noise = np.empty(BLOCK)
-        self.masked = np.empty(BLOCK)
 
 
 def _constant_phase_group(
@@ -196,37 +181,28 @@ def simulate_trials(
     phi_c, phi_n = prediction.phase_click, prediction.phase_noclick
     sigma = noise.phase_sigma
 
-    buffers = _BlockBuffers()
-
-    def reduce_chunk(chunk: int) -> tuple[GroupStats, GroupStats]:
+    def chunk_sums(chunk: int) -> np.ndarray:
         count = min(CHUNK_TRIALS, n_trials - chunk * CHUNK_TRIALS)
         rng = _chunk_generator(seed, chunk)
+        # work arrays reused by every block of the chunk: allocating them per
+        # block made a serial run about an eighth slower on a 2-vCPU x86 VM
+        uniform_buf, noise_buf, masked_buf = np.empty((BLOCK, 3)), np.empty(BLOCK), np.empty(BLOCK)
         # count, sum z and sum z^2 of the unit noise z in each constant-phase
         # subgroup: signal clicks, background-only clicks, no-clicks
         sums = np.zeros((3, 3))
         for start in range(0, count, BLOCK):
-            uniforms = rng.random(out=buffers.uniforms[: min(BLOCK, count - start)])
+            uniforms = rng.random(out=uniform_buf[: min(BLOCK, count - start)])
             u_sig, u_bg, u_ph = uniforms.T
             # clip away the measure-zero u == 0 so ndtri stays finite
-            z = np.maximum(u_ph, 1e-300, out=buffers.noise[: len(u_ph)])
+            z = np.maximum(u_ph, 1e-300, out=noise_buf[: len(u_ph)])
             ndtri(z, out=z)
             signal = u_sig < p_s
             stray = u_bg < b
             for sub, mask in zip(sums, (signal, stray & ~signal, ~(signal | stray))):
                 # z inside the subgroup, exact zeros outside: cheaper than z[mask]
-                z_sub = np.multiply(z, mask, out=buffers.masked[: len(z)])
+                z_sub = np.multiply(z, mask, out=masked_buf[: len(z)])
                 sub += (np.count_nonzero(mask), z_sub.sum(), np.square(z_sub, out=z_sub).sum())
-        signal_clicks, stray_clicks, noclicks = (
-            _constant_phase_group(phase, sigma, *row)
-            for row, phase in zip(sums, (phi_c, phi_n, phi_n))
-        )
-        return signal_clicks.merge(stray_clicks), noclicks
-
-    def merged(chunk_stats) -> TrialStats:
-        click = noclick = GroupStats()
-        for chunk_click, chunk_noclick in chunk_stats:  # in chunk order
-            click, noclick = click.merge(chunk_click), noclick.merge(chunk_noclick)
-        return TrialStats(n_trials=n_trials, seed=seed, click=click, noclick=noclick)
+        return sums
 
     n_chunks = (n_trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     # a thread beyond the chunk count or the usable CPUs would only wait; the
@@ -236,10 +212,16 @@ def simulate_trials(
     else:
         cpus = os.cpu_count() or 1
     threads = min(workers, n_chunks, cpus)
+    # sum() folds left in chunk order, which map and pool.map both keep
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return merged(pool.map(reduce_chunk, range(n_chunks)))
-    return merged(map(reduce_chunk, range(n_chunks)))
+            sums = sum(pool.map(chunk_sums, range(n_chunks)))
+    else:
+        sums = sum(map(chunk_sums, range(n_chunks)))
+    signal_clicks, stray_clicks, noclicks = (
+        _constant_phase_group(phase, sigma, *row) for row, phase in zip(sums, (phi_c, phi_n, phi_n))
+    )
+    return TrialStats(n_trials, click=signal_clicks.merge(stray_clicks), noclick=noclicks)
 
 
 def _group_estimate(group: GroupStats) -> tuple[float, float]:
@@ -255,6 +237,8 @@ def estimate_phases(stats: TrialStats) -> EstimatorResult:
         )
     mc, sc = _group_estimate(stats.click)
     mn, sn = _group_estimate(stats.noclick)
+    if not (math.isfinite(sc) and math.isfinite(sn)):  # the spread's square overflowed
+        raise InsufficientDataError(f"non-finite stderr: {sc:.4g} clicks / {sn:.4g} no-clicks")
     return EstimatorResult(
         phi_click=(mc, sc),
         phi_noclick=(mn, sn),

@@ -370,12 +370,13 @@ FIG4_POINT = {"n_bar": 95, "delta": 0.1, "eta": 0.2, "n_total": 1000, "backgroun
          ["--seed", "1"], "points[0].n_total"),
         ("fig4", {"points": [FIG4_POINT], "include_delta_one": "yes"}, ["--seed", "1"],
          "include_delta_one"),
+        ("oracle-validate", dict(SMALL_ORACLE, beta=[1e200]), [], "beta"),
     ],
     ids=[
         "missing-file", "directory", "invalid-json", "array-oracle", "array-snr",
         "negative-alpha", "negative-span", "negative-tolerance", "oracle-negative-seed",
         "oracle-seed-over-64-bits", "snr-fractional-n_trials", "point-not-object",
-        "point-missing-n_total", "include_delta_one-not-bool",
+        "point-missing-n_total", "include_delta_one-not-bool", "oracle-beta-square-overflows",
     ],
 )
 def test_config_errors_exit_one_and_name_field(runner, tmp_path, command, config, flags, field):
@@ -389,6 +390,20 @@ def test_config_errors_exit_one_and_name_field(runner, tmp_path, command, config
     result = runner.invoke(main, [command, "--config", str(path), *flags])
     assert result.exit_code == 1, result.output
     assert f"field '{field}'" in result.output
+
+
+@pytest.mark.parametrize(
+    "command,scale", [("fig3", "1e-4"), ("fig4", "1e-4"), ("snr", "0.01")]
+)
+def test_overflowed_stderr_is_estimation_failure(runner, tmp_path, command, scale):
+    # sigma^2 overflows, so every stderr is infinite
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({"phase_sigma": 1e200}))
+    result = runner.invoke(
+        main, [command, "--config", str(config), "--seed", "1", "--trials-scale", scale]
+    )
+    assert result.exit_code == 2, result.output
+    assert "estimation failure" in result.output
 
 
 def echoed_config(command, output):

@@ -84,10 +84,11 @@ class TestSimulateTrials:
     def test_bit_exact_reproducibility(self):
         params = row1_params()
         noise = NoiseModel(0.1, 0.06)
-        n = CHUNK_TRIALS + 12_345  # spans a chunk boundary
+        n = 5 * CHUNK_TRIALS + 12_345  # six chunks, the last one partial
         a = simulate_trials(params, noise, n, seed=77)
-        b = simulate_trials(params, noise, n, seed=77, workers=4)
-        assert a == b  # every count, mean and M2 bit for bit
+        for workers in (2, 4):
+            # every count, mean and M2 bit for bit
+            assert simulate_trials(params, noise, n, seed=77, workers=workers) == a
         c = simulate_trials(params, noise, n, seed=78)
         assert c.click != a.click and c.noclick != a.noclick
 

@@ -231,19 +231,15 @@ def apply_beam_splitter(
     out = np.zeros_like(work)
     leaked = 0.0
     for total in range(da + db - 1):
+        # the multiplet's levels m that fit: m < da and total - m < db
         lo = max(0, total - db + 1)
         hi = min(total, da - 1)
         ms = np.arange(lo, hi + 1)
-        block = _bs_block(total, float(theta))
-        if lo == 0 and hi == total:
-            out[ms, total - ms, :] = block @ work[ms, total - ms, :]
-        else:
-            full = np.zeros((total + 1, work.shape[2]), dtype=np.complex128)
-            full[ms] = work[ms, total - ms, :]
-            rotated = block @ full
-            out[ms, total - ms, :] = rotated[ms]
-            leaked += float(np.sum(np.abs(rotated[:lo]) ** 2))
-            leaked += float(np.sum(np.abs(rotated[hi + 1 :]) ** 2))
+        rotated = _bs_block(total, float(theta))[:, lo : hi + 1] @ work[ms, total - ms, :]
+        out[ms, total - ms, :] = rotated[lo : hi + 1]
+        # rows outside lo..hi put a photon past a cutoff: the clipped part
+        for clipped in (rotated[:lo], rotated[hi + 1 :]):
+            leaked += np.vdot(clipped, clipped).real
     if leaked > LEAK_FAIL_TOL:
         raise TruncationError(
             f"beam splitter leaked norm^2 {leaked:.3e} past the cutoffs "
@@ -299,10 +295,10 @@ def mean_field(state: FockRegister, mode: int) -> complex:
         raise DegenerateStateError("mean field of a zero-norm state is undefined")
     moved = np.moveaxis(state.amplitudes, mode, 0)
     flat = moved.reshape(moved.shape[0], -1)
-    acc = 0.0 + 0.0j
-    for n in range(flat.shape[0] - 1):
-        acc += math.sqrt(n + 1) * np.vdot(flat[n], flat[n + 1])
-    return complex(acc / n2)
+    # <psi_n|psi_(n+1)> for every level n in one batched product, then
+    # summed with the weights sqrt(n + 1)
+    overlaps = (flat[:-1, None, :].conj() @ flat[1:, :, None]).ravel()
+    return complex(np.sqrt(np.arange(1.0, flat.shape[0])) @ overlaps / n2)
 
 
 def number_expectation(state: FockRegister, mode: int) -> float:

@@ -261,6 +261,19 @@ def _validated_points(points: Sequence[tuple[float, float, float]], what: str):
     return x, y, s
 
 
+def _scaled_weights(s: np.ndarray) -> tuple[np.ndarray, int]:
+    """Weights 1/(s 2^-k)^2 and the k that puts max(s 2^-k) in [1/2, 1).
+
+    Dividing every sigma by one power of two leaves a weighted fit's
+    parameter unchanged and its stderr and chi^2 off by exactly 2^-k and
+    4^k, which the fit undoes; it keeps 1/s^2 from underflowing (or
+    overflowing) when every sigma is huge (or tiny).  The scaling is exact,
+    so a fit at ordinary sigmas gives the bits of the unscaled weights.
+    """
+    k = math.frexp(float(s.max()))[1]
+    return 1.0 / np.ldexp(s, -k) ** 2, k
+
+
 def fit_per_photon_phase(points: Sequence[tuple[float, float, float]]) -> FitResult:
     """Weighted least-squares line phase = c + slope * n_bar; returns the slope.
 
@@ -274,10 +287,12 @@ def fit_per_photon_phase(points: Sequence[tuple[float, float, float]]) -> FitRes
         raise DegenerateFitError("need >= 3 points for the slope-plus-intercept fit")
     if np.unique(x).size < 2:
         raise DegenerateFitError("degenerate abscissas: all n_bar equal")
-    w = 1.0 / s**2
+    w, k = _scaled_weights(s)
     sw, swx, swxx = w.sum(), (w * x).sum(), (w * x * x).sum()
     swy, swxy = (w * y).sum(), (w * x * y).sum()
-    det = sw * swxx - swx**2
+    # swx * swx, not swx**2: a product is correctly rounded at every scale,
+    # numpy's scalar power is not
+    det = sw * swxx - swx * swx
     if det <= 0.0:
         raise DegenerateFitError("singular normal equations")
     slope = (sw * swxy - swx * swy) / det
@@ -286,8 +301,8 @@ def fit_per_photon_phase(points: Sequence[tuple[float, float, float]]) -> FitRes
     chi2 = float((w * resid**2).sum())
     return FitResult(
         parameter=float(slope),
-        stderr=float(math.sqrt(sw / det)),
-        chi_squared=chi2,
+        stderr=math.ldexp(math.sqrt(sw / det), k),
+        chi_squared=math.ldexp(chi2, -2 * k),
         dof=int(x.size - 2),
     )
 
@@ -312,7 +327,7 @@ def fit_differential(
         raise DegenerateFitError("need >= 2 points below delta = 1 for the fit")
     if np.unique(x).size < 2:
         raise DegenerateFitError("degenerate abscissas: all delta equal")
-    w = 1.0 / s**2
+    w, k = _scaled_weights(s)
     design = 1.0 / (2.0 * x)
     target = y - phi_bar_fixed
     denom = float((w * design**2).sum())
@@ -321,7 +336,7 @@ def fit_differential(
     chi2 = float((w * resid**2).sum())
     return FitResult(
         parameter=span,
-        stderr=float(1.0 / math.sqrt(denom)),
-        chi_squared=chi2,
+        stderr=math.ldexp(1.0 / math.sqrt(denom), k),
+        chi_squared=math.ldexp(chi2, -2 * k),
         dof=int(x.size - 1),
     )

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -168,6 +169,22 @@ class TestFig3:
         )
         assert result.exit_code == 2, result.output
         assert "fit failure" in result.output
+
+    def test_huge_stderrs_still_fit(self, runner, tmp_path):
+        # stderrs near 1e136: 1/sigma^2 would underflow without the fit's
+        # power-of-two scaling, and the slope is invariant under it
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps({"phase_sigma": 1e140}))
+        out = tmp_path / "fig3.csv"
+        result = runner.invoke(
+            main,
+            ["fig3", "--config", str(config), "--seed", "1", "--trials-scale", "1e-4",
+             "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        fit = json.loads((tmp_path / "fig3.fit.json").read_text())
+        assert 1e140 < fit["stderr_urad"] < 1e145
+        assert math.isfinite(fit["phi0_urad"]) and fit["chi_squared"] > 0.0
 
     @pytest.mark.parametrize("flag,value", [("--trials-scale", "0"), ("--workers", "-3")])
     def test_nonpositive_scale_or_workers_is_config_error(self, runner, flag, value):

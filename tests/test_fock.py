@@ -220,6 +220,31 @@ class TestBeamSplitter:
             with pytest.raises(TruncationError):
                 fock.apply_beam_splitter(reg, 0, 1, math.pi / 4)
 
+    def test_clipped_multiplets_match_enlarged_exponential(self):
+        # cutoffs (5, 8) clip every multiplet of total >= 5 (and cut its low
+        # levels from total 8 on); the edge levels are empty and the angle is
+        # small, so the clipped norm stays below LEAK_FAIL_TOL
+        da, db, spectator, theta = 5, 8, 3, 0.01
+        rng = np.random.default_rng(3)
+        amps = np.zeros((da, db, spectator), dtype=np.complex128)
+        inner = (da - 1, db - 1, spectator)
+        amps[: da - 1, : db - 1] = rng.normal(size=inner) + 1j * rng.normal(size=inner)
+        amps /= np.linalg.norm(amps)
+        out = fock.apply_beam_splitter(fock.FockRegister(amps), 0, 1, theta)
+
+        # reference: exp(theta K), K = a2+ a1 - a1+ a2, on cutoffs that hold
+        # every occupied multiplet whole, truncated back afterwards
+        big = da + db - 1
+        lower = np.diag(np.sqrt(np.arange(1.0, big)), 1)
+        a1, a2 = np.kron(lower, np.eye(big)), np.kron(np.eye(big), lower)
+        padded = np.zeros((big, big, spectator), dtype=np.complex128)
+        padded[:da, :db] = amps
+        rotated = scipy.linalg.expm(theta * (a2.T @ a1 - a1.T @ a2)) @ padded.reshape(big * big, -1)
+        expected = rotated.reshape(big, big, spectator)[:da, :db]
+        np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-13)
+        leaked = 1.0 - fock.norm_squared(out)
+        assert 1e-10 < leaked < fock.LEAK_FAIL_TOL
+
     def test_edge_occupation_warns(self):
         reg = fock.tensor(fock.make_fock(2, 3), fock.make_fock(0, 3))
         with pytest.warns(TruncationWarning):
@@ -316,6 +341,15 @@ class TestExpectations:
         ref = fock.make_coherent(beta, 18)
         measured = np.angle(fock.mean_field(reg, 0)) - np.angle(fock.mean_field(ref, 0))
         assert measured == pytest.approx(phi, abs=1e-9)
+
+    def test_mean_field_matches_level_loop(self):
+        rng = np.random.default_rng(9)
+        reg = random_register(rng, (4, 7, 3))
+        for mode, cut in enumerate(reg.cutoffs):
+            flat = np.moveaxis(reg.amplitudes, mode, 0).reshape(cut, -1)
+            loop = sum(math.sqrt(n + 1) * np.vdot(flat[n], flat[n + 1]) for n in range(cut - 1))
+            # the contraction only reorders about 30 products of size <= 3
+            assert abs(fock.mean_field(reg, mode) - loop) < 1e-13
 
     def test_number_expectation_of_coherent(self):
         reg = fock.make_coherent(1.3, 24)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -354,6 +355,35 @@ class TestFits:
         fit_all = fit_differential(poisoned, phi_bar, include_delta_one=True)
         assert fit_all.dof == 2
         assert fit_all.parameter != pytest.approx(span, rel=1e-9)
+
+    @pytest.mark.parametrize("which", ["per_photon", "differential"])
+    def test_power_of_two_sigma_scaling_is_exact(self, which):
+        # scaling every sigma by 2**400 moves no bit of the parameter and
+        # scales stderr by 2**400 and chi^2 by 2**-800, exactly; unscaled,
+        # the weights 1/s**2 (s ~ 1e114) made the normal equations singular
+        phi_bar, scale = 5.59e-6, 2.0**400
+        if which == "per_photon":
+            fit = fit_per_photon_phase
+            xs, offsets = (10.0, 20.0, 45.0, 95.0), (3e-8, -5e-8, 1e-8, 4e-8)
+            points = [(n, 1.1e-6 + phi_bar * n + e, 1e-7 * (1 + n / 50)) for n, e in zip(xs, offsets)]
+        else:
+            fit = partial(fit_differential, phi_bar_fixed=phi_bar)
+            xs, offsets = (0.10, 0.14, 0.22, 0.32), (2e-7, -4e-7, 1e-7, 3e-7)
+            points = [(d, phi_bar + 8.7e-6 / (2 * d) + e, 1e-6 * (1 + d)) for d, e in zip(xs, offsets)]
+        base = fit(points)
+        scaled = fit([(x, y, s * scale) for x, y, s in points])
+        assert base.chi_squared > 0.0
+        assert scaled.parameter == base.parameter
+        assert scaled.stderr == base.stderr * scale
+        assert scaled.chi_squared == base.chi_squared / scale**2
+        # chi^2 is invariant when the values scale with the sigmas
+        joint = [(x, y * scale, s * scale) for x, y, s in points]
+        if which == "differential":
+            fit = partial(fit_differential, phi_bar_fixed=phi_bar * scale)
+        both = fit(joint)
+        assert both.chi_squared == base.chi_squared
+        assert both.parameter == base.parameter * scale
+        assert both.stderr == base.stderr * scale
 
     def test_single_delta_degenerate(self):
         with pytest.raises(DegenerateFitError):

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from wva_sim import fock
+from wva_sim import fock, protocol
+from wva_sim.errors import RegisterBudgetError
 from wva_sim.model import InterferometerParams, predict_phases
 from wva_sim.protocol import (
     default_cutoffs,
@@ -157,6 +158,61 @@ class TestRunProtocol:
         p = make_params()
         r = run_protocol(p)
         assert abs(r.probe_amplitude_click) == pytest.approx(p.beta, rel=1e-3)
+
+
+class TestOpticsCache:
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        protocol._optics_stage.cache_clear()
+        yield
+        protocol._optics_stage.cache_clear()
+
+    def test_eta_sweep_builds_each_register_once(self, monkeypatch):
+        calls = []
+        apply = fock.apply_beam_splitter
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return apply(*args, **kwargs)
+
+        monkeypatch.setattr(fock, "apply_beam_splitter", counted)
+        # eta innermost, as oracle-validate orders its grid
+        grid = [
+            make_params(alpha=alpha, delta=delta, phi_minus=phi_minus, eta=eta)
+            for alpha in (0.3, 0.8)
+            for delta in (0.1, 0.4)
+            for phi_minus in (0.0, 2e-4)
+            for eta in (0.5, 1.0)
+        ]
+        rows = sweep_validity(grid)
+        assert len(calls) == len(grid) // 2
+        for row in rows:
+            protocol._optics_stage.cache_clear()
+            # repr round-trips every float, so equal reprs are equal bits
+            assert repr(run_protocol(row.params)) == repr(row.result)
+        assert len(calls) == len(grid) // 2 + len(grid)
+
+    def test_cache_holds_read_only_per_level_arrays(self):
+        p = make_params(alpha=0.8, eta=0.5)
+        run_protocol(p)
+        deficit, dark, fields = protocol._optics_stage(
+            default_cutoffs(p), p.alpha, p.beta, p.theta, p.phi_plus, p.phi_minus
+        )
+        assert protocol._optics_stage.cache_info().hits == 1
+        assert deficit == run_protocol(p).truncation_deficit
+        for array in (dark, fields):
+            assert array.shape == (default_cutoffs(p)[1],)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_failed_point_raises_again(self):
+        p = make_params(alpha=10.0, beta=44.72)
+        for _ in range(2):
+            with pytest.raises(RegisterBudgetError):
+                run_protocol(p)
+        info = protocol._optics_stage.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
 
 
 class TestBreakdown:

@@ -13,12 +13,14 @@ result bit-exactly:
                    each scheme is one point, run through the same Monte
                    Carlo step as a fig3 / fig4 point
 
-Exit codes: 0 success, 1 config/usage error, 2 tolerance, estimation or
-fit failure.  Config files are single JSON documents; command-line flags
-override file fields.  Phases in configs and outputs are microradians
-unless a field says otherwise; internals run in radians.  Monte Carlo
-commands require an explicit --seed (no silent entropy).  Worker count is
-an execution detail: it never appears in output and never changes it.
+Exit codes: 0 success, 1 config error, 2 tolerance, estimation or fit
+failure, or a usage error that click rejects (a missing --seed, a flag
+value of the wrong type).  Config files are single JSON documents;
+command-line flags override file fields.  Phases in configs and outputs
+are microradians unless a field says otherwise; internals run in radians.
+Monte Carlo commands require an explicit --seed (no silent entropy).
+Worker count is an execution detail: it never appears in output and never
+changes it.
 """
 
 from __future__ import annotations
@@ -109,7 +111,6 @@ SNR_DEFAULTS: dict = {
 class ConfigError(Exception):
     def __init__(self, field: str, message: str) -> None:
         super().__init__(f"field '{field}': {message}")
-        self.field = field
 
 
 def _merged_config(defaults: dict, path: str | None, overrides: dict) -> dict:
@@ -206,15 +207,21 @@ def _exit_codes(command):
     return run
 
 
-def _header_lines(command: str, config: dict, seed: int | None) -> list[str]:
-    lines = [
-        f"# generator: wva-sim {__version__}",
-        f"# command: {command}",
-        f"# config: {json.dumps(config, sort_keys=True)}",
-    ]
+def _provenance(command: str, config: dict, seed: int | None) -> dict:
+    """What re-runs an output: generator, command, config and any seed."""
+    record = {"generator": f"wva-sim {__version__}", "command": command, "config": config}
     if seed is not None:
-        lines.append(f"# seed: {seed}")
-    return lines
+        record["seed"] = seed
+    return record
+
+
+def _header_lines(command: str, config: dict, seed: int | None) -> list[str]:
+    """A CSV's ``#`` block: the provenance record, then the phase unit."""
+    lines = [
+        f"# {key}: {value if isinstance(value, str) else json.dumps(value, sort_keys=True)}"
+        for key, value in _provenance(command, config, seed).items()
+    ]
+    return lines + ["# phases in microradians, full double precision"]
 
 
 def _write_text(out: str | None, text: str) -> None:
@@ -224,9 +231,9 @@ def _write_text(out: str | None, text: str) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _g(value: float) -> str:
-    """Full-precision machine formatting."""
-    return format(value, ".17g")
+def _csv_row(*cells) -> str:
+    """One CSV data row: floats at full double precision, ints and text as they are."""
+    return ",".join(format(c, ".17g") if isinstance(c, float) else str(c) for c in cells)
 
 
 def _check_seed(seed: int) -> None:
@@ -264,7 +271,7 @@ def _campaign(command, config, seed, workers, out_path, fit_name, fit, columns, 
     Each point is reduced to its group statistics as it is simulated, in
     memory bounded by the worker count, and only its EstimatorResult is kept.
     ``fit(results)`` returns the FitResult and any further fit JSON fields;
-    ``cells(point, est, noisy)`` gives the command's own ``columns``.
+    ``cells(point, est, noisy)`` gives the values of the command's own ``columns``.
     """
     _check_seed(seed)
     phi_bar_urad, span_urad, beta, phase_sigma = (
@@ -298,12 +305,11 @@ def _campaign(command, config, seed, workers, out_path, fit_name, fit, columns, 
         }
         fit_note = json.dumps(fit_json, sort_keys=True)
     lines = _header_lines(command, config, seed)
-    lines.append("# phases in microradians, full double precision")
     lines.append(f"# fit_{fit_name}: {fit_note}")
     lines.append("delta,n_bar,eta,trials,click_fraction," + columns)
     for point, trials, est in results:
-        shared = [_g(point.delta), _g(point.n_bar), _g(point.eta), str(trials)]
-        lines.append(",".join(shared + [_g(est.click_fraction)] + cells(point, est, noisy)))
+        shared = (point.delta, point.n_bar, point.eta, trials, est.click_fraction)
+        lines.append(_csv_row(*shared, *cells(point, est, noisy)))
     _write_text(out_path, "\n".join(lines) + "\n")
     if noisy:
         if out_path is not None:
@@ -320,9 +326,9 @@ def _campaign(command, config, seed, workers, out_path, fit_name, fit, columns, 
 def _campaign_options(command):
     options = (
         click.option("--config", "config_path", type=click.Path(), help="JSON config file."),
-        click.option("--out", "out_path", type=click.Path(), help="CSV output path (default stdout)."),
+        click.option("--out", "out_path", type=click.Path(), help="Output path (default stdout)."),
         click.option("--seed", type=int, required=True, help="Master seed (required; no silent entropy)."),
-        click.option("--trials-scale", type=float, help="Fraction of each point's trial count."),
+        click.option("--trials-scale", type=float, help="Scale on each point's trial count."),
         click.option("--workers", type=int, default=1, help="Worker threads; never changes the output."),
     )
     for option in reversed(options):
@@ -358,55 +364,48 @@ def oracle_validate(config_path, out_path, seed, tolerance) -> None:
     for alpha, delta, beta, phi_bar_urad, eta in axes:
         phi_bar = phi_bar_urad * URAD
         half_span = 0.5 * span_ratio * phi_bar
+        phi_plus, phi_minus = phi_bar + half_span, phi_bar - half_span
+        _require(
+            math.isfinite(phi_plus) and math.isfinite(phi_minus),
+            "span_over_phi_bar",
+            "small enough that phi_plus and phi_minus stay finite",
+        )
         grid.append(
             InterferometerParams(
                 alpha=alpha,
                 beta=beta,
                 delta=delta,
                 eta=eta,
-                phi_plus=phi_bar + half_span,
-                phi_minus=phi_bar - half_span,
+                phi_plus=phi_plus,
+                phi_minus=phi_minus,
             )
         )
 
     rows = sweep_validity(grid)
     lines = _header_lines("oracle-validate", config, seed)
-    lines.append("# phases in microradians, full double precision")
     lines.append(
         "alpha,beta,delta,eta,phi_plus,phi_minus,p_click_exact,p_click_analytic,"
         "diff_exact,diff_analytic,rel_error,verdict"
     )
-    failures = 0
+    valid_rows = failures = 0
     for row in rows:
-        p = row.params
+        p, pred = row.params, row.prediction
         if row.result is None:
             exact_p, exact_d = math.nan, math.nan
         else:
             exact_p = row.result.p_click
             exact_d = row.result.differential_exact
         gated = row.verdict == "valid" and not row.note
-        if gated and not (row.rel_error < gate):
-            failures += 1
+        valid_rows += gated
+        failures += gated and not (row.rel_error < gate)
         lines.append(
-            ",".join(
-                [
-                    _g(p.alpha),
-                    _g(p.beta),
-                    _g(p.delta),
-                    _g(p.eta),
-                    _g(p.phi_plus / URAD),
-                    _g(p.phi_minus / URAD),
-                    _g(exact_p),
-                    _g(row.prediction.p_click),
-                    _g(exact_d / URAD),
-                    _g(row.prediction.differential / URAD),
-                    _g(row.rel_error),
-                    row.verdict if not row.note else f"{row.verdict} ({row.note})",
-                ]
+            _csv_row(
+                p.alpha, p.beta, p.delta, p.eta, p.phi_plus / URAD, p.phi_minus / URAD,
+                exact_p, pred.p_click, exact_d / URAD, pred.differential / URAD, row.rel_error,
+                row.verdict if not row.note else f"{row.verdict} ({row.note})",
             )
         )
     _write_text(out_path, "\n".join(lines) + "\n")
-    valid_rows = sum(1 for r in rows if r.verdict == "valid" and not r.note)
     click.echo(
         f"oracle-validate: {len(rows)} points, {valid_rows} valid, "
         f"{failures} above tolerance {gate:.4g}",
@@ -428,7 +427,7 @@ def fig3(config_path, out_path, seed, trials_scale, workers) -> None:
         return fit_per_photon_phase(points), {}
 
     def cells(point, est, noisy):
-        return [_g(value / URAD) for value in (*est.phi_click, *est.phi_noclick, *est.differential)]
+        return [value / URAD for value in (*est.phi_click, *est.phi_noclick, *est.differential)]
 
     columns = "phi_click,phi_click_stderr,phi_noclick,phi_noclick_stderr,diff,diff_stderr"
     _campaign("fig3", config, seed, workers, out_path, "phi0", fit, columns, cells)
@@ -452,19 +451,16 @@ def fig4(config_path, out_path, seed, trials_scale, workers) -> None:
     def cells(point, est, noisy):
         in_fit = noisy and (include_d1 or point.delta < 1.0)
         diff, diff_stderr = est.differential
-        amplification = _g(diff / phi_bar_fixed)
-        return [_g(diff / URAD), _g(diff_stderr / URAD), amplification, "1" if in_fit else "0"]
+        # nan at phi_bar = 0, as predict_phases gives its amplification_factor
+        amplification = diff / phi_bar_fixed if phi_bar_fixed else math.nan
+        return [diff / URAD, diff_stderr / URAD, amplification, int(in_fit)]
 
     columns = "diff,diff_stderr,amplification,in_fit"
     _campaign("fig4", config, seed, workers, out_path, "span", fit, columns, cells)
 
 
 @main.command("snr")
-@click.option("--config", "config_path", type=click.Path(), default=None, help="JSON config file.")
-@click.option("--out", "out_path", type=click.Path(), default=None, help="JSON output path (default stdout).")
-@click.option("--seed", type=int, required=True, help="Master seed (required; no silent entropy).")
-@click.option("--trials-scale", type=float, default=None, help="Multiplier on the configured trial count.")
-@click.option("--workers", type=int, default=1, help="Worker threads; never changes the output.")
+@_campaign_options
 @_exit_codes
 def snr(config_path, out_path, seed, trials_scale, workers) -> None:
     """Compare the amplified and direct schemes at equal trial budgets."""
@@ -497,10 +493,7 @@ def snr(config_path, out_path, seed, trials_scale, workers) -> None:
     ratio = snr_wva / snr_direct
 
     report = {
-        "generator": f"wva-sim {__version__}",
-        "command": "snr",
-        "config": config,
-        "seed": seed,
+        **_provenance("snr", config, seed),
         "n_trials": n_trials,
         "snr_wva": snr_wva,
         "snr_direct": snr_direct,

@@ -275,8 +275,7 @@ def project_fock(state: FockRegister, mode: int, n: int) -> FockRegister:
     mode = _check_mode(state, mode)
     if not 0 <= n < state.cutoffs[mode]:
         raise ValueError(f"Fock level {n} outside mode cutoff {state.cutoffs[mode]}")
-    reduced = np.take(state.amplitudes, n, axis=mode)
-    return FockRegister(np.array(reduced, dtype=np.complex128))
+    return FockRegister(np.take(state.amplitudes, n, axis=mode))
 
 
 def fock_distribution(state: FockRegister, mode: int) -> np.ndarray:

@@ -266,12 +266,24 @@ def _scaled_weights(s: np.ndarray) -> tuple[np.ndarray, int]:
 
     Dividing every sigma by one power of two leaves a weighted fit's
     parameter unchanged and its stderr and chi^2 off by exactly 2^-k and
-    4^k, which the fit undoes; it keeps 1/s^2 from underflowing (or
+    4^k, which ``_unscaled_fit`` undoes; it keeps 1/s^2 from underflowing (or
     overflowing) when every sigma is huge (or tiny).  The scaling is exact,
     so a fit at ordinary sigmas gives the bits of the unscaled weights.
     """
     k = math.frexp(float(s.max()))[1]
     return 1.0 / np.ldexp(s, -k) ** 2, k
+
+
+def _unscaled_fit(parameter, stderr, w, resid, k: int, dof: int) -> FitResult:
+    """The FitResult of a fit on ``_scaled_weights(s)``: chi^2 from the scaled
+    weights ``w`` and residuals, then stderr and chi^2 rescaled to ``s``."""
+    chi2 = float((w * resid**2).sum())
+    return FitResult(
+        parameter=float(parameter),
+        stderr=math.ldexp(stderr, k),
+        chi_squared=math.ldexp(chi2, -2 * k),
+        dof=int(dof),
+    )
 
 
 def fit_per_photon_phase(points: Sequence[tuple[float, float, float]]) -> FitResult:
@@ -298,13 +310,7 @@ def fit_per_photon_phase(points: Sequence[tuple[float, float, float]]) -> FitRes
     slope = (sw * swxy - swx * swy) / det
     intercept = (swxx * swy - swx * swxy) / det
     resid = y - intercept - slope * x
-    chi2 = float((w * resid**2).sum())
-    return FitResult(
-        parameter=float(slope),
-        stderr=math.ldexp(math.sqrt(sw / det), k),
-        chi_squared=math.ldexp(chi2, -2 * k),
-        dof=int(x.size - 2),
-    )
+    return _unscaled_fit(slope, math.sqrt(sw / det), w, resid, k, x.size - 2)
 
 
 def fit_differential(
@@ -333,10 +339,4 @@ def fit_differential(
     denom = float((w * design**2).sum())
     span = float((w * design * target).sum() / denom)
     resid = target - span * design
-    chi2 = float((w * resid**2).sum())
-    return FitResult(
-        parameter=span,
-        stderr=math.ldexp(1.0 / math.sqrt(denom), k),
-        chi_squared=math.ldexp(chi2, -2 * k),
-        dof=int(x.size - 1),
-    )
+    return _unscaled_fit(span, 1.0 / math.sqrt(denom), w, resid, k, x.size - 1)

@@ -73,27 +73,22 @@ CAMPAIGN: tuple[CampaignPoint, ...] = (
 )
 
 
-def phi_pair_from_urad(phi_bar_urad: float, span_urad: float) -> tuple[float, float]:
-    """(phi_plus, phi_minus) in radians from the mean and split in urad."""
-    phi_bar = phi_bar_urad * URAD
-    half_span = 0.5 * span_urad * URAD
-    return phi_bar + half_span, phi_bar - half_span
-
-
 def point_params(
     point: CampaignPoint,
     phi_bar_urad: float = PER_PHOTON_PHASE_URAD,
     span_urad: float = PHASE_SPLIT_URAD,
     beta: float = PROBE_AMPLITUDE,
 ) -> InterferometerParams:
-    phi_plus, phi_minus = phi_pair_from_urad(phi_bar_urad, span_urad)
+    """The point's interferometer, its arm phases given as mean and split in urad."""
+    phi_bar = phi_bar_urad * URAD
+    half_span = 0.5 * span_urad * URAD
     return InterferometerParams(
         alpha=math.sqrt(point.n_bar),
         beta=beta,
         delta=point.delta,
         eta=point.eta,
-        phi_plus=phi_plus,
-        phi_minus=phi_minus,
+        phi_plus=phi_bar + half_span,
+        phi_minus=phi_bar - half_span,
     )
 
 

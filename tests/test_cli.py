@@ -4,7 +4,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from wva_sim.cli import SNR_DEFAULTS, main
+from wva_sim.cli import SNR_DEFAULTS, _csv_row, main
 
 
 @pytest.fixture
@@ -25,6 +25,11 @@ def parse_csv(text):
         else:
             rows.append(dict(zip(columns, line.split(","))))
     return header, columns, rows
+
+
+def test_csv_row_writes_floats_at_full_precision():
+    assert _csv_row(0.1, math.nan, math.inf, -math.inf) == "0.10000000000000001,nan,inf,-inf"
+    assert _csv_row(7, 0, "valid (note)") == "7,0,valid (note)"
 
 
 SMALL_ORACLE = {
@@ -235,6 +240,21 @@ class TestFig4:
         header, _, rows = parse_csv(out.read_text())
         assert [row["in_fit"] for row in rows] == ["1", "1", "1", "1", "0"]
 
+    def test_zero_phi_bar_writes_nan_amplification(self, runner, tmp_path):
+        # the span fit is defined at phi_bar = 0; only the amplification is not
+        config = tmp_path / "zero.json"
+        config.write_text(json.dumps({"phi_bar_fixed_urad": 0}))
+        out = tmp_path / "fig4.csv"
+        result = runner.invoke(
+            main, ["fig4", "--config", str(config), "--seed", "1", "--trials-scale", "1e-4",
+                   "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        _, _, rows = parse_csv(out.read_text())
+        assert [row["amplification"] for row in rows] == ["nan"] * 5
+        fit = json.loads((tmp_path / "fig4.fit.json").read_text())
+        assert fit["phi_bar_fixed_urad"] == 0.0 and math.isfinite(fit["span_urad"])
+
     def test_single_delta_config_exits_two(self, runner, tmp_path):
         config = tmp_path / "one.json"
         config.write_text(
@@ -388,12 +408,15 @@ FIG4_POINT = {"n_bar": 95, "delta": 0.1, "eta": 0.2, "n_total": 1000, "backgroun
         ("fig4", {"points": [FIG4_POINT], "include_delta_one": "yes"}, ["--seed", "1"],
          "include_delta_one"),
         ("oracle-validate", dict(SMALL_ORACLE, beta=[1e200]), [], "beta"),
+        ("oracle-validate", dict(SMALL_ORACLE, phi_bar_urad=[1e300], span_over_phi_bar=1e308),
+         [], "span_over_phi_bar"),
     ],
     ids=[
         "missing-file", "directory", "invalid-json", "array-oracle", "array-snr",
         "negative-alpha", "negative-span", "negative-tolerance", "oracle-negative-seed",
         "oracle-seed-over-64-bits", "snr-fractional-n_trials", "point-not-object",
         "point-missing-n_total", "include_delta_one-not-bool", "oracle-beta-square-overflows",
+        "oracle-phase-overflows",
     ],
 )
 def test_config_errors_exit_one_and_name_field(runner, tmp_path, command, config, flags, field):

@@ -85,6 +85,7 @@ SNR_DEFAULTS: dict = {
     # sigma / sqrt(N) sets the resolution; the small default sigma stands in
     # for the campaign's ~1e9-trial budgets at a desk-scale trial count
     "n_trials": 2_000_000,
+    "trials_scale": 1.0,
     "phase_sigma": 0.001,
     "beta": presets.PROBE_AMPLITUDE,
     "wva": {
@@ -225,10 +226,14 @@ def _header_lines(command: str, config: dict, seed: int | None) -> list[str]:
 
 
 def _write_text(out: str | None, text: str) -> None:
+    """Write ``text`` to the file ``out``, or stdout; a failed write is a config error."""
     if out is None:
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError("out", f"cannot write {out}: {exc}") from exc
 
 
 def _csv_row(*cells) -> str:
@@ -313,9 +318,8 @@ def _campaign(command, config, seed, workers, out_path, fit_name, fit, columns, 
     _write_text(out_path, "\n".join(lines) + "\n")
     if noisy:
         if out_path is not None:
-            Path(out_path).with_suffix(".fit.json").write_text(
-                json.dumps(fit_json, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-            )
+            sidecar = Path(out_path).with_suffix(".fit.json")
+            _write_text(str(sidecar), json.dumps(fit_json, sort_keys=True, indent=2) + "\n")
         click.echo(
             f"{command}: {fit_name} = {fit_json[f'{fit_name}_urad']:.4g} "
             f"+/- {fit_json['stderr_urad']:.4g} urad",
@@ -465,14 +469,12 @@ def fig4(config_path, out_path, seed, trials_scale, workers) -> None:
 def snr(config_path, out_path, seed, trials_scale, workers) -> None:
     """Compare the amplified and direct schemes at equal trial budgets."""
     _check_seed(seed)
-    config = _merged_config(SNR_DEFAULTS, config_path, {})
+    config = _merged_config(SNR_DEFAULTS, config_path, {"trials_scale": trials_scale})
     beta, phase_sigma, n_trials = (
         _number(config[k], k) for k in ("beta", "phase_sigma", "n_trials")
     )
     _require(n_trials.is_integer() and n_trials >= 2, "n_trials", "an integer >= 2")
-    n_trials = int(n_trials)
-    if trials_scale is not None:
-        n_trials = max(2, round(n_trials * _trials_scale(trials_scale)))
+    n_trials = max(2, round(n_trials * _trials_scale(config["trials_scale"])))
 
     def scheme(n_bar, delta, eta, background, phi_bar_urad, span_urad, p_signal=None):
         # a scheme is a campaign point run for n_trials at its own phases

@@ -39,7 +39,8 @@ from .errors import (
     TruncationWarning,
 )
 
-# Amplitude-count ceiling for tensor products (~1 GiB of complex128).
+# Amplitude-count ceiling for tensor products (~1 GiB of complex128) and for
+# the entries of the beam-splitter blocks a register needs.
 DEFAULT_AMPLITUDE_BUDGET = 64_000_000
 
 # Beam-splitter leakage handling: warn when the last retained level of an
@@ -201,10 +202,12 @@ def apply_beam_splitter(
     (cos(theta) a - sin(theta) b, sin(theta) a + cos(theta) b).
 
     Exactly number-conserving: every total-photon multiplet is rotated by a
-    unitary block.  Multiplets that do not fit inside the cutoffs lose their
-    clipped part; the lost norm^2 is raised as a truncation error past
-    LEAK_FAIL_TOL.  Occupation on the last retained level of either mode
-    triggers a truncation warning above LEAK_WARN_TOL.
+    unitary block.  Blocks whose entries would exceed the amplitude budget
+    raise RegisterBudgetError before any is built.  Multiplets that do not
+    fit inside the cutoffs lose their clipped part; the lost norm^2 is
+    raised as a truncation error past LEAK_FAIL_TOL.  Occupation on the
+    last retained level of either mode triggers a truncation warning above
+    LEAK_WARN_TOL.
     """
     mode_a = _check_mode(state, mode_a)
     mode_b = _check_mode(state, mode_b)
@@ -214,6 +217,14 @@ def apply_beam_splitter(
         raise ValueError("theta must be finite")
 
     da, db = state.cutoffs[mode_a], state.cutoffs[mode_b]
+    # the blocks for N = 0 .. M - 1 hold sum (N + 1)^2 = M(M + 1)(2M + 1)/6 entries
+    m = da + db - 1
+    entries = m * (m + 1) * (2 * m + 1) // 6
+    if entries > DEFAULT_AMPLITUDE_BUDGET:
+        raise RegisterBudgetError(
+            f"beam-splitter blocks for cutoffs ({da}, {db}) need {entries} entries, "
+            f"budget is {DEFAULT_AMPLITUDE_BUDGET}"
+        )
     work = np.moveaxis(state.amplitudes, (mode_a, mode_b), (0, 1))
     tail_shape = work.shape[2:]
     work = work.reshape(da, db, -1)

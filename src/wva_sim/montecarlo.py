@@ -22,7 +22,8 @@ blocks of ``BLOCK`` trials, and each block is reduced at once to those
 subgroup sums.  Sums add, so the chunks' sums are added in chunk order;
 only then does each subgroup become a triple, and one pairwise update of
 Chan, Golub & LeVeque (Am. Stat. 37(3), 1983) joins the two click
-subgroups.  Memory is O(threads x block) for any trial count.
+subgroups.  A threaded run keeps at most four chunks per thread in
+flight, so memory is O(threads x block) for any trial count.
 
 Reproducibility contract: the statistics are a pure function of
 (params, noise, n_trials, seed).  Chunk k draws from a counter-based
@@ -36,6 +37,7 @@ Worker count therefore never changes the output, bit for bit.
 
 from __future__ import annotations
 
+import collections
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -141,6 +143,21 @@ def _constant_phase_group(
     return GroupStats(count, phase + sigma * z_mean, max(0.0, m2))
 
 
+def _ordered_results(pool, fn, n: int, depth: int):
+    """``fn(0), ..., fn(n - 1)`` run on ``pool``, yielded in order.
+
+    At most ``depth`` calls are submitted ahead of the one being yielded:
+    ``pool.map`` submits all ``n`` at once, so its queue grows with ``n``.
+    """
+    pending = collections.deque()
+    for i in range(n):
+        pending.append(pool.submit(fn, i))
+        if len(pending) == depth:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
 def simulate_trials(
     params: InterferometerParams,
     noise: NoiseModel,
@@ -212,10 +229,10 @@ def simulate_trials(
     else:
         cpus = os.cpu_count() or 1
     threads = min(workers, n_chunks, cpus)
-    # sum() folds left in chunk order, which map and pool.map both keep
+    # sum() folds left in chunk order, which map and _ordered_results both keep
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            sums = sum(pool.map(chunk_sums, range(n_chunks)))
+            sums = sum(_ordered_results(pool, chunk_sums, n_chunks, 4 * threads))
     else:
         sums = sum(map(chunk_sums, range(n_chunks)))
     signal_clicks, stray_clicks, noclicks = (
@@ -261,26 +278,35 @@ def _validated_points(points: Sequence[tuple[float, float, float]], what: str):
     return x, y, s
 
 
-def _scaled_weights(s: np.ndarray) -> tuple[np.ndarray, int]:
-    """Weights 1/(s 2^-k)^2 and the k that puts max(s 2^-k) in [1/2, 1).
+def _weighted_slope(design, target, s, dof: int, *, intercept: bool) -> FitResult:
+    """Weighted least-squares slope of ``target`` on ``design`` at sigmas ``s``.
 
-    Dividing every sigma by one power of two leaves a weighted fit's
-    parameter unchanged and its stderr and chi^2 off by exactly 2^-k and
-    4^k, which ``_unscaled_fit`` undoes; it keeps 1/s^2 from underflowing (or
-    overflowing) when every sigma is huge (or tiny).  The scaling is exact,
-    so a fit at ordinary sigmas gives the bits of the unscaled weights.
+    Through the origin, or with a free intercept when ``intercept`` is set:
+    that line has the slope of the through-origin fit to both series less
+    their weighted means, so one formula serves both fits.  Sigmas are
+    known measurement errors: the stderr is 1/sqrt(sum w design^2) and
+    chi^2 is reported unscaled.
+
+    The weights are 1/(s 2^-k)^2, with the k that puts max(s 2^-k) in
+    [1/2, 1): dividing every sigma by one power of two leaves the slope
+    unchanged and the stderr and chi^2 off by exactly 2^-k and 4^k, which
+    are undone at the end, and keeps 1/s^2 from underflowing (or
+    overflowing) when every sigma is huge (or tiny).  The scaling is
+    exact, so a fit at ordinary sigmas gives the bits of the unscaled one.
     """
     k = math.frexp(float(s.max()))[1]
-    return 1.0 / np.ldexp(s, -k) ** 2, k
-
-
-def _unscaled_fit(parameter, stderr, w, resid, k: int, dof: int) -> FitResult:
-    """The FitResult of a fit on ``_scaled_weights(s)``: chi^2 from the scaled
-    weights ``w`` and residuals, then stderr and chi^2 rescaled to ``s``."""
-    chi2 = float((w * resid**2).sum())
+    w = 1.0 / np.ldexp(s, -k) ** 2
+    if intercept:
+        design = design - (w * design).sum() / w.sum()
+        target = target - (w * target).sum() / w.sum()
+    denom = float((w * design**2).sum())
+    if not denom > 0.0:
+        raise DegenerateFitError("singular normal equations")
+    slope = float((w * design * target).sum() / denom)
+    chi2 = float((w * (target - slope * design) ** 2).sum())
     return FitResult(
-        parameter=float(parameter),
-        stderr=math.ldexp(stderr, k),
+        parameter=slope,
+        stderr=math.ldexp(1.0 / math.sqrt(denom), k),
         chi_squared=math.ldexp(chi2, -2 * k),
         dof=int(dof),
     )
@@ -290,27 +316,16 @@ def fit_per_photon_phase(points: Sequence[tuple[float, float, float]]) -> FitRes
     """Weighted least-squares line phase = c + slope * n_bar; returns the slope.
 
     Needs at least three points (so the two-parameter fit keeps a degree of
-    freedom) with at least two distinct abscissas.  Sigmas are treated as
-    known measurement errors: the slope variance comes from the normal
-    equations, chi^2 is reported unscaled.
+    freedom) with at least two distinct abscissas.  The slope is fitted to
+    the points less their weighted means, which drops the intercept without
+    solving for it; the stderr is the slope's, with the intercept free.
     """
     x, y, s = _validated_points(points, "per-photon fit")
     if x.size < 3:
         raise DegenerateFitError("need >= 3 points for the slope-plus-intercept fit")
     if np.unique(x).size < 2:
         raise DegenerateFitError("degenerate abscissas: all n_bar equal")
-    w, k = _scaled_weights(s)
-    sw, swx, swxx = w.sum(), (w * x).sum(), (w * x * x).sum()
-    swy, swxy = (w * y).sum(), (w * x * y).sum()
-    # swx * swx, not swx**2: a product is correctly rounded at every scale,
-    # numpy's scalar power is not
-    det = sw * swxx - swx * swx
-    if det <= 0.0:
-        raise DegenerateFitError("singular normal equations")
-    slope = (sw * swxy - swx * swy) / det
-    intercept = (swxx * swy - swx * swxy) / det
-    resid = y - intercept - slope * x
-    return _unscaled_fit(slope, math.sqrt(sw / det), w, resid, k, x.size - 2)
+    return _weighted_slope(x, y, s, x.size - 2, intercept=True)
 
 
 def fit_differential(
@@ -333,10 +348,4 @@ def fit_differential(
         raise DegenerateFitError("need >= 2 points below delta = 1 for the fit")
     if np.unique(x).size < 2:
         raise DegenerateFitError("degenerate abscissas: all delta equal")
-    w, k = _scaled_weights(s)
-    design = 1.0 / (2.0 * x)
-    target = y - phi_bar_fixed
-    denom = float((w * design**2).sum())
-    span = float((w * design * target).sum() / denom)
-    resid = target - span * design
-    return _unscaled_fit(span, 1.0 / math.sqrt(denom), w, resid, k, x.size - 1)
+    return _weighted_slope(1.0 / (2.0 * x), y - phi_bar_fixed, s, x.size - 1, intercept=False)

@@ -46,7 +46,7 @@ import numpy as np
 from . import fock
 from .model import InterferometerParams, PhasePrediction, check_validity, predict_phases
 
-# Branches below this squared norm are reported as degenerate (phase nan).
+# A branch below this squared norm is degenerate: its phase is nan.
 DEGENERATE_NORM2 = 1e-30
 
 # Differential agreement sentinel: analytic = exact = 0 is reported as
@@ -65,8 +65,6 @@ class ProtocolResult:
     phase_noclick_exact: float
     probe_amplitude_click: complex
     truncation_deficit: float
-    click_degenerate: bool
-    noclick_degenerate: bool
 
     @property
     def differential_exact(self) -> float:
@@ -169,17 +167,14 @@ def run_protocol(params: InterferometerParams) -> ProtocolResult:
     w_multi = np.where(d > 1, np.maximum(1.0 - w_noclick - w_click, 0.0), 0.0)
     p_noclick, p_click, p_multi = (float(w @ dark) for w in (w_noclick, w_click, w_multi))
 
-    click_degenerate = p_click < DEGENERATE_NORM2
-    noclick_degenerate = p_noclick < DEGENERATE_NORM2
-
     # beta >= 0 is real, so the unperturbed probe field has phase exactly 0
-    if click_degenerate:
+    if p_click < DEGENERATE_NORM2:
         phase_click = math.nan
         amp_click = complex(math.nan, math.nan)
     else:
         amp_click = complex(w_click @ fields) / p_click
         phase_click = cmath.phase(amp_click)
-    if noclick_degenerate:
+    if p_noclick < DEGENERATE_NORM2:
         phase_noclick = math.nan
     else:
         phase_noclick = cmath.phase(complex(w_noclick @ fields))
@@ -192,8 +187,6 @@ def run_protocol(params: InterferometerParams) -> ProtocolResult:
         phase_noclick_exact=phase_noclick,
         probe_amplitude_click=amp_click,
         truncation_deficit=deficit,
-        click_degenerate=click_degenerate,
-        noclick_degenerate=noclick_degenerate,
     )
 
 
@@ -226,11 +219,8 @@ def sweep_validity(params_grid: Iterable[InterferometerParams]) -> list[SweepRow
                 SweepRow(params, prediction, None, math.nan, verdict, note=f"error: {exc}")
             )
             continue
-        note = ""
-        if result.click_degenerate or result.noclick_degenerate:
-            note = "degenerate branch"
-            rel = math.nan
-        else:
-            rel = differential_rel_error(result, prediction)
+        # a branch below DEGENERATE_NORM2 has a nan phase
+        note = "degenerate branch" if math.isnan(result.differential_exact) else ""
+        rel = math.nan if note else differential_rel_error(result, prediction)
         rows.append(SweepRow(params, prediction, result, rel, verdict, note=note))
     return rows

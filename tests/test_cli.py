@@ -478,3 +478,47 @@ def test_echoed_config_reproduces_output(runner, tmp_path, command, flags):
     result = runner.invoke(main, [command, "--config", str(echo), *flags, "--out", str(second)])
     assert result.exit_code == 0, result.output
     assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ("fig3", ["--trials-scale", "2e-4"]),
+        ("fig4", ["--trials-scale", "2e-4"]),
+        ("snr", ["--trials-scale", "0.05"]),
+    ],
+    ids=["fig3", "fig4", "snr"],
+)
+def test_echoed_config_alone_reproduces_output(runner, tmp_path, command, flags):
+    """Re-run from the echo with the seed but no --trials-scale: the same bytes."""
+    first, second = tmp_path / "first.out", tmp_path / "second.out"
+    result = runner.invoke(main, [command, "--seed", "5", *flags, "--out", str(first)])
+    assert result.exit_code == 0, result.output
+    echo = tmp_path / "echo.json"
+    echo.write_text(json.dumps(echoed_config(command, first.read_text())))
+    rerun = [command, "--seed", "5", "--config", str(echo), "--out", str(second)]
+    result = runner.invoke(main, rerun)
+    assert result.exit_code == 0, result.output
+    assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ("oracle-validate", []),
+        ("fig3", ["--seed", "1", "--trials-scale", "1e-3"]),
+        ("snr", ["--seed", "1", "--trials-scale", "0.01"]),
+    ],
+    ids=["oracle-validate", "fig3", "snr"],
+)
+def test_unwritable_out_is_config_error(runner, tmp_path, command, flags):
+    if command == "oracle-validate":
+        small = tmp_path / "small.json"
+        small.write_text(json.dumps(SMALL_ORACLE))
+        flags = ["--config", str(small)]
+    result = runner.invoke(main, [command, *flags, "--out", str(tmp_path / "missing" / "x.csv")])
+    assert result.exit_code == 1, result.output
+    assert "config error" in result.output
+    assert "field 'out'" in result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output

@@ -433,6 +433,15 @@ class TestBeamSplitterBlocks:
         assert fock._bs_eigensystem.cache_info().misses == n_totals
         assert fock._bs_block.cache_info().misses == 20 * n_totals
 
+    def test_block_entries_within_budget(self, cold_block_caches, monkeypatch):
+        # cutoffs (20, 20) need blocks up to N = 38: 39 * 40 * 79 / 6 = 20,540 entries
+        reg = fock.tensor(fock.make_coherent(1.0, 20), fock.make_coherent(1.0, 20))
+        monkeypatch.setattr(fock, "DEFAULT_AMPLITUDE_BUDGET", 1000)
+        with pytest.raises(RegisterBudgetError, match="20540 entries"):
+            fock.apply_beam_splitter(reg, 0, 1, 0.3)
+        # rejected before any block is built
+        assert fock._bs_eigensystem.cache_info().misses == 0
+
     def test_non_unitary_block_raises(self, cold_block_caches, monkeypatch):
         w, vecs = fock._bs_eigensystem(12)
         perturbed = vecs.copy()

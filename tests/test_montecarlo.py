@@ -1,6 +1,9 @@
 import dataclasses
 import math
+from concurrent.futures import Future
+from fractions import Fraction
 from functools import partial
+from operator import mul
 
 import numpy as np
 import pytest
@@ -114,8 +117,10 @@ class TestSimulateTrials:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
 
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", 16)
@@ -205,20 +210,32 @@ class TestSimulateTrials:
         assert stats.click.m2 == delta * delta * (n_s * n_b / n_click)
         assert estimate_phases(stats).phi_noclick == (pred.phase_noclick, 0.0)
 
-    def test_memory_bounded_in_trial_count(self):
+    def test_memory_bounded_in_trial_count(self, monkeypatch):
         import tracemalloc
 
+        import wva_sim.montecarlo as montecarlo
+
         params, noise = row1_params(), NoiseModel(0.1, 0.06)
-        peaks = []
-        for chunks in (8, 64):
-            tracemalloc.start()
-            try:
-                simulate_trials(params, noise, chunks * CHUNK_TRIALS, seed=5, workers=1)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] < 1.5 * peaks[0]
-        assert max(peaks) < 64 * 2**20
+        # serial at the real chunk size, then two threads over thousands of
+        # tiny chunks, where chunks queued all at once would show
+        for workers, chunk_counts in ((1, (8, 64)), (2, (500, 4000))):
+            if workers == 2:
+                monkeypatch.setattr(
+                    montecarlo.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+                )
+                monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", 64)
+                monkeypatch.setattr(montecarlo, "BLOCK", 32)
+            peaks = []
+            for chunks in chunk_counts:
+                tracemalloc.start()
+                try:
+                    n = chunks * montecarlo.CHUNK_TRIALS
+                    simulate_trials(params, noise, n, seed=5, workers=workers)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] < 1.5 * peaks[0], workers
+            assert max(peaks) < 64 * 2**20
 
     def test_serial_run_holds_only_block_buffers(self):
         import tracemalloc
@@ -384,6 +401,26 @@ class TestFits:
         assert both.chi_squared == base.chi_squared
         assert both.parameter == base.parameter * scale
         assert both.stderr == base.stderr * scale
+
+    def test_per_photon_slope_exact_to_rounding(self):
+        def exact_slope(points):
+            # the normal equations in exact rational arithmetic
+            w, x, y = zip(*((1 / Fraction(s) ** 2, Fraction(n), Fraction(v)) for n, v, s in points))
+            sw, swx, swy = sum(w), sum(map(mul, w, x)), sum(map(mul, w, y))
+            swxx, swxy = sum(map(mul, w, map(mul, x, x))), sum(map(mul, w, map(mul, x, y)))
+            return (sw * swxy - swx * swy) / (sw * swxx - swx * swx)
+
+        rng = np.random.default_rng(2026)
+        worst = 0.0
+        for _ in range(200):
+            xs = rng.uniform(10.0, 95.0, int(rng.integers(3, 9)))
+            ys = 1.1e-6 + 5.59e-6 * xs + rng.normal(0.0, 1e-7, xs.size)
+            sigmas = rng.uniform(5e-8, 2e-7, xs.size)
+            points = list(zip(xs.tolist(), ys.tolist(), sigmas.tolist()))
+            exact = exact_slope(points)
+            error = abs(Fraction(fit_per_photon_phase(points).parameter) - exact) / abs(exact)
+            worst = max(worst, float(error))
+        assert worst < 1e-15
 
     def test_single_delta_degenerate(self):
         with pytest.raises(DegenerateFitError):

@@ -74,7 +74,6 @@ class TestRunProtocol:
             p = make_params(alpha=0.6, delta=delta, eta=0.0, phi_plus=2e-3, phi_minus=5e-4)
             r = run_protocol(p)
             assert r.p_click == 0.0
-            assert r.click_degenerate
             assert math.isnan(r.phase_click_exact)
             phases.append(r.phase_noclick_exact)
         expected = 0.36 * 1.25e-3
@@ -143,9 +142,8 @@ class TestRunProtocol:
     def test_degenerate_click_branch_at_zero_signal(self):
         r = run_protocol(make_params(alpha=0.0))
         assert r.p_click == 0.0
-        assert r.click_degenerate
         assert math.isnan(r.phase_click_exact)
-        assert not r.noclick_degenerate
+        assert not math.isnan(r.phase_noclick_exact)
         assert r.phase_noclick_exact == pytest.approx(0.0, abs=1e-12)
 
     def test_multi_photon_branch_is_tallied(self):

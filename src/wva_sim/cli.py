@@ -13,7 +13,8 @@ result bit-exactly:
                    each scheme is one point, run through the same Monte
                    Carlo step as a fig3 / fig4 point
 
-Exit codes: 0 success, 1 config error, 2 tolerance, estimation or fit
+Exit codes: 0 success, 1 config error (an --out that cannot be written
+among them, found before any work starts), 2 tolerance, estimation or fit
 failure, or a usage error that click rejects (a missing --seed, a flag
 value of the wrong type).  Config files are single JSON documents;
 command-line flags override file fields.  Phases in configs and outputs
@@ -31,6 +32,7 @@ import inspect
 import itertools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -188,12 +190,32 @@ def _fail(code: int, what: str, exc: Exception) -> None:
     sys.exit(code)
 
 
+def _check_out(out: str | None) -> None:
+    """Reject an ``out`` that cannot be written, before any work is done.
+
+    The probe opens the file for appending, which changes no existing file,
+    and removes a file that it created.
+    """
+    if out is None:
+        return
+    existed = os.path.lexists(out)
+    try:
+        with open(out, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise ConfigError("out", f"cannot write {out}: {exc}") from exc
+    if not existed:
+        os.remove(out)
+
+
 def _exit_codes(command):
-    """Map a command's rejections onto the exit codes of the module docstring."""
+    """Check ``--out``, then map a command's rejections onto the exit codes
+    of the module docstring."""
 
     @functools.wraps(command)
     def run(*args, **kwargs):
         try:
+            _check_out(kwargs["out_path"])
             return command(*args, **kwargs)
         except ConfigError as exc:
             _fail(1, "config error", exc)

@@ -7,12 +7,16 @@ primitives a post-selected interferometer needs are provided exactly:
 coherent-state preparation, a two-mode beam-splitter rotation (built
 blockwise per total photon number, so photon number is conserved by
 construction), and a cross-Kerr phase (diagonal, hence exactly unitary).
-Each photon-number-N block comes from one eigendecomposition of its
-angle-independent generator, cached per N, so a new angle costs only a
-matrix product; every block is checked for unitarity and a failure raises
-BlockUnitarityError instead of silently losing norm.
-Projection onto a Fock level and the usual expectation values round out
-the surface.
+The photon-number-N block comes from the N - 1 block by Risbo's recursion
+(J. Geodesy 70, 383, 1996), a few O(N^2) array operations with no
+eigendecomposition.  Each angle's blocks are built once and extended on
+demand; the cache drops its least recently used angles so that it never
+holds more than DEFAULT_AMPLITUDE_BUDGET entries.  Every block is checked
+for unitarity and a failure raises BlockUnitarityError instead of silently
+losing norm.  The rotation itself is one batched real matrix product per
+slice of the register, with no per-multiplet loop.
+Projection onto a Fock level (a view, not a copy) and the usual
+expectation values round out the surface.
 
 All operations are pure: they take a register and return a new one.
 Amplitude arrays are frozen after construction, so registers are safe to
@@ -26,8 +30,9 @@ from __future__ import annotations
 
 import math
 import warnings
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -39,8 +44,9 @@ from .errors import (
     TruncationWarning,
 )
 
-# Amplitude-count ceiling for tensor products (~1 GiB of complex128) and for
-# the entries of the beam-splitter blocks a register needs.
+# Amplitude-count ceiling for tensor products (~1 GiB of complex128), for
+# the entries of the beam-splitter blocks a register needs, and for the
+# entries of all cached blocks together.
 DEFAULT_AMPLITUDE_BUDGET = 64_000_000
 
 # Beam-splitter leakage handling: warn when the last retained level of an
@@ -149,50 +155,99 @@ def _check_mode(state: FockRegister, mode: int) -> int:
     return mode
 
 
-@lru_cache(maxsize=None)
-def _bs_eigensystem(total: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs (w, V) of the N-photon beam-splitter generator G_N.
+def _block_entries(count: int) -> int:
+    """Entries of the blocks B_0 .. B_(count - 1): sum (N + 1)^2."""
+    return count * (count + 1) * (2 * count + 1) // 6
 
-    G_N is real symmetric tridiagonal on the basis m = 0..N, with zero
-    diagonal and off-diagonal entries sqrt((m+1)(N-m)); it is 2 J_x for
-    spin N/2, so w is {-N, -N+2, ..., N}.  Independent of the angle, hence
-    computed once per N.
+
+def _next_block(prev: np.ndarray, c: float, s: float) -> np.ndarray:
+    """B_N from P = B_(N-1) by Risbo's recursion (J. Geodesy 70, 383, 1996).
+
+    |m, N-m> = (sqrt(m) a1+ |m-1, N-m> + sqrt(N-m) a2+ |m, N-m-1>) / N, and
+    the rotation maps a1+ and a2+ to c a1+ + s a2+ and c a2+ - s a1+, so
+    B_N[m', m] = (c sqrt(m' m) P[m'-1, m-1] + s sqrt((N-m') m) P[m', m-1]
+                  - s sqrt(m' (N-m)) P[m'-1, m] + c sqrt((N-m')(N-m)) P[m', m]) / N.
     """
-    m = np.arange(total)
-    off = np.sqrt((m + 1.0) * (total - m))
-    return np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    total = prev.shape[0]
+    up = np.sqrt(np.arange(1.0, total + 1.0))  # sqrt(m), m = 1 .. N
+    down = up[::-1]  # sqrt(N - m), m = 0 .. N - 1
+    raised = prev * up  # columns m = 1 .. N
+    kept = prev * down  # columns m = 0 .. N - 1
+    block = np.zeros((total + 1, total + 1))
+    block[1:, 1:] = (c * up)[:, None] * raised
+    block[:-1, 1:] += (s * down)[:, None] * raised
+    block[1:, :-1] -= (s * up)[:, None] * kept
+    block[:-1, :-1] += (c * down)[:, None] * kept
+    block /= total
+    return block
 
 
-@lru_cache(maxsize=4096)
-def _bs_block(total: int, theta: float) -> np.ndarray:
-    """Unitary on the total-photon-N multiplet of a two-mode beam splitter.
+# Beam-splitter blocks B_0, B_1, ... per angle, least recently used angle
+# first; together they hold at most DEFAULT_AMPLITUDE_BUDGET entries.
+_BLOCK_CACHE: OrderedDict[float, list[np.ndarray]] = OrderedDict()
+_BLOCK_LOCK = threading.Lock()
 
-    Basis index m = photons in the first mode, the second holds N - m.
+
+def _bs_blocks(theta: float, count: int) -> list[np.ndarray]:
+    """The beam-splitter blocks B_0 .. B_(count - 1) at ``theta`` (or more).
+
+    B_N is the unitary on the total-photon-N multiplet, basis index m =
+    photons in the first mode (the second holds N - m), rows the output m'.
     Creation operators map as a1+ -> c a1+ + s a2+ and a2+ -> -s a1+ + c a2+
     (c = cos(theta), s = sin(theta)), i.e. coherent amplitudes transform with
-    the matrix [[c, -s], [s, c]].  The block is exp(theta K_N) with the real
-    antisymmetric hopping generator K_N = a2+ a1 - a1+ a2, which fixes the
-    otherwise arbitrary global phase of each multiplet.
+    the matrix [[c, -s], [s, c]]; B_N is exp(theta K_N) with the real
+    antisymmetric hopping generator K_N = a2+ a1 - a1+ a2.
 
-    K_N = -i D G_N D* with D = diag((-i)^m), so the block is evaluated by
-    exact diagonalization as Re[D V diag(exp(-i theta w)) V^T D*] from the
-    cached eigenpairs of G_N (Feng, Wang, Yang & Jin, Phys. Rev. E 92,
-    043307 (2015)).  That stays unitary to ~1e-15 at least through N = 400;
-    every block is still checked and a departure past BLOCK_UNITARITY_TOL
-    raises BlockUnitarityError.  This cache on (N, theta) only saves the
-    matrix product when many registers share an angle.
+    Each angle's blocks come from B_0 = [[1]] by ``_next_block`` and are
+    cached, so a larger register only extends its list.  Every block is
+    checked as it is built: a departure from unitarity past
+    BLOCK_UNITARITY_TOL raises BlockUnitarityError.  Before a list grows,
+    the least recently used angles are dropped until the cache, new blocks
+    included, fits DEFAULT_AMPLITUDE_BUDGET; the caller keeps ``count``
+    itself within the budget.
     """
-    w, vecs = _bs_eigensystem(total)
-    phase = np.array([1.0, -1.0j, -1.0, 1.0j])[np.arange(total + 1) % 4]  # exact (-i)^m
-    left = phase[:, None] * vecs * np.exp(-1j * theta * w)
-    block = np.ascontiguousarray((left @ (vecs.T * phase.conj())).real)
-    error = float(np.max(np.abs(block @ block.T - np.eye(total + 1))))
-    if not error <= BLOCK_UNITARITY_TOL:  # NaN fails too
-        raise BlockUnitarityError(
-            f"beam-splitter block N={total}, theta={theta!r} departs from "
-            f"unitarity by {error:.3e} (tolerance {BLOCK_UNITARITY_TOL:.0e})"
-        )
-    return block
+    with _BLOCK_LOCK:
+        blocks = _BLOCK_CACHE.pop(theta, None) or [np.ones((1, 1))]
+        if len(blocks) < count:
+            held = sum(_block_entries(len(other)) for other in _BLOCK_CACHE.values())
+            while _BLOCK_CACHE and held + _block_entries(count) > DEFAULT_AMPLITUDE_BUDGET:
+                held -= _block_entries(len(_BLOCK_CACHE.popitem(last=False)[1]))
+            c, s = math.cos(theta), math.sin(theta)
+            for total in range(len(blocks), count):
+                block = _next_block(blocks[-1], c, s)
+                gram = block @ block.T
+                gram.flat[:: total + 2] -= 1.0
+                error = float(np.max(np.abs(gram)))
+                if not error <= BLOCK_UNITARITY_TOL:  # NaN fails too
+                    raise BlockUnitarityError(
+                        f"beam-splitter block N={total}, theta={theta!r} departs from "
+                        f"unitarity by {error:.3e} (tolerance {BLOCK_UNITARITY_TOL:.0e})"
+                    )
+                blocks.append(block)
+        _BLOCK_CACHE[theta] = blocks
+        return blocks
+
+
+def _packed_blocks(
+    blocks: list[np.ndarray], rows: range, small: int, large: int, flip: bool
+) -> np.ndarray:
+    """The (len(rows), small, small) block-diagonal matrices of ``rows``.
+
+    Row r holds the multiplets N = r and N = r + large of a (small, large)
+    plane, indexed by the small mode's level j: j = 0 .. min(r, small - 1)
+    for the first, j = r + 1 .. small - 1 for the second.  ``flip`` means
+    the small mode is the beam splitter's second mode, whose level is
+    N - m, so the blocks are read in reverse.
+    """
+    packed = np.zeros((len(rows), small, small))
+    for i, r in enumerate(rows):
+        k = min(r, small - 1) + 1
+        first = blocks[r][::-1, ::-1] if flip else blocks[r]
+        packed[i, :k, :k] = first[:k, :k]
+        if k < small:
+            second = blocks[r + large][::-1, ::-1] if flip else blocks[r + large]
+            packed[i, k:, k:] = second[k:small, k:small]
+    return packed
 
 
 def apply_beam_splitter(
@@ -202,12 +257,20 @@ def apply_beam_splitter(
     (cos(theta) a - sin(theta) b, sin(theta) a + cos(theta) b).
 
     Exactly number-conserving: every total-photon multiplet is rotated by a
-    unitary block.  Blocks whose entries would exceed the amplitude budget
-    raise RegisterBudgetError before any is built.  Multiplets that do not
-    fit inside the cutoffs lose their clipped part; the lost norm^2 is
-    raised as a truncation error past LEAK_FAIL_TOL.  Occupation on the
-    last retained level of either mode triggers a truncation warning above
-    LEAK_WARN_TOL.
+    unitary block (``_bs_blocks``).  Blocks whose entries would exceed the
+    amplitude budget raise RegisterBudgetError before any is built.
+    Multiplets that do not fit inside the cutoffs lose their clipped part;
+    the lost norm^2 is raised as a truncation error past LEAK_FAIL_TOL.
+    Occupation on the last retained level of either mode triggers a
+    truncation warning above LEAK_WARN_TOL.
+
+    The two modes' (small, large) level plane is cut into ``large`` rows,
+    row r being the levels (j, (r - j) mod large) for j < small: the
+    multiplets N = r and N = r + large, which together fill exactly
+    ``small`` slots.  Each row is gathered, multiplied by its block-diagonal
+    matrix in one batched real product over all other modes, and scattered
+    into the result; a slice of at most ``large // 8`` rows (at least one)
+    is in flight at a time, so temporaries stay a fraction of the register.
     """
     mode_a = _check_mode(state, mode_a)
     mode_b = _check_mode(state, mode_b)
@@ -217,21 +280,19 @@ def apply_beam_splitter(
         raise ValueError("theta must be finite")
 
     da, db = state.cutoffs[mode_a], state.cutoffs[mode_b]
-    # the blocks for N = 0 .. M - 1 hold sum (N + 1)^2 = M(M + 1)(2M + 1)/6 entries
-    m = da + db - 1
-    entries = m * (m + 1) * (2 * m + 1) // 6
+    count = da + db - 1  # blocks N = 0 .. da + db - 2
+    entries = _block_entries(count)
     if entries > DEFAULT_AMPLITUDE_BUDGET:
         raise RegisterBudgetError(
             f"beam-splitter blocks for cutoffs ({da}, {db}) need {entries} entries, "
             f"budget is {DEFAULT_AMPLITUDE_BUDGET}"
         )
-    work = np.moveaxis(state.amplitudes, (mode_a, mode_b), (0, 1))
-    tail_shape = work.shape[2:]
-    work = work.reshape(da, db, -1)
+    flip = da > db
+    axes = (mode_b, mode_a) if flip else (mode_a, mode_b)
+    small, large = min(da, db), max(da, db)
+    source = np.moveaxis(state.amplitudes, axes, (0, 1))
 
-    edge = float(np.sum(np.abs(work[da - 1, :, :]) ** 2)) + float(
-        np.sum(np.abs(work[:, db - 1, :]) ** 2)
-    )
+    edge = sum(float(np.vdot(x, x).real) for x in (source[-1], source[:, -1]))
     if edge > LEAK_WARN_TOL:
         warnings.warn(
             f"beam splitter input has weight {edge:.3e} on the last Fock level",
@@ -239,27 +300,30 @@ def apply_beam_splitter(
             stacklevel=2,
         )
 
-    out = np.zeros_like(work)
-    leaked = 0.0
-    for total in range(da + db - 1):
-        # the multiplet's levels m that fit: m < da and total - m < db
-        lo = max(0, total - db + 1)
-        hi = min(total, da - 1)
-        ms = np.arange(lo, hi + 1)
-        rotated = _bs_block(total, float(theta))[:, lo : hi + 1] @ work[ms, total - ms, :]
-        out[ms, total - ms, :] = rotated[lo : hi + 1]
-        # rows outside lo..hi put a photon past a cutoff: the clipped part
-        for clipped in (rotated[:lo], rotated[hi + 1 :]):
-            leaked += np.vdot(clipped, clipped).real
+    blocks = _bs_blocks(float(theta), count)
+    out = np.empty(state.cutoffs, dtype=np.complex128)
+    target = np.moveaxis(out, axes, (0, 1))
+    slots = np.arange(small)
+    levels = (np.arange(large)[:, None] - slots) % large  # row r, slot j: (j, levels[r, j])
+    step = max(1, large // 8)
+    for start in range(0, large, step):
+        rows = range(start, min(start + step, large))
+        index = (slots, levels[start : rows.stop])
+        gathered = source[index]
+        real = gathered.reshape(len(rows), small, -1).view(np.float64)
+        rotated = _packed_blocks(blocks, rows, small, large, flip) @ real
+        target[index] = rotated.view(np.complex128).reshape(gathered.shape)
+        del gathered, real, rotated  # freed before the next slice allocates its own
+
+    # the blocks are unitary, so the norm^2 missing from the result is the
+    # part the truncated rows of each block would have put past a cutoff
+    leaked = norm_squared(state) - float(np.vdot(out, out).real)
     if leaked > LEAK_FAIL_TOL:
         raise TruncationError(
             f"beam splitter leaked norm^2 {leaked:.3e} past the cutoffs "
             f"(tolerance {LEAK_FAIL_TOL:.1e})"
         )
-
-    out = out.reshape((da, db) + tail_shape)
-    out = np.moveaxis(out, (0, 1), (mode_a, mode_b))
-    return FockRegister(np.ascontiguousarray(out))
+    return FockRegister(out)
 
 
 def apply_cross_kerr(
@@ -278,23 +342,32 @@ def apply_cross_kerr(
     return FockRegister(state.amplitudes * np.exp(1j * phi * exponent))
 
 
+def _levels(amplitudes: np.ndarray, mode: int) -> np.ndarray:
+    """``amplitudes`` as (modes before, levels of ``mode``, modes after).
+
+    A reshape: a view wherever numpy can reshape without a copy, as for any
+    contiguous register.
+    """
+    before = math.prod(amplitudes.shape[:mode])
+    return amplitudes.reshape(before, amplitudes.shape[mode], -1)
+
+
 def project_fock(state: FockRegister, mode: int, n: int) -> FockRegister:
     """Project one mode onto |n>: the reduced register, not rescaled.
 
-    Its ``norm_squared`` is the outcome probability.
+    Its ``norm_squared`` is the outcome probability.  Its amplitudes are a
+    read-only view into the parent's, not a copy.
     """
     mode = _check_mode(state, mode)
     if not 0 <= n < state.cutoffs[mode]:
         raise ValueError(f"Fock level {n} outside mode cutoff {state.cutoffs[mode]}")
-    return FockRegister(np.take(state.amplitudes, n, axis=mode))
+    return FockRegister(state.amplitudes[(slice(None),) * mode + (n,)])
 
 
 def fock_distribution(state: FockRegister, mode: int) -> np.ndarray:
     """Occupation probabilities P(n) for one mode; they sum to norm_squared."""
     mode = _check_mode(state, mode)
-    moved = np.moveaxis(state.amplitudes, mode, 0)
-    flat = moved.reshape(moved.shape[0], -1)
-    return np.sum(np.abs(flat) ** 2, axis=1)
+    return np.square(np.abs(_levels(state.amplitudes, mode))).sum(axis=(0, 2))
 
 
 def mean_field(state: FockRegister, mode: int) -> complex:
@@ -303,12 +376,10 @@ def mean_field(state: FockRegister, mode: int) -> complex:
     n2 = norm_squared(state)
     if n2 <= 0.0:
         raise DegenerateStateError("mean field of a zero-norm state is undefined")
-    moved = np.moveaxis(state.amplitudes, mode, 0)
-    flat = moved.reshape(moved.shape[0], -1)
-    # <psi_n|psi_(n+1)> for every level n in one batched product, then
-    # summed with the weights sqrt(n + 1)
-    overlaps = (flat[:-1, None, :].conj() @ flat[1:, :, None]).ravel()
-    return complex(np.sqrt(np.arange(1.0, flat.shape[0])) @ overlaps / n2)
+    levels = _levels(state.amplitudes, mode)
+    # a|psi>: level n + 1 moved down to level n with the weight sqrt(n + 1)
+    lowered = levels[:, 1:] * np.sqrt(np.arange(1.0, levels.shape[1]))[:, None]
+    return complex(np.vdot(levels[:, :-1], lowered) / n2)
 
 
 def number_expectation(state: FockRegister, mode: int) -> float:

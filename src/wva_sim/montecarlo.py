@@ -40,7 +40,6 @@ from __future__ import annotations
 import collections
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -231,6 +230,10 @@ def simulate_trials(
     threads = min(workers, n_chunks, cpus)
     # sum() folds left in chunk order, which map and _ordered_results both keep
     if threads > 1:
+        # imported here, so the oracle and --help load neither the thread
+        # pool nor the logging module it imports (scipy.special loads both)
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             sums = sum(_ordered_results(pool, chunk_sums, n_chunks, 4 * threads))
     else:
@@ -293,9 +296,14 @@ def _weighted_slope(design, target, s, dof: int, *, intercept: bool) -> FitResul
     are undone at the end, and keeps 1/s^2 from underflowing (or
     overflowing) when every sigma is huge (or tiny).  The scaling is
     exact, so a fit at ordinary sigmas gives the bits of the unscaled one.
+    A sigma below about 1e-154 of the largest still gets an infinite
+    weight, and that raises DegenerateFitError.
     """
     k = math.frexp(float(s.max()))[1]
-    w = 1.0 / np.ldexp(s, -k) ** 2
+    with np.errstate(divide="ignore", over="ignore"):
+        w = 1.0 / np.ldexp(s, -k) ** 2
+    if not np.all(np.isfinite(w)):
+        raise DegenerateFitError("a sigma below ~1e-154 of the largest has an infinite weight")
     if intercept:
         design = design - (w * design).sum() / w.sum()
         target = target - (w * target).sum() / w.sum()

@@ -10,7 +10,7 @@ Runs the full pipeline in truncated Fock space with no approximations:
        dark-port count d: one click with weight d eta (1-eta)^(d-1), no
        click with weight (1-eta)^d
 
-The register holds three modes (bright, dark, probe); the detector needs no
+The register holds three modes (dark, bright, probe); the detector needs no
 mode of its own, because the photons it misses are orthogonal across d and
 so enter probe observables only through the weights.  Probabilities come
 from the dark-port distribution, and the probe phase is the argument of the
@@ -115,22 +115,23 @@ def _optics_stage(
     root2 = math.sqrt(2.0)
     reg = fock.tensor(
         fock.tensor(
-            fock.make_coherent(alpha / root2, arm1_cut),
             fock.make_coherent(alpha / root2, arm2_cut),
+            fock.make_coherent(alpha / root2, arm1_cut),
         ),
         fock.make_coherent(beta, probe_cut),
     )
-    # modes: 0 arm1, 1 arm2, 2 probe
-    reg = fock.apply_cross_kerr(reg, 0, 2, phi_plus)
-    reg = fock.apply_cross_kerr(reg, 1, 2, phi_minus)
-    reg = fock.apply_beam_splitter(reg, 0, 1, theta)
-    # modes: 0 bright port, 1 dark port, 2 probe
+    # modes: 0 arm2, 1 arm1, 2 probe
+    reg = fock.apply_cross_kerr(reg, 1, 2, phi_plus)
+    reg = fock.apply_cross_kerr(reg, 0, 2, phi_minus)
+    reg = fock.apply_beam_splitter(reg, 1, 0, theta)
+    # modes: 0 dark port, 1 bright port, 2 probe; with the dark port first,
+    # each projection onto a dark-port count is a contiguous slice
 
     deficit = fock.truncation_deficit(reg)
-    dark = fock.fock_distribution(reg, 1)
+    dark = fock.fock_distribution(reg, 0)
     fields = np.zeros(dark.size, dtype=np.complex128)
     for n in np.flatnonzero(dark > 0.0):
-        fields[n] = dark[n] * fock.mean_field(fock.project_fock(reg, 1, int(n)), 1)
+        fields[n] = dark[n] * fock.mean_field(fock.project_fock(reg, 0, int(n)), 1)
     dark.setflags(write=False)
     fields.setflags(write=False)
     return deficit, dark, fields

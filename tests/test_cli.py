@@ -4,6 +4,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
+from wva_sim import cli
 from wva_sim.cli import SNR_DEFAULTS, _csv_row, main
 
 
@@ -522,3 +523,35 @@ def test_unwritable_out_is_config_error(runner, tmp_path, command, flags):
     assert "field 'out'" in result.output
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "command,flags,engine",
+    [
+        ("oracle-validate", [], "sweep_validity"),
+        ("fig3", ["--seed", "1", "--trials-scale", "1e-3"], "simulate_trials"),
+        ("fig4", ["--seed", "1", "--trials-scale", "1e-3"], "simulate_trials"),
+        ("snr", ["--seed", "1", "--trials-scale", "0.01"], "simulate_trials"),
+    ],
+    ids=["oracle-validate", "fig3", "fig4", "snr"],
+)
+def test_unwritable_out_rejected_before_any_run(runner, tmp_path, monkeypatch, command, flags, engine):
+    calls = []
+    monkeypatch.setattr(cli, engine, lambda *args, **kwargs: calls.append(args))
+    result = runner.invoke(main, [command, *flags, "--out", str(tmp_path / "missing" / "x.csv")])
+    assert result.exit_code == 1, result.output
+    assert "field 'out'" in result.output
+    assert isinstance(result.exception, SystemExit)
+    assert calls == []
+
+
+def test_out_probe_leaves_files_as_they_were(runner, tmp_path):
+    # a run that fails after the --out check creates no file and changes none
+    fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+    kept.write_text("earlier result\n")
+    for out in (fresh, kept):
+        result = runner.invoke(main, ["oracle-validate", "--tolerance", "-1", "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert "field 'tolerance'" in result.output
+    assert not fresh.exists()
+    assert kept.read_text() == "earlier result\n"

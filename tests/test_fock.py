@@ -245,6 +245,46 @@ class TestBeamSplitter:
         leaked = 1.0 - fock.norm_squared(out)
         assert 1e-10 < leaked < fock.LEAK_FAIL_TOL
 
+    def test_mode_order_and_layout_agree(self):
+        # the clipped register of the test above, rotated through other axis
+        # orders and with its two modes named the other way round (b, a at
+        # -theta is the same rotation), which puts the larger cutoff first
+        da, db, spectator, theta = 5, 8, 3, 0.01
+        rng = np.random.default_rng(3)
+        amps = np.zeros((da, db, spectator), dtype=np.complex128)
+        inner = (da - 1, db - 1, spectator)
+        amps[: da - 1, : db - 1] = rng.normal(size=inner) + 1j * rng.normal(size=inner)
+        amps /= np.linalg.norm(amps)
+        out = fock.apply_beam_splitter(fock.FockRegister(amps), 0, 1, theta).amplitudes
+        swapped = fock.apply_beam_splitter(fock.FockRegister(amps.copy()), 1, 0, -theta)
+        np.testing.assert_allclose(swapped.amplitudes, out, rtol=0, atol=1e-15)
+        for order in [(2, 1, 0), (1, 2, 0), (0, 2, 1)]:
+            moved = fock.FockRegister(np.ascontiguousarray(amps.transpose(order)))
+            a, b = order.index(0), order.index(1)
+            for modes, angle in (((a, b), theta), ((b, a), -theta)):
+                result = fock.apply_beam_splitter(moved, *modes, angle).amplitudes
+                np.testing.assert_allclose(result, out.transpose(order), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "cutoffs,modes",
+        [((37, 37, 26), (0, 1)), ((37, 37, 26, 37), (0, 1)), ((37, 37, 26, 37), (1, 3)), ((17, 17, 17), (0, 1))],
+        ids=["37x37x26", "37x37x26x37", "37x37x26x37-modes-1-3", "17x17x17"],
+    )
+    def test_peak_memory_within_one_and_a_half_registers(self, cutoffs, modes):
+        # the result is one register; the slices in flight must add at most half
+        # of one more (blocks are cached and bounded by the amplitude budget)
+        reg = fock.make_coherent(1.0, cutoffs[0])
+        for cut in cutoffs[1:]:
+            reg = fock.tensor(reg, fock.make_coherent(1.0, cut))
+        fock.apply_beam_splitter(reg, *modes, 0.4)
+        tracemalloc.start()
+        try:
+            fock.apply_beam_splitter(reg, *modes, 0.4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * reg.amplitudes.nbytes
+
     def test_edge_occupation_warns(self):
         reg = fock.tensor(fock.make_fock(2, 3), fock.make_fock(0, 3))
         with pytest.warns(TruncationWarning):
@@ -383,8 +423,9 @@ class TestHelpers:
         assert fock.make_fock(2, 3).amplitudes[2] == 1.0
 
     def test_beam_splitter_block_unitarity_large_n(self):
+        blocks = fock._bs_blocks(0.813, 56)
         for total in (10, 25, 40, 55):
-            block = fock._bs_block(total, 0.813)
+            block = blocks[total]
             gram = block.T @ block
             assert np.max(np.abs(gram - np.eye(total + 1))) < 1e-12
 
@@ -398,18 +439,20 @@ def hopping_generator(total):
 
 @pytest.fixture
 def cold_block_caches():
-    fock._bs_block.cache_clear()
-    fock._bs_eigensystem.cache_clear()
+    fock._BLOCK_CACHE.clear()
     yield
-    fock._bs_block.cache_clear()
-    fock._bs_eigensystem.cache_clear()
+    fock._BLOCK_CACHE.clear()
+
+
+def cached_entries():
+    return sum(block.size for blocks in fock._BLOCK_CACHE.values() for block in blocks)
 
 
 class TestBeamSplitterBlocks:
     @pytest.mark.parametrize("total", [100, 200, 400])
     @pytest.mark.parametrize("theta", [0.813, -2.1, math.pi / 2])
-    def test_unitary_at_large_n(self, total, theta):
-        block = fock._bs_block(total, theta)
+    def test_unitary_at_large_n(self, cold_block_caches, total, theta):
+        block = fock._bs_blocks(theta, total + 1)[total]
         gram = block @ block.T
         assert np.max(np.abs(gram - np.eye(total + 1))) < 1e-12
 
@@ -419,19 +462,34 @@ class TestBeamSplitterBlocks:
         # about 1.5 (checked against 40-digit mpmath), so the independent
         # reference stays at |theta| <= 1; larger angles follow from the
         # composition property tested above.
+        blocks = fock._bs_blocks(theta, 31)
         for total in range(31):
             expected = scipy.linalg.expm(theta * hopping_generator(total))
-            np.testing.assert_allclose(
-                fock._bs_block(total, theta), expected, rtol=0, atol=1e-13
-            )
+            np.testing.assert_allclose(blocks[total], expected, rtol=0, atol=1e-13)
 
-    def test_eigensystem_built_once_per_photon_number(self, cold_block_caches):
+    def test_blocks_built_once_per_angle(self, cold_block_caches, monkeypatch):
+        built = []
+        next_block = fock._next_block
+
+        def counted(prev, c, s):
+            built.append(prev.shape[0])
+            return next_block(prev, c, s)
+
+        monkeypatch.setattr(fock, "_next_block", counted)
         reg = fock.tensor(fock.make_coherent(1.0, 17), fock.make_coherent(0.5, 14))
         n_totals = 17 + 14 - 1
-        for k in range(20):
-            fock.apply_beam_splitter(reg, 0, 1, 0.1 + 0.07 * k)
-        assert fock._bs_eigensystem.cache_info().misses == n_totals
-        assert fock._bs_block.cache_info().misses == 20 * n_totals
+        angles = [0.1 + 0.07 * k for k in range(20)]
+        for theta in angles:
+            fock.apply_beam_splitter(reg, 0, 1, theta)
+        # B_0 = [[1]] needs no step; each angle builds B_1 .. B_29 once
+        assert built == list(range(1, n_totals)) * 20
+        for theta in angles:
+            fock.apply_beam_splitter(reg, 0, 1, theta)
+        assert len(built) == 20 * (n_totals - 1)
+        # a larger register at a cached angle only extends that angle's list
+        wide = fock.tensor(fock.make_coherent(1.0, 17), fock.make_coherent(0.5, 20))
+        fock.apply_beam_splitter(wide, 0, 1, angles[3])
+        assert built[20 * (n_totals - 1) :] == list(range(n_totals, 17 + 20 - 1))
 
     def test_block_entries_within_budget(self, cold_block_caches, monkeypatch):
         # cutoffs (20, 20) need blocks up to N = 38: 39 * 40 * 79 / 6 = 20,540 entries
@@ -440,15 +498,41 @@ class TestBeamSplitterBlocks:
         with pytest.raises(RegisterBudgetError, match="20540 entries"):
             fock.apply_beam_splitter(reg, 0, 1, 0.3)
         # rejected before any block is built
-        assert fock._bs_eigensystem.cache_info().misses == 0
+        assert not fock._BLOCK_CACHE
+
+    def test_cache_never_exceeds_budget(self, cold_block_caches, monkeypatch):
+        # cutoffs (10, 8) need 17 blocks, 1785 entries: two angles fit in 4000
+        monkeypatch.setattr(fock, "DEFAULT_AMPLITUDE_BUDGET", 4000)
+        reg = fock.tensor(fock.make_coherent(0.3, 10), fock.make_coherent(0.3, 8))
+        angles = [0.1 * k for k in range(1, 8)]
+        first = fock.apply_beam_splitter(reg, 0, 1, angles[0]).amplitudes
+        for i in range(1, len(angles)):
+            fock.apply_beam_splitter(reg, 0, 1, angles[i])
+            assert cached_entries() <= 4000
+            # the least recently used angle went first
+            assert list(fock._BLOCK_CACHE) == angles[i - 1 : i + 1]
+        # an evicted angle is rebuilt to the same bits
+        assert np.array_equal(fock.apply_beam_splitter(reg, 0, 1, angles[0]).amplitudes, first)
+        # one angle's longer list (21 blocks, 3311 entries) evicts the rest
+        wide = fock.tensor(fock.make_coherent(0.3, 10), fock.make_coherent(0.3, 12))
+        fock.apply_beam_splitter(wide, 0, 1, angles[-1])
+        assert list(fock._BLOCK_CACHE) == [angles[-1]]
+        assert cached_entries() == 3311
 
     def test_non_unitary_block_raises(self, cold_block_caches, monkeypatch):
-        w, vecs = fock._bs_eigensystem(12)
-        perturbed = vecs.copy()
-        perturbed[3, 5] += 1e-9
-        monkeypatch.setattr(fock, "_bs_eigensystem", lambda total: (w, perturbed))
+        next_block = fock._next_block
+
+        def perturbed(prev, c, s):
+            block = next_block(prev, c, s)
+            if block.shape[0] == 13:
+                block[3, 5] += 1e-9
+            return block
+
+        monkeypatch.setattr(fock, "_next_block", perturbed)
         with pytest.raises(BlockUnitarityError, match="N=12"):
-            fock._bs_block(12, 0.4)
+            fock._bs_blocks(0.4, 20)
+        # nothing past the failed block is kept
+        assert not fock._BLOCK_CACHE
 
 
 class TestRegisterInvariants:

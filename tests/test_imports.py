@@ -1,4 +1,5 @@
-"""The import graph: only the Monte Carlo loads scipy, and BLAS starts no threads.
+"""The import graph: only the Monte Carlo loads scipy or the thread pool, and
+BLAS starts no threads.
 
 Each case runs in a fresh interpreter, since this process has long since
 imported numpy and scipy.  The CLI runs as the console script does, through
@@ -36,6 +37,13 @@ except SystemExit as exc:
     code = exc.code
 """
 RUN_CLI = CALL_CLI + REPORT
+
+# concurrent.futures imports logging; together they cost several milliseconds
+POOL = (
+    'print(json.dumps({"code": code, "pool": "concurrent.futures" in sys.modules,'
+    ' "logging": "logging" in sys.modules}))'
+)
+NO_POOL = {"code": 0, "pool": False, "logging": False}
 
 BLAS_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 UNSET = dict.fromkeys(BLAS_VARIABLES)  # a caller that sets none of them
@@ -89,6 +97,19 @@ def test_oracle_validate_leaves_scipy_unloaded(tmp_path):
     report = run_fresh(RUN_CLI, *oracle_args(tmp_path))
     assert report == {"code": 0, "scipy": False}
     assert len([line for line in out.read_text().splitlines() if line[0].isdigit()]) == 1
+
+
+@pytest.mark.parametrize("module", ["wva_sim", "wva_sim.cli"])
+def test_import_leaves_thread_pool_unloaded(module):
+    assert run_fresh(f"import json, sys, {module}; code = 0; {POOL}") == NO_POOL
+
+
+def test_help_leaves_thread_pool_unloaded():
+    assert run_fresh(CALL_CLI + POOL, "fig3", "--help") == NO_POOL
+
+
+def test_oracle_validate_leaves_thread_pool_unloaded(tmp_path):
+    assert run_fresh(CALL_CLI + POOL, *oracle_args(tmp_path)) == NO_POOL
 
 
 SIMULATE = """

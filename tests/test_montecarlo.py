@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 from concurrent.futures import Future
@@ -122,7 +123,8 @@ class TestSimulateTrials:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingExecutor)
+        # simulate_trials imports the pool class from its module when it runs
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", 16)
         # cpus: the affinity mask's size, on a 64-CPU host; None: a platform
         # with no affinity call whose CPU count is unknown
@@ -372,6 +374,19 @@ class TestFits:
         fit_all = fit_differential(poisoned, phi_bar, include_delta_one=True)
         assert fit_all.dof == 2
         assert fit_all.parameter != pytest.approx(span, rel=1e-9)
+
+    @pytest.mark.parametrize("which", ["per_photon", "differential"])
+    def test_overflowing_weight_is_degenerate(self, which):
+        # a sigma 1e-170 of the largest has an infinite weight even after the
+        # power-of-two scaling; the through-origin fit returned a nan slope
+        if which == "per_photon":
+            fit = fit_per_photon_phase
+            points = [(10.0, 5e-5, 1.0), (20.0, 3e-5, 1e-170), (45.0, 4e-5, 1.0)]
+        else:
+            fit = partial(fit_differential, phi_bar_fixed=5.59e-6)
+            points = [(0.1, 5e-5, 1.0), (0.2, 3e-5, 1e-170)]
+        with pytest.raises(DegenerateFitError):
+            fit(points)
 
     @pytest.mark.parametrize("which", ["per_photon", "differential"])
     def test_power_of_two_sigma_scaling_is_exact(self, which):

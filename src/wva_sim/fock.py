@@ -228,25 +228,22 @@ def _bs_blocks(theta: float, count: int) -> list[np.ndarray]:
         return blocks
 
 
-def _packed_blocks(
-    blocks: list[np.ndarray], rows: range, small: int, large: int, flip: bool
-) -> np.ndarray:
+def _packed_blocks(blocks: list[np.ndarray], rows: range, small: int, large: int) -> np.ndarray:
     """The (len(rows), small, small) block-diagonal matrices of ``rows``.
 
     Row r holds the multiplets N = r and N = r + large of a (small, large)
     plane, indexed by the small mode's level j: j = 0 .. min(r, small - 1)
-    for the first, j = r + 1 .. small - 1 for the second.  ``flip`` means
-    the small mode is the beam splitter's second mode, whose level is
-    N - m, so the blocks are read in reverse.
+    for the first, j = r + 1 .. small - 1 for the second.  The small mode is
+    always the beam splitter's first (a call with the larger mode first is
+    rotated as the swapped pair at -theta), so j is the block index m and
+    every block is read as built.
     """
     packed = np.zeros((len(rows), small, small))
     for i, r in enumerate(rows):
         k = min(r, small - 1) + 1
-        first = blocks[r][::-1, ::-1] if flip else blocks[r]
-        packed[i, :k, :k] = first[:k, :k]
+        packed[i, :k, :k] = blocks[r][:k, :k]
         if k < small:
-            second = blocks[r + large][::-1, ::-1] if flip else blocks[r + large]
-            packed[i, k:, k:] = second[k:small, k:small]
+            packed[i, k:, k:] = blocks[r + large][k:small, k:small]
     return packed
 
 
@@ -261,16 +258,21 @@ def apply_beam_splitter(
     amplitude budget raise RegisterBudgetError before any is built.
     Multiplets that do not fit inside the cutoffs lose their clipped part;
     the lost norm^2 is raised as a truncation error past LEAK_FAIL_TOL.
-    Occupation on the last retained level of either mode triggers a
-    truncation warning above LEAK_WARN_TOL.
+    A truncation warning is raised when the weight on the last retained
+    level of either mode (the union of the two edges, so their shared
+    corner counts once) exceeds LEAK_WARN_TOL.
 
-    The two modes' (small, large) level plane is cut into ``large`` rows,
-    row r being the levels (j, (r - j) mod large) for j < small: the
-    multiplets N = r and N = r + large, which together fill exactly
-    ``small`` slots.  Each row is gathered, multiplied by its block-diagonal
-    matrix in one batched real product over all other modes, and scattered
-    into the result; a slice of at most ``large // 8`` rows (at least one)
-    is in flight at a time, so temporaries stay a fraction of the register.
+    Every rotation runs in one mode order, the smaller cutoff first: a call
+    whose first mode has the larger cutoff is rotated as the swapped pair
+    (mode_b, mode_a) at -theta, the same rotation, so its blocks are cached
+    under -theta.  The two modes' (small, large) level plane is cut into
+    ``large`` rows, row r being the levels (j, (r - j) mod large) for
+    j < small: the multiplets N = r and N = r + large, which together fill
+    exactly ``small`` slots.  Each row is gathered, multiplied by its
+    block-diagonal matrix in one batched real product over all other modes,
+    and scattered into the result; a slice of at most ``large // 8`` rows
+    (at least one) is in flight at a time, so temporaries stay a fraction
+    of the register.
     """
     mode_a = _check_mode(state, mode_a)
     mode_b = _check_mode(state, mode_b)
@@ -278,21 +280,21 @@ def apply_beam_splitter(
         raise ValueError("beam splitter needs two distinct modes")
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
+    if state.cutoffs[mode_a] > state.cutoffs[mode_b]:
+        mode_a, mode_b, theta = mode_b, mode_a, -theta
 
-    da, db = state.cutoffs[mode_a], state.cutoffs[mode_b]
-    count = da + db - 1  # blocks N = 0 .. da + db - 2
+    small, large = state.cutoffs[mode_a], state.cutoffs[mode_b]
+    count = small + large - 1  # blocks N = 0 .. small + large - 2
     entries = _block_entries(count)
     if entries > DEFAULT_AMPLITUDE_BUDGET:
         raise RegisterBudgetError(
-            f"beam-splitter blocks for cutoffs ({da}, {db}) need {entries} entries, "
+            f"beam-splitter blocks for cutoffs ({small}, {large}) need {entries} entries, "
             f"budget is {DEFAULT_AMPLITUDE_BUDGET}"
         )
-    flip = da > db
-    axes = (mode_b, mode_a) if flip else (mode_a, mode_b)
-    small, large = min(da, db), max(da, db)
-    source = np.moveaxis(state.amplitudes, axes, (0, 1))
+    source = np.moveaxis(state.amplitudes, (mode_a, mode_b), (0, 1))
 
-    edge = sum(float(np.vdot(x, x).real) for x in (source[-1], source[:, -1]))
+    # the last level of either mode, their shared corner counted once
+    edge = sum(float(np.vdot(x, x).real) for x in (source[-1], source[:-1, -1]))
     if edge > LEAK_WARN_TOL:
         warnings.warn(
             f"beam splitter input has weight {edge:.3e} on the last Fock level",
@@ -302,7 +304,7 @@ def apply_beam_splitter(
 
     blocks = _bs_blocks(float(theta), count)
     out = np.empty(state.cutoffs, dtype=np.complex128)
-    target = np.moveaxis(out, axes, (0, 1))
+    target = np.moveaxis(out, (mode_a, mode_b), (0, 1))
     slots = np.arange(small)
     levels = (np.arange(large)[:, None] - slots) % large  # row r, slot j: (j, levels[r, j])
     step = max(1, large // 8)
@@ -311,7 +313,7 @@ def apply_beam_splitter(
         index = (slots, levels[start : rows.stop])
         gathered = source[index]
         real = gathered.reshape(len(rows), small, -1).view(np.float64)
-        rotated = _packed_blocks(blocks, rows, small, large, flip) @ real
+        rotated = _packed_blocks(blocks, rows, small, large) @ real
         target[index] = rotated.view(np.complex128).reshape(gathered.shape)
         del gathered, real, rotated  # freed before the next slice allocates its own
 

@@ -100,6 +100,41 @@ class TestOracleValidate:
         header, _, _ = parse_csv(out.read_text())
         assert header["seed"] == str(2**64 - 1)
 
+    def test_csv_goes_to_stdout_without_out(self, runner, tmp_path):
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps(SMALL_ORACLE))
+        out = tmp_path / "oracle.csv"
+        command = ["oracle-validate", "--config", str(config)]
+        to_file = runner.invoke(main, [*command, "--out", str(out)])
+        to_stdout = runner.invoke(main, command)
+        assert to_file.exit_code == to_stdout.exit_code == 0, to_stdout.output
+        assert to_file.stdout == ""
+        assert to_stdout.stdout == out.read_text()
+        assert to_stdout.stderr == to_file.stderr
+
+    def test_failing_point_becomes_error_row(self, runner, tmp_path, monkeypatch):
+        # alpha 2.5 needs a (32, 32, 16) register, past this budget; alpha 0.3
+        # needs (12, 12, 16) and its blocks 4324 entries, inside it
+        from wva_sim import fock, protocol
+
+        protocol._optics_stage.cache_clear()
+        monkeypatch.setattr(fock, "DEFAULT_AMPLITUDE_BUDGET", 5000)
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps(dict(SMALL_ORACLE, alpha=[2.5, 0.3], delta=[0.1])))
+        out = tmp_path / "oracle.csv"
+        result = runner.invoke(
+            main, ["oracle-validate", "--config", str(config), "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        _, _, rows = parse_csv(out.read_text())
+        assert [row["alpha"] for row in rows] == ["2.5", "0.29999999999999999"]
+        failed, computed = rows
+        assert "(error: tensor product needs 16384 amplitudes" in failed["verdict"]
+        assert failed["p_click_exact"] == failed["diff_exact"] == failed["rel_error"] == "nan"
+        assert computed["verdict"] == "valid"
+        assert float(computed["rel_error"]) < 0.05
+        assert "2 points, 1 valid, 0 above tolerance" in result.stderr
+
     def test_malformed_config_names_field(self, runner, tmp_path):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps(dict(SMALL_ORACLE, delta="not-a-list")))
@@ -411,13 +446,18 @@ FIG4_POINT = {"n_bar": 95, "delta": 0.1, "eta": 0.2, "n_total": 1000, "backgroun
         ("oracle-validate", dict(SMALL_ORACLE, beta=[1e200]), [], "beta"),
         ("oracle-validate", dict(SMALL_ORACLE, phi_bar_urad=[1e300], span_over_phi_bar=1e308),
          [], "span_over_phi_bar"),
+        ("oracle-validate", dict(SMALL_ORACLE, tolerance="high"), [], "tolerance"),
+        ("oracle-validate", dict(SMALL_ORACLE, alpha=[0.3, True]), [], "alpha[1]"),
+        ("fig4", {"points": [dict(FIG4_POINT, eta="0.2")]}, ["--seed", "1"], "points[0].eta"),
+        ("fig4", {"points": [dict(FIG4_POINT, colour=1)]}, ["--seed", "1"], "points[0].colour"),
     ],
     ids=[
         "missing-file", "directory", "invalid-json", "array-oracle", "array-snr",
         "negative-alpha", "negative-span", "negative-tolerance", "oracle-negative-seed",
         "oracle-seed-over-64-bits", "snr-fractional-n_trials", "point-not-object",
         "point-missing-n_total", "include_delta_one-not-bool", "oracle-beta-square-overflows",
-        "oracle-phase-overflows",
+        "oracle-phase-overflows", "tolerance-not-a-number", "alpha-item-bool",
+        "point-field-string", "point-unknown-field",
     ],
 )
 def test_config_errors_exit_one_and_name_field(runner, tmp_path, command, config, flags, field):

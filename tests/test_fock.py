@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -295,6 +296,36 @@ class TestBeamSplitter:
         with pytest.raises(ValueError):
             fock.apply_beam_splitter(reg, 1, 1, 0.1)
 
+    @pytest.mark.parametrize(
+        "level,weight,reported",
+        [((2, 3), 0.6e-9, None), ((2, 0), 1.2e-9, 1.2e-9), ((1, 3), 1.2e-9, 1.2e-9),
+         ((2, 3), 1.2e-9, 1.2e-9)],
+        ids=["corner-below-tol", "first-mode-edge", "second-mode-edge", "corner-above-tol"],
+    )
+    @pytest.mark.parametrize("modes", [(0, 1), (1, 0)], ids=["small-first", "large-first"])
+    def test_edge_weight_counts_corner_once(self, level, weight, reported, modes):
+        # the only last-level weight sits at ``level`` of a (3, 4) register;
+        # the corner (2, 3) is on both modes' last level but is one amplitude
+        amps = np.zeros((3, 4), dtype=np.complex128)
+        amps[0, 0] = math.sqrt(1.0 - weight)
+        amps[level] = math.sqrt(weight)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fock.apply_beam_splitter(fock.FockRegister(amps), *modes, 0.2)
+        raised = [w for w in caught if issubclass(w.category, TruncationWarning)]
+        if reported is None:
+            assert raised == []
+        else:
+            assert len(raised) == 1 and f"weight {reported:.3e} on" in str(raised[0].message)
+            # in either mode order the warning names the caller's line
+            assert raised[0].filename == __file__
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_rejected(self, theta):
+        reg = fock.tensor(fock.make_fock(0, 3), fock.make_fock(0, 4))
+        with pytest.raises(ValueError, match="theta must be finite"):
+            fock.apply_beam_splitter(reg, 0, 1, theta)
+
 
 class TestCrossKerr:
     def test_phi_zero_is_identity(self):
@@ -334,6 +365,18 @@ class TestCrossKerr:
             assert fock.number_expectation(out, mode) == pytest.approx(
                 fock.number_expectation(reg, mode), rel=1e-12
             )
+
+    @pytest.mark.parametrize(
+        "modes,phi,match",
+        [((1, 1), 0.1, "distinct modes"), ((0, 0), 0.0, "distinct modes"),
+         ((0, 1), math.nan, "phi must be finite"), ((1, 0), math.inf, "phi must be finite"),
+         ((0, 1), -math.inf, "phi must be finite")],
+        ids=["same-mode-1", "same-mode-0", "nan-phi", "inf-phi", "minus-inf-phi"],
+    )
+    def test_rejections(self, modes, phi, match):
+        reg = fock.tensor(fock.make_fock(1, 3), fock.make_fock(1, 3))
+        with pytest.raises(ValueError, match=match):
+            fock.apply_cross_kerr(reg, *modes, phi)
 
 
 class TestProjection:
@@ -476,7 +519,7 @@ class TestBeamSplitterBlocks:
             return next_block(prev, c, s)
 
         monkeypatch.setattr(fock, "_next_block", counted)
-        reg = fock.tensor(fock.make_coherent(1.0, 17), fock.make_coherent(0.5, 14))
+        reg = fock.tensor(fock.make_coherent(0.5, 14), fock.make_coherent(1.0, 17))
         n_totals = 17 + 14 - 1
         angles = [0.1 + 0.07 * k for k in range(20)]
         for theta in angles:
@@ -501,9 +544,9 @@ class TestBeamSplitterBlocks:
         assert not fock._BLOCK_CACHE
 
     def test_cache_never_exceeds_budget(self, cold_block_caches, monkeypatch):
-        # cutoffs (10, 8) need 17 blocks, 1785 entries: two angles fit in 4000
+        # cutoffs (8, 10) need 17 blocks, 1785 entries: two angles fit in 4000
         monkeypatch.setattr(fock, "DEFAULT_AMPLITUDE_BUDGET", 4000)
-        reg = fock.tensor(fock.make_coherent(0.3, 10), fock.make_coherent(0.3, 8))
+        reg = fock.tensor(fock.make_coherent(0.3, 8), fock.make_coherent(0.3, 10))
         angles = [0.1 * k for k in range(1, 8)]
         first = fock.apply_beam_splitter(reg, 0, 1, angles[0]).amplitudes
         for i in range(1, len(angles)):
@@ -555,6 +598,22 @@ class TestRegisterInvariants:
             fock.project_fock(reg, -1, 0)
         with pytest.raises(ValueError, match="mode index 2"):
             fock.apply_cross_kerr(reg, 2, 0, 0.1)
+
+    @pytest.mark.parametrize(
+        "values,dtype",
+        [([1, 0, 0], np.int64), ([0.5, -0.5, 0.5, 0.5], np.float64),
+         ([0.5, 0.5j, -0.5, 0.5], np.complex64), ([[0.75], [0.5]], np.float32)],
+        ids=["int64", "float64", "complex64", "float32-two-modes"],
+    )
+    def test_amplitudes_cast_to_complex128(self, values, dtype):
+        given_amps = np.array(values, dtype=dtype)
+        reg = fock.FockRegister(given_amps)
+        assert reg.amplitudes.dtype == np.complex128
+        assert reg.cutoffs == given_amps.shape
+        assert np.array_equal(reg.amplitudes, given_amps.astype(np.complex128))
+        assert not reg.amplitudes.flags.writeable
+        # the cast is a copy: the caller's array stays writable
+        assert given_amps.flags.writeable
 
     def test_overnormalized_rejected(self):
         with pytest.raises(ValueError):

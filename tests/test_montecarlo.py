@@ -19,6 +19,7 @@ from wva_sim.model import predict_phases
 from wva_sim.montecarlo import (
     BLOCK,
     CHUNK_TRIALS,
+    GroupStats,
     NoiseModel,
     _chunk_generator,
     estimate_phases,
@@ -145,6 +146,30 @@ class TestSimulateTrials:
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ValueError, match="workers"):
             simulate_trials(row1_params(), NoiseModel(), 100, seed=1, workers=workers)
+
+    @pytest.mark.parametrize(
+        "n_trials,seed,match",
+        [(0, 1, "n_trials"), (-5, 1, "n_trials"), (100, 2**64, "64 bits"), (100, -1, "64 bits")],
+        ids=["zero-trials", "negative-trials", "seed-over-64-bits", "negative-seed"],
+    )
+    def test_bad_trial_count_or_seed_rejected(self, n_trials, seed, match):
+        with pytest.raises(ValueError, match=match):
+            simulate_trials(row1_params(), NoiseModel(), n_trials, seed=seed)
+
+    @pytest.mark.parametrize("background", [0.06, 0.0], ids=["background-only", "no-clicks"])
+    def test_zero_efficiency_has_no_signal_clicks(self, background):
+        # at eta = 0 the signal-click group is empty, so the click group is
+        # the background group alone, every phase the no-click phase
+        params = dataclasses.replace(row1_params(), eta=0.0)
+        n = 20_000
+        stats = simulate_trials(params, NoiseModel(0.0, background), n, seed=4)
+        assert stats.click.count + stats.noclick.count == n
+        if background == 0.0:
+            assert stats.click == GroupStats()
+        else:
+            phase = predict_phases(params).phase_noclick
+            assert (stats.click.mean, stats.click.m2) == (phase, 0.0)
+            assert abs(stats.click.count - background * n) < 5 * math.sqrt(n * background)
 
     def test_batches_are_frozen(self):
         stats = simulate_trials(row1_params(), NoiseModel(), 100, seed=1)
@@ -354,6 +379,24 @@ class TestFits:
         with pytest.raises(ValueError):
             fit_per_photon_phase([(1.0, 1.0, 0.0), (2.0, 2.0, 0.1), (3.0, 3.0, 0.1)])
 
+    @pytest.mark.parametrize(
+        "bad,match",
+        [((0.3, 2e-5), "triples"), ((0.3, 2e-5, 1e-6, 0.0), "triples"),
+         ((0.3, 2e-5, -1e-6), "positive and finite"),
+         ((0.3, 2e-5, math.nan), "positive and finite"),
+         ((0.3, 2e-5, math.inf), "positive and finite")],
+        ids=["pair", "quadruple", "negative-sigma", "nan-sigma", "inf-sigma"],
+    )
+    @pytest.mark.parametrize("which", ["per_photon", "differential"])
+    def test_malformed_point_rejected(self, which, bad, match):
+        if which == "per_photon":
+            fit = fit_per_photon_phase
+        else:
+            fit = partial(fit_differential, phi_bar_fixed=5.59e-6)
+        good = [(0.1, 5e-5, 1e-6), (0.14, 4e-5, 1e-6), (0.22, 3e-5, 1e-6)]
+        with pytest.raises(ValueError, match=match):
+            fit(good + [bad])
+
     def test_differential_fit_recovers_span(self):
         phi_bar, span = 5.59e-6, 8.7e-6
         points = [
@@ -444,6 +487,15 @@ class TestFits:
             fit_differential(
                 [(1.0, 1e-5, 1e-6), (1.0, 1.1e-5, 1e-6)], 5.59e-6
             )
+
+    @pytest.mark.parametrize(
+        "deltas", [(0.1, 0.1), (0.22, 0.22, 0.22), (0.1, 1.0, 0.1)],
+        ids=["two-equal", "three-equal", "equal-below-control-point"],
+    )
+    def test_single_distinct_delta_degenerate(self, deltas):
+        points = [(d, 5e-5 + 1e-6 * i, 1e-6) for i, d in enumerate(deltas)]
+        with pytest.raises(DegenerateFitError, match="all delta equal"):
+            fit_differential(points, 5.59e-6)
 
 
 class TestNoiseModel:

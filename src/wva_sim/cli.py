@@ -15,8 +15,9 @@ result bit-exactly:
 
 Exit codes: 0 success, 1 config error (an --out that cannot be written
 among them, found before any work starts), 2 tolerance, estimation or fit
-failure, or a usage error that click rejects (a missing --seed, a flag
-value of the wrong type).  Config files are single JSON documents;
+failure (an oracle point in the valid regime that raises among them), or
+a usage error that click rejects (a missing --seed, a flag value of the
+wrong type).  Config files are single JSON documents;
 command-line flags override file fields.  Phases in configs and outputs
 are microradians unless a field says otherwise; internals run in radians.
 Monte Carlo commands require an explicit --seed (no silent entropy).
@@ -258,9 +259,18 @@ def _write_text(out: str | None, text: str) -> None:
         raise ConfigError("out", f"cannot write {out}: {exc}") from exc
 
 
+def _csv_cell(cell) -> str:
+    """A float at full double precision; other cells as text, double-quoted
+    (inner quotes doubled, RFC 4180) if they hold a comma, quote or line break."""
+    if isinstance(cell, float):
+        return format(cell, ".17g")
+    text = str(cell)
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
 def _csv_row(*cells) -> str:
-    """One CSV data row: floats at full double precision, ints and text as they are."""
-    return ",".join(format(c, ".17g") if isinstance(c, float) else str(c) for c in cells)
+    """One CSV data row of ``_csv_cell`` cells."""
+    return ",".join(map(_csv_cell, cells))
 
 
 def _check_seed(seed: int) -> None:
@@ -421,7 +431,9 @@ def oracle_validate(config_path, out_path, seed, tolerance) -> None:
         else:
             exact_p = row.result.p_click
             exact_d = row.result.differential_exact
-        gated = row.verdict == "valid" and not row.note
+        # a valid point that raised (no result) fails the gate on its nan
+        # rel_error; one with a degenerate branch has no differential to gate
+        gated = row.verdict == "valid" and (row.result is None or not row.note)
         valid_rows += gated
         failures += gated and not (row.rel_error < gate)
         lines.append(

@@ -63,7 +63,6 @@ class ProtocolResult:
     p_multi: float
     phase_click_exact: float
     phase_noclick_exact: float
-    probe_amplitude_click: complex
     truncation_deficit: float
 
     @property
@@ -148,10 +147,12 @@ def run_protocol(params: InterferometerParams) -> ProtocolResult:
     sweep should vary eta innermost.  A point that raises is not cached and
     raises again.  The detector stage then acts on d with the binomial
     weights w0 = (1-eta)^d (no click) and w1 = d eta (1-eta)^(d-1) (one
-    click); the rest, nonzero only for d >= 2, is ``p_multi``.  Branch
-    probabilities are sums of w_k(d) P(d); the conditioned probe field is
-    the w_k(d)-weighted sum of the P(d)-weighted fields, since the
-    undetected d - k photons are orthogonal across d.
+    click), by one rule for both branches: the probability is the sum of
+    w_k(d) P(d), and the phase is the argument of the w_k(d)-weighted sum
+    of the P(d)-weighted fields (the undetected d - k photons are
+    orthogonal across d), or nan below ``DEGENERATE_NORM2``.  ``p_multi``
+    is what the two branches leave of P(d): its sum less both branch
+    probabilities, floored at 0.
     """
     deficit, dark, fields = _optics_stage(
         default_cutoffs(params),
@@ -165,28 +166,17 @@ def run_protocol(params: InterferometerParams) -> ProtocolResult:
     w_noclick = (1.0 - params.eta) ** d
     # the factor d makes w1(0) exactly 0, also where 0**0 = 1 at eta = 1
     w_click = d * params.eta * (1.0 - params.eta) ** np.maximum(d - 1, 0)
-    w_multi = np.where(d > 1, np.maximum(1.0 - w_noclick - w_click, 0.0), 0.0)
-    p_noclick, p_click, p_multi = (float(w @ dark) for w in (w_noclick, w_click, w_multi))
-
     # beta >= 0 is real, so the unperturbed probe field has phase exactly 0
-    if p_click < DEGENERATE_NORM2:
-        phase_click = math.nan
-        amp_click = complex(math.nan, math.nan)
-    else:
-        amp_click = complex(w_click @ fields) / p_click
-        phase_click = cmath.phase(amp_click)
-    if p_noclick < DEGENERATE_NORM2:
-        phase_noclick = math.nan
-    else:
-        phase_noclick = cmath.phase(complex(w_noclick @ fields))
-
+    branches = [(float(w @ dark), complex(w @ fields)) for w in (w_noclick, w_click)]
+    (p_noclick, phase_noclick), (p_click, phase_click) = (
+        (p, math.nan if p < DEGENERATE_NORM2 else cmath.phase(field)) for p, field in branches
+    )
     return ProtocolResult(
         p_click=p_click,
         p_noclick=p_noclick,
-        p_multi=p_multi,
+        p_multi=max(0.0, float(dark.sum()) - p_noclick - p_click),
         phase_click_exact=phase_click,
         phase_noclick_exact=phase_noclick,
-        probe_amplitude_click=amp_click,
         truncation_deficit=deficit,
     )
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -24,13 +25,16 @@ def parse_csv(text):
         elif columns is None:
             columns = line.split(",")
         else:
-            rows.append(dict(zip(columns, line.split(","))))
+            (cells,) = csv.reader([line])
+            assert len(cells) == len(columns), line
+            rows.append(dict(zip(columns, cells)))
     return header, columns, rows
 
 
 def test_csv_row_writes_floats_at_full_precision():
     assert _csv_row(0.1, math.nan, math.inf, -math.inf) == "0.10000000000000001,nan,inf,-inf"
     assert _csv_row(7, 0, "valid (note)") == "7,0,valid (note)"
+    assert _csv_row('a, "b"', "c\nd") == '"a, ""b""","c\nd"'
 
 
 SMALL_ORACLE = {
@@ -125,7 +129,7 @@ class TestOracleValidate:
         result = runner.invoke(
             main, ["oracle-validate", "--config", str(config), "--out", str(out)]
         )
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == 2, result.output
         _, _, rows = parse_csv(out.read_text())
         assert [row["alpha"] for row in rows] == ["2.5", "0.29999999999999999"]
         failed, computed = rows
@@ -133,7 +137,29 @@ class TestOracleValidate:
         assert failed["p_click_exact"] == failed["diff_exact"] == failed["rel_error"] == "nan"
         assert computed["verdict"] == "valid"
         assert float(computed["rel_error"]) < 0.05
-        assert "2 points, 1 valid, 0 above tolerance" in result.stderr
+        assert "2 points, 2 valid, 1 above tolerance" in result.stderr
+
+    @pytest.mark.parametrize(
+        "delta,code,summary", [(0.5, 0, "0 valid, 0 above"), (0.01, 2, "1 valid, 1 above")]
+    )
+    def test_budget_error_row_quoted_and_gated(self, runner, tmp_path, delta, code, summary):
+        # both points need a 170 * 170 * 2279 register, over the default
+        # budget; only the delta = 0.01 point is in the valid regime
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps(
+            {"alpha": [10], "beta": [44.72], "delta": [delta], "eta": [1], "phi_bar_urad": [0.001]}
+        ))
+        out = tmp_path / "oracle.csv"
+        result = runner.invoke(
+            main, ["oracle-validate", "--config", str(config), "--out", str(out)]
+        )
+        assert result.exit_code == code, result.output
+        _, columns, (row,) = parse_csv(out.read_text())
+        assert len(columns) == 12
+        assert row["verdict"].endswith(
+            "(error: tensor product needs 65863100 amplitudes, budget is 64000000)"
+        )
+        assert f"1 points, {summary} tolerance" in result.stderr
 
     def test_malformed_config_names_field(self, runner, tmp_path):
         config = tmp_path / "bad.json"
@@ -450,6 +476,7 @@ FIG4_POINT = {"n_bar": 95, "delta": 0.1, "eta": 0.2, "n_total": 1000, "backgroun
         ("oracle-validate", dict(SMALL_ORACLE, alpha=[0.3, True]), [], "alpha[1]"),
         ("fig4", {"points": [dict(FIG4_POINT, eta="0.2")]}, ["--seed", "1"], "points[0].eta"),
         ("fig4", {"points": [dict(FIG4_POINT, colour=1)]}, ["--seed", "1"], "points[0].colour"),
+        ("snr", {"beta": -1}, ["--seed", "1"], "beta"),
     ],
     ids=[
         "missing-file", "directory", "invalid-json", "array-oracle", "array-snr",
@@ -457,7 +484,7 @@ FIG4_POINT = {"n_bar": 95, "delta": 0.1, "eta": 0.2, "n_total": 1000, "backgroun
         "oracle-seed-over-64-bits", "snr-fractional-n_trials", "point-not-object",
         "point-missing-n_total", "include_delta_one-not-bool", "oracle-beta-square-overflows",
         "oracle-phase-overflows", "tolerance-not-a-number", "alpha-item-bool",
-        "point-field-string", "point-unknown-field",
+        "point-field-string", "point-unknown-field", "snr-negative-beta",
     ],
 )
 def test_config_errors_exit_one_and_name_field(runner, tmp_path, command, config, flags, field):

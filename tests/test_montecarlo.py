@@ -375,6 +375,12 @@ class TestFits:
         with pytest.raises(DegenerateFitError):
             fit_per_photon_phase([(1.0, 1.0, 0.1), (1.0, 1.1, 0.1), (1.0, 0.9, 0.1)])
 
+    def test_underflowing_abscissas_singular(self):
+        # the centred squares of 1e-200-sized abscissas underflow to 0
+        points = [(n * 1e-200, n, 0.1) for n in (1.0, 2.0, 3.0)]
+        with pytest.raises(DegenerateFitError, match="singular normal equations"):
+            fit_per_photon_phase(points)
+
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(ValueError):
             fit_per_photon_phase([(1.0, 1.0, 0.0), (2.0, 2.0, 0.1), (3.0, 3.0, 0.1)])

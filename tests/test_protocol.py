@@ -152,10 +152,22 @@ class TestRunProtocol:
         assert r.p_multi > 0.0
         assert r.p_multi < r.p_click
 
-    def test_probe_amplitude_click_magnitude(self):
-        p = make_params()
-        r = run_protocol(p)
-        assert abs(r.probe_amplitude_click) == pytest.approx(p.beta, rel=1e-3)
+    @pytest.mark.parametrize(
+        "dark,nan_phase,phase,level",
+        [([0.0, 0.6, 0.4], "phase_noclick_exact", "phase_click_exact", 1),
+         ([0.7, 0.0, 0.3], "phase_click_exact", "phase_noclick_exact", 0)],
+        ids=["no-noclick", "no-click"],
+    )
+    def test_one_branch_rule_on_both_sides(self, monkeypatch, dark, nan_phase, phase, level):
+        # at eta = 1 the no-click branch is d = 0 and the click branch d = 1
+        dark = np.array(dark)
+        fields = dark * np.exp(1j * np.array([0.1, 0.2, 0.3]))
+        monkeypatch.setattr(protocol, "_optics_stage", lambda *args: (0.0, dark, fields))
+        r = run_protocol(make_params(eta=1.0))
+        assert (r.p_noclick, r.p_click) == (dark[0], dark[1])
+        assert math.isnan(getattr(r, nan_phase))
+        assert getattr(r, phase) == pytest.approx(cmath.phase(fields[level]), abs=1e-15)
+        assert r.p_multi == pytest.approx(dark[2], abs=1e-15)
 
 
 class TestOpticsCache:

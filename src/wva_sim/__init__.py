@@ -4,12 +4,12 @@ __version__ = "0.1.0"
 
 import os
 
-# Loading numpy, and again scipy, starts a pool of busy-waiting OpenBLAS
-# threads sized to the CPU count.  The harness's linear algebra is on small
-# blocks and its parallelism is ``workers``, so BLAS runs on one thread unless
-# the caller chose a count through one of these variables.  This must run
-# before the first numpy import: once numpy is loaded its pool is sized, and
-# the pin changes nothing.
+# Loading numpy starts a pool of busy-waiting OpenBLAS threads sized to the
+# CPU count.  The harness's linear algebra is on small blocks and its
+# parallelism is ``workers``, so BLAS runs on one thread unless the caller
+# chose a count through one of these variables.  This must run before the
+# first numpy import: once numpy is loaded its pool is sized, and the pin
+# changes nothing.
 BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 if not any(name in os.environ for name in BLAS_THREAD_VARIABLES):
     os.environ["OMP_NUM_THREADS"] = "1"

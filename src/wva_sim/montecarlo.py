@@ -26,13 +26,14 @@ subgroups.  A threaded run keeps at most four chunks per thread in
 flight, so memory is O(threads x block) for any trial count.
 
 Reproducibility contract: the statistics are a pure function of
-(params, noise, n_trials, seed).  Chunk k draws from a counter-based
-Philox stream keyed (seed, k) and consumes exactly three uniforms per
-trial (the Gaussian noise uses the inverse normal CDF rather than
-rejection sampling so the draw count per trial is constant); its blocks
-are consecutive draws from that one stream, so they hold the same
-uniforms as one fill of the whole chunk.  The summation order is fixed.
-Worker count therefore never changes the output, bit for bit.
+(params, noise, n_trials, seed).  Chunk k draws from two PCG64 streams,
+both spawned from the seed sequence (seed, k): the first gives each trial
+its two uniforms, signal and background, and the second its unit noise z
+through numpy's ziggurat normal sampler.  Each stream is drawn in trial
+order, block after block, so the blocks of a chunk hold the same draws as
+one fill of the whole chunk, even though the ziggurat takes a varying
+number of raw draws per normal.  The summation order is fixed.  Worker
+count and block size therefore never change the output, bit for bit.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .errors import DegenerateFitError, InsufficientDataError, InvalidRegimeErro
 from .model import InterferometerParams, predict_phases
 
 CHUNK_TRIALS = 1 << 17
-# Trials drawn and reduced at a time within a chunk: 384 KB of uniforms.
+# Trials drawn and reduced at a time within a chunk: 256 KB of uniforms.
 BLOCK = 1 << 14
 
 _MIN_GROUP = 2  # samples needed per conditioning group for a stderr
@@ -121,9 +122,11 @@ class FitResult:
     dof: int
 
 
-def _chunk_generator(seed: int, chunk: int) -> np.random.Generator:
-    """Chunk ``chunk``'s Philox stream: three uniforms per trial, in trial order."""
-    return np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
+def _chunk_streams(seed: int, chunk: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """Chunk ``chunk``'s two PCG64 streams, in trial order: two uniforms per
+    trial from the first, one standard normal per trial from the second."""
+    children = np.random.SeedSequence((seed, chunk)).spawn(2)
+    return tuple(np.random.Generator(np.random.PCG64(child)) for child in children)
 
 
 def _constant_phase_group(
@@ -190,33 +193,27 @@ def simulate_trials(
             f"signal click probability {p_s:.4g} plus background {b:.4g} "
             "leaves no no-click population"
         )
-    # imported here, before any worker thread starts, and not at module level:
-    # processes that draw no noise (the oracle, --help) never load scipy
-    from scipy.special import ndtri
-
     phi_c, phi_n = prediction.phase_click, prediction.phase_noclick
     sigma = noise.phase_sigma
 
     def chunk_sums(chunk: int) -> np.ndarray:
         count = min(CHUNK_TRIALS, n_trials - chunk * CHUNK_TRIALS)
-        rng = _chunk_generator(seed, chunk)
+        uniform_rng, normal_rng = _chunk_streams(seed, chunk)
         # work arrays reused by every block of the chunk: allocating them per
         # block made a serial run about an eighth slower on a 2-vCPU x86 VM
-        uniform_buf, noise_buf, masked_buf = np.empty((BLOCK, 3)), np.empty(BLOCK), np.empty(BLOCK)
+        uniform_buf, noise_buf, masked_buf = np.empty((BLOCK, 2)), np.empty(BLOCK), np.empty(BLOCK)
         # count, sum z and sum z^2 of the unit noise z in each constant-phase
         # subgroup: signal clicks, background-only clicks, no-clicks
         sums = np.zeros((3, 3))
         for start in range(0, count, BLOCK):
-            uniforms = rng.random(out=uniform_buf[: min(BLOCK, count - start)])
-            u_sig, u_bg, u_ph = uniforms.T
-            # clip away the measure-zero u == 0 so ndtri stays finite
-            z = np.maximum(u_ph, 1e-300, out=noise_buf[: len(u_ph)])
-            ndtri(z, out=z)
+            size = min(BLOCK, count - start)
+            u_sig, u_bg = uniform_rng.random(out=uniform_buf[:size]).T
+            z = normal_rng.standard_normal(out=noise_buf[:size])
             signal = u_sig < p_s
             stray = u_bg < b
             for sub, mask in zip(sums, (signal, stray & ~signal, ~(signal | stray))):
                 # z inside the subgroup, exact zeros outside: cheaper than z[mask]
-                z_sub = np.multiply(z, mask, out=masked_buf[: len(z)])
+                z_sub = np.multiply(z, mask, out=masked_buf[:size])
                 sub += (np.count_nonzero(mask), z_sub.sum(), np.square(z_sub, out=z_sub).sum())
         return sums
 
@@ -231,7 +228,7 @@ def simulate_trials(
     # sum() folds left in chunk order, which map and _ordered_results both keep
     if threads > 1:
         # imported here, so the oracle and --help load neither the thread
-        # pool nor the logging module it imports (scipy.special loads both)
+        # pool nor the logging module it imports
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -1,5 +1,5 @@
-"""The import graph: only the Monte Carlo loads scipy or the thread pool, and
-BLAS starts no threads.
+"""The import graph: nothing loads scipy, only a threaded Monte Carlo loads
+the thread pool, and BLAS starts no threads.
 
 Each case runs in a fresh interpreter, since this process has long since
 imported numpy and scipy.  The CLI runs as the console script does, through
@@ -116,15 +116,12 @@ SIMULATE = """
 import json, os, sys
 from wva_sim import InterferometerParams, NoiseModel, simulate_trials
 params = InterferometerParams(alpha=1.0, beta=1.0, delta=0.1, eta=0.5, phi_plus=1e-3, phi_minus=0.0)
-before = "scipy" in sys.modules
 simulate_trials(params, NoiseModel(), 10, 1, workers=1)
 """
 
 
-def test_simulate_trials_loads_scipy():
-    # the deferred import is exercised, so it cannot go stale unnoticed
-    report = 'print(json.dumps({"before": before, "after": "scipy" in sys.modules}))'
-    assert run_fresh(SIMULATE + report) == {"before": False, "after": True}
+def test_simulate_trials_leaves_scipy_unloaded():
+    assert run_fresh(SIMULATE + "code = 0\n" + REPORT) == {"code": 0, "scipy": False}
 
 
 @needs_task_list
@@ -140,9 +137,18 @@ def test_one_thread_after_oracle_validate(tmp_path):
 
 
 @needs_task_list
-def test_one_thread_after_simulate_trials_loads_scipy():
+def test_one_thread_after_simulate_trials():
     code = SIMULATE + "code = 0\n" + THREADS
-    assert run_fresh(code, **UNSET) == {"code": 0, "scipy": True, "threads": 1}
+    assert run_fresh(code, **UNSET) == {"code": 0, "scipy": False, "threads": 1}
+
+
+@needs_task_list
+def test_one_thread_after_fig3_leaves_scipy_unloaded(tmp_path):
+    out = tmp_path / "fig3.csv"
+    args = "fig3", "--seed", "1", "--trials-scale", "1e-4", "--out", str(out)
+    report = run_fresh(CALL_CLI + THREADS, *args, **UNSET)
+    assert report == {"code": 0, "scipy": False, "threads": 1}
+    assert out.is_file()
 
 
 @pytest.mark.parametrize("variable", BLAS_VARIABLES)

@@ -10,11 +10,12 @@ result bit-exactly:
   fig4             differential phase versus post-selection overlap, with
                    the one-parameter amplified-split fit (CSV + fit JSON)
   snr              amplified versus direct scheme signal-to-noise (JSON):
-                   each scheme is one point, run through the same Monte
-                   Carlo step as a fig3 / fig4 point
+                   scheme i is a campaign point run through the same Monte
+                   Carlo loop, on the seed that fig3 / fig4 point i uses
 
-Exit codes: 0 success, 1 config error (an --out that cannot be written
-among them, found before any work starts), 2 tolerance, estimation or fit
+Exit codes: 0 success, 1 config error (an --out or fit sidecar that cannot
+be written among them, found before any work starts, and a point whose
+signal click probability is outside [0, 1)), 2 tolerance, estimation or fit
 failure (an oracle point in the valid regime that raises among them), or
 a usage error that click rejects (a missing --seed, a flag value of the
 wrong type).  Config files are single JSON documents;
@@ -283,32 +284,40 @@ def _trials_scale(value) -> float:
     return scale
 
 
-def _point_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence((seed, index)).generate_state(1, np.uint64)[0])
+def _simulate_points(points, beta, phase_sigma, scale, seed, workers) -> list:
+    """The one Monte Carlo point loop of fig3, fig4 and snr.
 
-
-def _simulate_point(field, point, params, noise, n_trials, seed, workers):
-    """Simulate ``point`` for ``n_trials`` trials; return its EstimatorResult.
-
-    The one Monte Carlo step of fig3, fig4 and snr.  A point whose click
-    probabilities leave no no-click population is a config error at ``field``.
+    Entry ``i`` of ``points`` is ``(field, CampaignPoint, phi_bar_urad,
+    span_urad)``; it runs ``max(2, round(point.n_total * scale))`` trials on
+    the seed that the seed sequence ``(seed, i)`` gives, and is reduced to
+    its EstimatorResult as it is simulated, in memory bounded by the worker
+    count.  A point whose signal click probability is not in [0, 1) is a
+    config error at ``field``.  Returns ``(point, trials, EstimatorResult)``
+    for each entry.
     """
-    try:
-        stats = simulate_trials(
-            params, noise, n_trials, seed, p_signal=point.p_signal, workers=workers
-        )
-    except InvalidRegimeError as exc:
-        raise ConfigError(field, str(exc)) from exc
-    return estimate_phases(stats)
+    results = []
+    for i, (field, point, phi_bar_urad, span_urad) in enumerate(points):
+        params = presets.point_params(point, phi_bar_urad, span_urad, beta)
+        noise = presets.point_noise(point, phase_sigma)
+        trials = max(2, round(point.n_total * scale))
+        point_seed = int(np.random.SeedSequence((seed, i)).generate_state(1, np.uint64)[0])
+        try:
+            stats = simulate_trials(
+                params, noise, trials, point_seed, p_signal=point.p_signal, workers=workers
+            )
+        except InvalidRegimeError as exc:
+            raise ConfigError(field, str(exc)) from exc
+        results.append((point, trials, estimate_phases(stats)))
+    return results
 
 
 def _campaign(command, config, seed, workers, out_path, fit_name, fit, columns, cells) -> None:
     """The fig3 / fig4 pipeline: simulate every configured point, fit, write.
 
-    Each point is reduced to its group statistics as it is simulated, in
-    memory bounded by the worker count, and only its EstimatorResult is kept.
     ``fit(results)`` returns the FitResult and any further fit JSON fields;
     ``cells(point, est, noisy)`` gives the values of the command's own ``columns``.
+    A noisy run with an ``out_path`` also writes the fit to a ``.fit.json``
+    sidecar, whose path is checked before any point is simulated.
     """
     _check_seed(seed)
     phi_bar_urad, span_urad, beta, phase_sigma = (
@@ -318,18 +327,14 @@ def _campaign(command, config, seed, workers, out_path, fit_name, fit, columns, 
     raw_points = config["points"]
     _require(isinstance(raw_points, list) and bool(raw_points), "points", "a non-empty list")
     points = [
-        _parse(presets.CampaignPoint, raw, f"points[{i}]") for i, raw in enumerate(raw_points)
+        (f"points[{i}]", _parse(presets.CampaignPoint, raw, f"points[{i}]"), phi_bar_urad, span_urad)
+        for i, raw in enumerate(raw_points)
     ]
-    results = []
-    for i, point in enumerate(points):
-        params = presets.point_params(point, phi_bar_urad, span_urad, beta)
-        noise = presets.point_noise(point, phase_sigma)
-        trials = max(2, round(point.n_total * scale))
-        point_seed = _point_seed(seed, i)
-        est = _simulate_point(f"points[{i}]", point, params, noise, trials, point_seed, workers)
-        results.append((point, trials, est))
-
     noisy = phase_sigma > 0.0
+    sidecar = str(Path(out_path).with_suffix(".fit.json")) if noisy and out_path else None
+    _check_out(sidecar)
+    results = _simulate_points(points, beta, phase_sigma, scale, seed, workers)
+
     fit_note = "skipped (zero-noise run has no stderr)"
     if noisy:
         result, extra = fit(results)
@@ -349,9 +354,8 @@ def _campaign(command, config, seed, workers, out_path, fit_name, fit, columns, 
         lines.append(_csv_row(*shared, *cells(point, est, noisy)))
     _write_text(out_path, "\n".join(lines) + "\n")
     if noisy:
-        if out_path is not None:
-            sidecar = Path(out_path).with_suffix(".fit.json")
-            _write_text(str(sidecar), json.dumps(fit_json, sort_keys=True, indent=2) + "\n")
+        if sidecar is not None:
+            _write_text(sidecar, json.dumps(fit_json, sort_keys=True, indent=2) + "\n")
         click.echo(
             f"{command}: {fit_name} = {fit_json[f'{fit_name}_urad']:.4g} "
             f"+/- {fit_json['stderr_urad']:.4g} urad",
@@ -508,21 +512,16 @@ def snr(config_path, out_path, seed, trials_scale, workers) -> None:
         _number(config[k], k) for k in ("beta", "phase_sigma", "n_trials")
     )
     _require(n_trials.is_integer() and n_trials >= 2, "n_trials", "an integer >= 2")
-    n_trials = max(2, round(n_trials * _trials_scale(config["trials_scale"])))
+    scale = _trials_scale(config["trials_scale"])
 
     def scheme(n_bar, delta, eta, background, phi_bar_urad, span_urad, p_signal=None):
-        # a scheme is a campaign point run for n_trials at its own phases
-        point = presets.CampaignPoint(n_bar, delta, eta, n_trials, background, p_signal)
-        params = presets.point_params(point, phi_bar_urad, span_urad, beta)
-        return point, params, presets.point_noise(point, phase_sigma)
+        # a scheme is a campaign point of n_trials trials at its own phases
+        point = presets.CampaignPoint(n_bar, delta, eta, int(n_trials), background, p_signal)
+        return point, phi_bar_urad, span_urad
 
-    names = ("wva", "direct")
-    schemes = [_parse(scheme, config[name], name) for name in names]
-    # equal trial budgets on independent streams derived from the seed
-    seeds = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    schemes = [(name, *_parse(scheme, config[name], name)) for name in ("wva", "direct")]
     snrs = []
-    for name, scheme_args, scheme_seed in zip(names, schemes, seeds):
-        est = _simulate_point(name, *scheme_args, n_trials, int(scheme_seed), workers)
+    for _, trials, est in _simulate_points(schemes, beta, phase_sigma, scale, seed, workers):
         value, stderr = est.differential
         snrs.append(SNR_CAP if stderr == 0.0 else min(abs(value) / stderr, SNR_CAP))
     snr_wva, snr_direct = snrs
@@ -530,7 +529,7 @@ def snr(config_path, out_path, seed, trials_scale, workers) -> None:
 
     report = {
         **_provenance("snr", config, seed),
-        "n_trials": n_trials,
+        "n_trials": trials,  # the count each scheme ran
         "snr_wva": snr_wva,
         "snr_direct": snr_direct,
         "ratio": ratio,

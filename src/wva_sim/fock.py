@@ -383,11 +383,3 @@ def mean_field(state: FockRegister, mode: int) -> complex:
     lowered = levels[:, 1:] * np.sqrt(np.arange(1.0, levels.shape[1]))[:, None]
     return complex(np.vdot(levels[:, :-1], lowered) / n2)
 
-
-def number_expectation(state: FockRegister, mode: int) -> float:
-    """<n> for one mode, divided by the state's squared norm."""
-    n2 = norm_squared(state)
-    if n2 <= 0.0:
-        raise DegenerateStateError("<n> of a zero-norm state is undefined")
-    dist = fock_distribution(state, mode)
-    return float(np.dot(np.arange(dist.size), dist) / n2)

@@ -173,9 +173,10 @@ def simulate_trials(
 
     ``p_signal`` overrides the design click probability eta delta^2 n_bar
     (needed when that dark-port formula is outside its regime, e.g. a
-    bright-port control point).  Raises InvalidRegimeError when that
-    probability is negative or, with the background, leaves no no-click
-    population.  Deterministic given the seed; ``workers`` only
+    bright-port control point).  Raises InvalidRegimeError unless that
+    probability p_s lies in [0, 1): stray clicks are drawn independently of
+    the signal, so every such p_s leaves a no-click population, a fraction
+    (1 - p_s)(1 - background).  Deterministic given the seed; ``workers`` only
     parallelizes chunk evaluation, on at most one thread per chunk and per
     CPU this process may use.
     """
@@ -188,11 +189,8 @@ def simulate_trials(
     prediction = predict_phases(params)
     p_s = prediction.p_click if p_signal is None else float(p_signal)
     b = noise.background_click_rate
-    if p_s < 0.0 or p_s + b >= 1.0:
-        raise InvalidRegimeError(
-            f"signal click probability {p_s:.4g} plus background {b:.4g} "
-            "leaves no no-click population"
-        )
+    if not 0.0 <= p_s < 1.0:
+        raise InvalidRegimeError(f"signal click probability {p_s:.4g} is outside [0, 1)")
     phi_c, phi_n = prediction.phase_click, prediction.phase_noclick
     sigma = noise.phase_sigma
 

@@ -433,7 +433,9 @@ class TestSnr:
     def test_no_noclick_population_is_config_error(self, runner, tmp_path):
         # same rejection, same exit code as fig3 / fig4
         config = tmp_path / "snr.json"
-        config.write_text(json.dumps({"wva": dict(SNR_WVA, p_signal=0.99)}))
+        # the dark-port design value eta delta^2 n_bar of the delta = 1 control is 1.2
+        control = {"n_bar": 40.0, "delta": 1.0, "eta": 0.03}
+        config.write_text(json.dumps({"wva": dict(SNR_WVA, **control)}))
         result = runner.invoke(main, ["snr", "--config", str(config), "--seed", "1"])
         assert result.exit_code == 1
         assert "config error" in result.output
@@ -622,3 +624,46 @@ def test_out_probe_leaves_files_as_they_were(runner, tmp_path):
         assert "field 'tolerance'" in result.output
     assert not fresh.exists()
     assert kept.read_text() == "earlier result\n"
+
+
+def test_unwritable_sidecar_rejected_before_any_run(runner, tmp_path, monkeypatch):
+    # a noisy fig3 with --out also writes <out>.fit.json; a directory there
+    # fails before the first point runs, and the probe of --out leaves no CSV
+    (tmp_path / "side.fit.json").mkdir()
+    calls = []
+    monkeypatch.setattr(cli, "simulate_trials", lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "side.csv"
+    result = runner.invoke(main, ["fig3", "--seed", "1", "--trials-scale", "1e-3", "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert "field 'out'" in result.output
+    assert "side.fit.json" in result.output
+    assert calls == []
+    assert not out.exists()
+
+
+def test_snr_scheme_runs_as_the_campaign_point(runner, tmp_path, monkeypatch):
+    """Scheme i of snr and point i of fig4 reach simulate_trials with the same arguments."""
+    real = cli.simulate_trials
+    calls = []
+
+    def recording(params, noise, n_trials, seed, *, p_signal=None, workers=1):
+        calls.append((params, noise, n_trials, seed, p_signal))
+        return real(params, noise, n_trials, seed, p_signal=p_signal, workers=workers)
+
+    monkeypatch.setattr(cli, "simulate_trials", recording)
+    schemes = [SNR_WVA, dict(SNR_WVA, n_bar=45.0, delta=0.14, p_signal=0.2)]
+    shared = {"beta": 40.0, "phase_sigma": 0.1, "trials_scale": 0.5}
+    snr_config = dict(shared, n_trials=20000, wva=schemes[0], direct=schemes[1])
+    points = [
+        {k: v for k, v in s.items() if not k.endswith("_urad")} | {"n_total": 20000}
+        for s in schemes
+    ]
+    fig4_config = dict(shared, points=points, phi_bar_urad=5.59, span_urad=8.7)
+    for command, config in (("snr", snr_config), ("fig4", fig4_config)):
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(config))
+        result = runner.invoke(main, [command, "--config", str(path), "--seed", "17"])
+        assert result.exit_code == 0, result.output
+    snr_calls, fig4_calls = calls[:2], calls[2:]
+    assert snr_calls == fig4_calls
+    assert [call[2] for call in snr_calls] == [10000, 10000]

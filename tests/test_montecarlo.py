@@ -84,7 +84,20 @@ class TestSimulateTrials:
     def test_background_plus_signal_must_leave_noclicks(self):
         params = row1_params()
         with pytest.raises(InvalidRegimeError):
-            simulate_trials(params, NoiseModel(0.1, 0.9), 100, seed=0)
+            simulate_trials(params, NoiseModel(0.1, 0.9), 100, seed=0, p_signal=1.0)
+
+    def test_nan_signal_probability_is_invalid_regime(self):
+        with pytest.raises(InvalidRegimeError):
+            simulate_trials(row1_params(), NoiseModel(0.1, 0.06), 100, seed=0, p_signal=math.nan)
+
+    def test_signal_plus_background_above_one_leaves_noclicks(self):
+        # stray clicks are independent of the signal: P(no click) = (1 - p_s)(1 - b)
+        point = dataclasses.replace(CAMPAIGN[0], n_bar=3.0, delta=0.5, eta=1.0, background=0.3)
+        params = point_params(point)
+        assert predict_phases(params).p_click == pytest.approx(0.75)
+        stats = simulate_trials(params, point_noise(point), 200_000, seed=9)
+        # binomial sigma ~0.00085
+        assert stats.click.count / stats.n_trials == pytest.approx(1 - 0.25 * 0.7, abs=0.005)
 
     def test_bit_exact_reproducibility(self):
         params = row1_params()

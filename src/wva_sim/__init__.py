@@ -5,8 +5,8 @@ __version__ = "0.1.0"
 import os
 
 # Loading numpy starts a pool of busy-waiting OpenBLAS threads sized to the
-# CPU count.  The harness's linear algebra is on small blocks and its
-# parallelism is ``workers``, so BLAS runs on one thread unless the caller
+# CPU count.  The harness's linear algebra is on small blocks and it starts
+# no threads of its own, so BLAS runs on one thread unless the caller
 # chose a count through one of these variables.  This must run before the
 # first numpy import: once numpy is loaded its pool is sized, and the pin
 # changes nothing.

@@ -22,8 +22,8 @@ wrong type).  Config files are single JSON documents;
 command-line flags override file fields.  Phases in configs and outputs
 are microradians unless a field says otherwise; internals run in radians.
 Monte Carlo commands require an explicit --seed (no silent entropy).
-Worker count is an execution detail: it never appears in output and never
-changes it.
+--workers is accepted and must be at least 1; it never appears in output
+and never changes it.
 """
 
 from __future__ import annotations
@@ -290,10 +290,9 @@ def _simulate_points(points, beta, phase_sigma, scale, seed, workers) -> list:
     Entry ``i`` of ``points`` is ``(field, CampaignPoint, phi_bar_urad,
     span_urad)``; it runs ``max(2, round(point.n_total * scale))`` trials on
     the seed that the seed sequence ``(seed, i)`` gives, and is reduced to
-    its EstimatorResult as it is simulated, in memory bounded by the worker
-    count.  A point whose signal click probability is not in [0, 1) is a
-    config error at ``field``.  Returns ``(point, trials, EstimatorResult)``
-    for each entry.
+    its EstimatorResult as it is simulated, in constant memory.  A point
+    whose signal click probability is not in [0, 1) is a config error at
+    ``field``.  Returns ``(point, trials, EstimatorResult)`` for each entry.
     """
     results = []
     for i, (field, point, phi_bar_urad, span_urad) in enumerate(points):
@@ -369,7 +368,7 @@ def _campaign_options(command):
         click.option("--out", "out_path", type=click.Path(), help="Output path (default stdout)."),
         click.option("--seed", type=int, required=True, help="Master seed (required; no silent entropy)."),
         click.option("--trials-scale", type=float, help="Scale on each point's trial count."),
-        click.option("--workers", type=int, default=1, help="Worker threads; never changes the output."),
+        click.option("--workers", type=int, default=1, help="Accepted, at least 1; never changes the output."),
     )
     for option in reversed(options):
         command = option(command)

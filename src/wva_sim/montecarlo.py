@@ -13,34 +13,32 @@ photon, so they carry the no-click phase.  Measured phase = true phase +
 Gaussian read-out noise.
 
 The estimators need only the count, mean and summed squared deviation
-(M2) of each conditioning group, so trials are never kept.  A trial's
-true phase is one of two constants, so a group's triple follows from the
-count, sum and sum of squares of the unit noise z (phase = true phase +
-sigma z) in three constant-phase subgroups: signal clicks, background-only
-clicks and no-clicks.  Each chunk of ``CHUNK_TRIALS`` trials is drawn in
-blocks of ``BLOCK`` trials, and each block is reduced at once to those
-subgroup sums.  Sums add, so the chunks' sums are added in chunk order;
-only then does each subgroup become a triple, and one pairwise update of
+(M2) of each conditioning group, so no trial is ever drawn: each point
+draws those statistics from their exact law.  A trial's true phase is one
+of two constants, so a group splits into three constant-phase subgroups:
+signal clicks, background-only clicks and no-clicks.  Their counts are one
+multinomial draw over n_trials with probabilities p_s, b (1 - p_s) and
+(1 - p_s)(1 - b).  A subgroup of m phases ``phase + sigma z`` with unit
+normal z has mean ``phase + sigma zbar``, with zbar ~ N(0, 1/m), and M2
+``sigma^2 X``, with X ~ chi^2 on m - 1 degrees of freedom independent of
+zbar (Cochran, Proc. Camb. Phil. Soc. 30, 178 (1934)); an empty subgroup
+has no statistics and one of one trial has M2 = 0.  One pairwise update of
 Chan, Golub & LeVeque (Am. Stat. 37(3), 1983) joins the two click
-subgroups.  A threaded run keeps at most four chunks per thread in
-flight, so memory is O(threads x block) for any trial count.
+subgroups.  A point costs a handful of variates in constant memory,
+whatever its trial count.
 
 Reproducibility contract: the statistics are a pure function of
-(params, noise, n_trials, seed).  Chunk k draws from two PCG64 streams,
-both spawned from the seed sequence (seed, k): the first gives each trial
-its two uniforms, signal and background, and the second its unit noise z
-through numpy's ziggurat normal sampler.  Each stream is drawn in trial
-order, block after block, so the blocks of a chunk hold the same draws as
-one fill of the whole chunk, even though the ziggurat takes a varying
-number of raw draws per normal.  The summation order is fixed.  Worker
-count and block size therefore never change the output, bit for bit.
+(params, noise, n_trials, seed).  The seed sequence ``seed`` spawns two
+PCG64 streams: the first draws the multinomial, the second the noise, in
+subgroup order (signal, background-only, no-click) with the mean before
+the chi^2 within each subgroup.  The multinomial takes a number of raw
+draws that depends on n_trials and the probabilities, and that variation
+stays inside its own stream.  ``workers`` never changes the output.
 """
 
 from __future__ import annotations
 
-import collections
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,10 +46,6 @@ import numpy as np
 
 from .errors import DegenerateFitError, InsufficientDataError, InvalidRegimeError
 from .model import InterferometerParams, predict_phases
-
-CHUNK_TRIALS = 1 << 17
-# Trials drawn and reduced at a time within a chunk: 256 KB of uniforms.
-BLOCK = 1 << 14
 
 _MIN_GROUP = 2  # samples needed per conditioning group for a stderr
 
@@ -122,44 +116,6 @@ class FitResult:
     dof: int
 
 
-def _chunk_streams(seed: int, chunk: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """Chunk ``chunk``'s two PCG64 streams, in trial order: two uniforms per
-    trial from the first, one standard normal per trial from the second."""
-    children = np.random.SeedSequence((seed, chunk)).spawn(2)
-    return tuple(np.random.Generator(np.random.PCG64(child)) for child in children)
-
-
-def _constant_phase_group(
-    phase: float, sigma: float, count: float, z_sum: float, z_sq_sum: float
-) -> GroupStats:
-    """Statistics of ``count`` phases ``phase + sigma * z`` from the sums of z and z^2.
-
-    With the constant phase factored out and z of mean ~0, z_sum^2 / count
-    is ~1/count of z_sq_sum, so the M2 subtraction loses almost nothing;
-    with sigma = 0 the mean is ``phase`` and M2 is 0 exactly.
-    """
-    if count == 0:
-        return GroupStats()
-    count, z_mean = int(count), float(z_sum / count)
-    m2 = sigma * sigma * float(z_sq_sum - z_sum * z_mean)
-    return GroupStats(count, phase + sigma * z_mean, max(0.0, m2))
-
-
-def _ordered_results(pool, fn, n: int, depth: int):
-    """``fn(0), ..., fn(n - 1)`` run on ``pool``, yielded in order.
-
-    At most ``depth`` calls are submitted ahead of the one being yielded:
-    ``pool.map`` submits all ``n`` at once, so its queue grows with ``n``.
-    """
-    pending = collections.deque()
-    for i in range(n):
-        pending.append(pool.submit(fn, i))
-        if len(pending) == depth:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
-
-
 def simulate_trials(
     params: InterferometerParams,
     noise: NoiseModel,
@@ -176,9 +132,9 @@ def simulate_trials(
     bright-port control point).  Raises InvalidRegimeError unless that
     probability p_s lies in [0, 1): stray clicks are drawn independently of
     the signal, so every such p_s leaves a no-click population, a fraction
-    (1 - p_s)(1 - background).  Deterministic given the seed; ``workers`` only
-    parallelizes chunk evaluation, on at most one thread per chunk and per
-    CPU this process may use.
+    (1 - p_s)(1 - background).  Deterministic given the seed.  ``workers``
+    is accepted, must be at least 1, and never changes the output: the draw
+    is a few variates per point, so nothing is run in parallel.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -191,50 +147,25 @@ def simulate_trials(
     b = noise.background_click_rate
     if not 0.0 <= p_s < 1.0:
         raise InvalidRegimeError(f"signal click probability {p_s:.4g} is outside [0, 1)")
-    phi_c, phi_n = prediction.phase_click, prediction.phase_noclick
     sigma = noise.phase_sigma
+    count_rng, noise_rng = (
+        np.random.Generator(np.random.PCG64(child)) for child in np.random.SeedSequence(seed).spawn(2)
+    )
+    # signal clicks, stray-only clicks, no-clicks
+    counts = count_rng.multinomial(n_trials, (p_s, b * (1.0 - p_s), (1.0 - p_s) * (1.0 - b)))
 
-    def chunk_sums(chunk: int) -> np.ndarray:
-        count = min(CHUNK_TRIALS, n_trials - chunk * CHUNK_TRIALS)
-        uniform_rng, normal_rng = _chunk_streams(seed, chunk)
-        # work arrays reused by every block of the chunk: allocating them per
-        # block made a serial run about an eighth slower on a 2-vCPU x86 VM
-        uniform_buf, noise_buf, masked_buf = np.empty((BLOCK, 2)), np.empty(BLOCK), np.empty(BLOCK)
-        # count, sum z and sum z^2 of the unit noise z in each constant-phase
-        # subgroup: signal clicks, background-only clicks, no-clicks
-        sums = np.zeros((3, 3))
-        for start in range(0, count, BLOCK):
-            size = min(BLOCK, count - start)
-            u_sig, u_bg = uniform_rng.random(out=uniform_buf[:size]).T
-            z = normal_rng.standard_normal(out=noise_buf[:size])
-            signal = u_sig < p_s
-            stray = u_bg < b
-            for sub, mask in zip(sums, (signal, stray & ~signal, ~(signal | stray))):
-                # z inside the subgroup, exact zeros outside: cheaper than z[mask]
-                z_sub = np.multiply(z, mask, out=masked_buf[:size])
-                sub += (np.count_nonzero(mask), z_sub.sum(), np.square(z_sub, out=z_sub).sum())
-        return sums
+    def subgroup(count: int, phase: float) -> GroupStats:
+        """``count`` phases ``phase + sigma z``: the mean of z is N(0, 1/count)
+        and its M2 an independent chi^2 with count - 1 degrees of freedom."""
+        if count == 0:
+            return GroupStats()
+        z_mean = noise_rng.normal(0.0, 1.0 / math.sqrt(count))
+        chi2 = noise_rng.chisquare(count - 1) if count > 1 else 0.0
+        return GroupStats(count, phase + sigma * z_mean, sigma * sigma * chi2)
 
-    n_chunks = (n_trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
-    # a thread beyond the chunk count or the usable CPUs would only wait; the
-    # affinity mask, where the platform has one, honours taskset and cpusets
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    threads = min(workers, n_chunks, cpus)
-    # sum() folds left in chunk order, which map and _ordered_results both keep
-    if threads > 1:
-        # imported here, so the oracle and --help load neither the thread
-        # pool nor the logging module it imports
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sums = sum(_ordered_results(pool, chunk_sums, n_chunks, 4 * threads))
-    else:
-        sums = sum(map(chunk_sums, range(n_chunks)))
+    phases = (prediction.phase_click, prediction.phase_noclick, prediction.phase_noclick)
     signal_clicks, stray_clicks, noclicks = (
-        _constant_phase_group(phase, sigma, *row) for row, phase in zip(sums, (phi_c, phi_n, phi_n))
+        subgroup(int(count), phase) for count, phase in zip(counts, phases)
     )
     return TrialStats(n_trials, click=signal_clicks.merge(stray_clicks), noclick=noclicks)
 

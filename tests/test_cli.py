@@ -274,7 +274,6 @@ class TestFig3:
 
 
 class TestFig4:
-    # snr at this scale runs 400000 trials per scheme: four chunks
     @pytest.mark.parametrize(
         "command,scale", [("fig4", "3e-4"), ("snr", "0.2")], ids=["fig4", "snr"]
     )

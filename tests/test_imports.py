@@ -1,5 +1,5 @@
-"""The import graph: nothing loads scipy, only a threaded Monte Carlo loads
-the thread pool, and BLAS starts no threads.
+"""The import graph: nothing loads scipy or the thread pool, and BLAS starts
+no threads.
 
 Each case runs in a fresh interpreter, since this process has long since
 imported numpy and scipy.  The CLI runs as the console script does, through
@@ -122,6 +122,13 @@ simulate_trials(params, NoiseModel(), 10, 1, workers=1)
 
 def test_simulate_trials_leaves_scipy_unloaded():
     assert run_fresh(SIMULATE + "code = 0\n" + REPORT) == {"code": 0, "scipy": False}
+
+
+def test_simulate_trials_with_workers_leaves_thread_pool_unloaded():
+    # a million trials, which the per-trial engine split over worker threads
+    code = SIMULATE.replace("10, 1, workers=1", "1_000_000, 1, workers=4")
+    assert code != SIMULATE
+    assert run_fresh(code + "code = 0\n" + POOL) == NO_POOL
 
 
 @needs_task_list

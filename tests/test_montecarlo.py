@@ -1,7 +1,5 @@
-import concurrent.futures
 import dataclasses
 import math
-from concurrent.futures import Future
 from fractions import Fraction
 from functools import partial
 from operator import mul
@@ -16,11 +14,9 @@ from wva_sim.errors import (
 )
 from wva_sim.model import predict_phases
 from wva_sim.montecarlo import (
-    BLOCK,
-    CHUNK_TRIALS,
     GroupStats,
     NoiseModel,
-    _chunk_streams,
+    TrialStats,
     estimate_phases,
     fit_differential,
     fit_per_photon_phase,
@@ -38,6 +34,52 @@ def mixture_click_mean(params, p_signal, background):
     pred = predict_phases(params)
     f_bg = background * (1.0 - p_signal) / (p_signal + background * (1.0 - p_signal))
     return (1.0 - f_bg) * pred.phase_click + f_bg * pred.phase_noclick
+
+
+def drawn_counts(seed, n_trials, p_s, background):
+    """simulate_trials' (signal, stray-only, no-click) counts, drawn again
+    from its count stream: the first of the two streams the seed spawns."""
+    count_stream = np.random.SeedSequence(seed).spawn(2)[0]
+    probabilities = (p_s, background * (1 - p_s), (1 - p_s) * (1 - background))
+    return np.random.Generator(np.random.PCG64(count_stream)).multinomial(n_trials, probabilities)
+
+
+def per_trial_reference(params, noise, n_trials, seed, p_signal=None):
+    """The per-trial sampler simulate_trials once ran, kept as the reference law.
+
+    Each trial draws two uniforms (signal click, stray click) from one PCG64
+    stream and a unit normal z (numpy's ziggurat) from another, both spawned
+    from the seed sequence (seed, 0); the trials are reduced to the count,
+    sum z and sum z^2 of the three constant-phase subgroups, and the two
+    click subgroups are joined.  Returns the subgroup counts and the stats.
+    """
+    pred = predict_phases(params)
+    p_s = pred.p_click if p_signal is None else p_signal
+    sigma = noise.phase_sigma
+    uniform_rng, normal_rng = (
+        np.random.Generator(np.random.PCG64(child))
+        for child in np.random.SeedSequence((seed, 0)).spawn(2)
+    )
+    u_sig, u_bg = uniform_rng.random((n_trials, 2)).T
+    z = normal_rng.standard_normal(n_trials)
+    signal = u_sig < p_s
+    stray = u_bg < noise.background_click_rate
+    groups = []
+    for mask, phase in (
+        (signal, pred.phase_click),
+        (stray & ~signal, pred.phase_noclick),
+        (~(signal | stray), pred.phase_noclick),
+    ):
+        count, z_sum, z_sq_sum = np.count_nonzero(mask), z[mask].sum(), np.square(z[mask]).sum()
+        if count == 0:
+            groups.append(GroupStats())
+            continue
+        z_mean = z_sum / count
+        m2 = sigma * sigma * float(z_sq_sum - z_sum * z_mean)
+        groups.append(GroupStats(int(count), phase + sigma * float(z_mean), max(0.0, m2)))
+    signal_clicks, stray_clicks, noclicks = groups
+    counts = tuple(group.count for group in groups)
+    return counts, TrialStats(n_trials, signal_clicks.merge(stray_clicks), noclicks)
 
 
 class TestSimulateTrials:
@@ -102,57 +144,13 @@ class TestSimulateTrials:
     def test_bit_exact_reproducibility(self):
         params = row1_params()
         noise = NoiseModel(0.1, 0.06)
-        n = 5 * CHUNK_TRIALS + 12_345  # six chunks, the last one partial
+        n = 667_705
         a = simulate_trials(params, noise, n, seed=77)
         for workers in (2, 4):
             # every count, mean and M2 bit for bit
             assert simulate_trials(params, noise, n, seed=77, workers=workers) == a
         c = simulate_trials(params, noise, n, seed=78)
         assert c.click != a.click and c.noclick != a.noclick
-
-    @pytest.mark.parametrize(
-        "workers,chunks,cpus,threads",
-        [(64, 3, 8, 3), (64, 10, 4, 4), (2, 10, 8, 2), (400, 400, None, None), (64, 10, 1, None)],
-    )
-    def test_thread_count_capped(self, monkeypatch, workers, chunks, cpus, threads):
-        import wva_sim.montecarlo as montecarlo
-
-        pools = []
-
-        class RecordingExecutor:
-            """Records max_workers and runs the chunks serially: starts no thread."""
-
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        # simulate_trials imports the pool class from its module when it runs
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
-        monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", 16)
-        # cpus: the affinity mask's size, on a 64-CPU host; None: a platform
-        # with no affinity call whose CPU count is unknown
-        if cpus is None:
-            monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
-            monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
-        else:
-            affinity = set(range(cpus))
-            monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: affinity, raising=False)
-            monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
-        params, noise = row1_params(), NoiseModel(0.1, 0.06)
-        stats = simulate_trials(params, noise, 16 * chunks, seed=3, workers=workers)
-        assert pools == ([] if threads is None else [threads])  # None: serial, no pool
-        serial = simulate_trials(params, noise, 16 * chunks, seed=3)
-        assert stats == serial
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
@@ -190,58 +188,10 @@ class TestSimulateTrials:
         with pytest.raises(dataclasses.FrozenInstanceError):
             stats.click.mean = 0.0
 
-    # 300 divides neither the full chunks nor the partial one
-    @pytest.mark.parametrize("block", [BLOCK, 300], ids=["whole-chunk", "block-300"])
-    def test_merged_chunks_match_concatenated_samples(self, monkeypatch, block):
-        import wva_sim.montecarlo as montecarlo
-
-        chunk = 1000
-        monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", chunk)
-        monkeypatch.setattr(montecarlo, "BLOCK", block)
-        params, noise = row1_params(), NoiseModel(0.1, 0.06)
-        n, seed = 3 * chunk + 417, 31  # three full chunks and a partial one
-        pred = predict_phases(params)
-        clicks, phases = [], []
-        for k in range(4):
-            # each chunk's draws in one fill per stream; simulate_trials draws them block by block
-            size = min(chunk, n - k * chunk)
-            uniform_rng, normal_rng = _chunk_streams(seed, k)
-            u_sig, u_bg = uniform_rng.random((size, 2)).T
-            signal = u_sig < pred.p_click
-            clicks.append(signal | (u_bg < noise.background_click_rate))
-            true_phase = np.where(signal, pred.phase_click, pred.phase_noclick)
-            phases.append(true_phase + noise.phase_sigma * normal_rng.standard_normal(size))
-        clicks, phases = np.concatenate(clicks), np.concatenate(phases)
-        stats = simulate_trials(params, noise, n, seed=seed)
-        est = estimate_phases(stats)
-        for group, samples, (mean, stderr) in (
-            (stats.click, phases[clicks], est.phi_click),
-            (stats.noclick, phases[~clicks], est.phi_noclick),
-        ):
-            assert group.count == samples.size
-            assert group.mean == pytest.approx(samples.mean(), rel=1e-12)
-            std = samples.std(ddof=1)
-            assert math.sqrt(group.m2 / (group.count - 1)) == pytest.approx(std, rel=1e-12)
-            assert mean == group.mean
-            assert stderr == pytest.approx(std / math.sqrt(samples.size), rel=1e-12)
-
-    def test_chunk_streams_distinct_and_uncorrelated(self):
-        n, seed = CHUNK_TRIALS, 31
-        # two chunks' four streams share no raw draw, not even shifted: a
-        # stream seeded from the same key as another would repeat its draws
-        streams = [*_chunk_streams(seed, 0), *_chunk_streams(seed, 1)]
-        raw = [rng.bit_generator.random_raw(2 * n) for rng in streams]
-        assert np.unique(np.concatenate(raw)).size == 4 * 2 * n
-        uniform_rng, normal_rng = _chunk_streams(seed, 0)
-        u_sig, u_bg = uniform_rng.random((n, 2)).T
-        z = normal_rng.standard_normal(n)
-        for u in (u_sig, u_bg):
-            assert abs(np.corrcoef(u, z)[0, 1]) < 5 / math.sqrt(n)
-
     def test_single_phase_click_group_has_zero_stderr(self):
         # no noise, no background: every click carries exactly the click phase
         params = row1_params()
-        stats = simulate_trials(params, NoiseModel(0.0, 0.0), 3 * CHUNK_TRIALS + 5, seed=12)
+        stats = simulate_trials(params, NoiseModel(0.0, 0.0), 393_221, seed=12)
         est = estimate_phases(stats)
         assert est.phi_click == (predict_phases(params).phase_click, 0.0)
         assert est.phi_noclick[1] == 0.0
@@ -249,70 +199,91 @@ class TestSimulateTrials:
     def test_zero_noise_two_phase_click_group_is_exact(self):
         # no noise, with background: the click group holds exactly two phases
         params, background = row1_params(), 0.06
-        n, seed = CHUNK_TRIALS - 1000, 13  # one chunk of several blocks
+        n, seed = 130_072, 13
         stats = simulate_trials(params, NoiseModel(0.0, background), n, seed=seed)
         pred = predict_phases(params)
-        u_sig, u_bg = _chunk_streams(seed, 0)[0].random((n, 2)).T
-        signal = u_sig < pred.p_click
-        n_s = int(np.count_nonzero(signal))
-        n_b = int(np.count_nonzero(~signal & (u_bg < background)))
+        n_s, n_b, n_n = (int(c) for c in drawn_counts(seed, n, pred.p_click, background))
         n_click = n_s + n_b
         delta = pred.phase_noclick - pred.phase_click
-        assert stats.click.count == n_click
+        assert (stats.click.count, stats.noclick.count) == (n_click, n_n)
         # the mixture mean and M2 n_s n_b / n (phi_c - phi_n)^2, in the merge's rounding
         assert stats.click.mean == pred.phase_click + delta * (n_b / n_click)
         assert stats.click.m2 == delta * delta * (n_s * n_b / n_click)
         assert estimate_phases(stats).phi_noclick == (pred.phase_noclick, 0.0)
 
-    def test_memory_bounded_in_trial_count(self, monkeypatch):
+    def test_largest_campaign_point_in_constant_memory(self):
         import tracemalloc
 
-        # the threaded runs import the thread pool's module: import it before
-        # tracing, so the first traced peak holds no one-time import
-        from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-
-        import wva_sim.montecarlo as montecarlo
-
-        params, noise = row1_params(), NoiseModel(0.1, 0.06)
-        # serial at the real chunk size, then two threads over thousands of
-        # tiny chunks, where chunks queued all at once would show
-        for workers, chunk_counts in ((1, (8, 64)), (2, (500, 4000))):
-            if workers == 2:
-                monkeypatch.setattr(
-                    montecarlo.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
-                )
-                monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", 64)
-                monkeypatch.setattr(montecarlo, "BLOCK", 32)
-            peaks = []
-            for chunks in chunk_counts:
-                tracemalloc.start()
-                try:
-                    n = chunks * montecarlo.CHUNK_TRIALS
-                    simulate_trials(params, noise, n, seed=5, workers=workers)
-                    peaks.append(tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
-            assert peaks[1] < 1.5 * peaks[0], workers
-            assert max(peaks) < 64 * 2**20
-
-    def test_serial_run_holds_only_block_buffers(self):
-        import tracemalloc
-
-        params, noise = row1_params(), NoiseModel(0.1, 0.06)
-        simulate_trials(params, noise, 100, seed=5)  # one-time set-up before tracing
+        # the delta = 1 control's full count, the campaign's largest point:
+        # the per-trial engine held O(block) arrays and took ~16 s for it
+        point = CAMPAIGN[4]
+        params, noise, n = point_params(point), point_noise(point), point.n_total
+        assert n == 374_443_000
+        # the first seed sequence imports numpy's entropy helpers (~1 MB traced)
+        simulate_trials(params, noise, 100, seed=5, p_signal=point.p_signal)
         tracemalloc.start()
         try:
-            simulate_trials(params, noise, 4 * CHUNK_TRIALS + 5, seed=5, workers=1)
+            stats = simulate_trials(params, noise, n, seed=5, p_signal=point.p_signal)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2**20
+        assert stats.click.count + stats.noclick.count == n
+        assert peak < 64 * 2**10
+
+
+class TestExactLaw:
+    """simulate_trials against the per-trial reference, over many seeds.
+
+    For each statistic, the two engines' means over the seeds must agree
+    within 4 standard errors of their difference, and their standard
+    deviations within a ratio of 0.8 to 1.25.
+    """
+
+    SEEDS = 600
+
+    @staticmethod
+    def statistics(counts, stats):
+        return (
+            *counts,
+            stats.click.mean,
+            stats.noclick.mean,
+            stats.click.mean - stats.noclick.mean,
+            stats.click.m2,
+            stats.noclick.m2,
+        )
+
+    # the two points at ~20 000 trials, and n_bar = 95 at 60 trials, whose
+    # subgroups of a few trials tell chi^2 on m - 1 degrees of freedom from m
+    @pytest.mark.parametrize(
+        "index,n_trials", [(0, 20_000), (4, 20_000), (0, 60)], ids=["n95", "control", "n95-small"]
+    )
+    def test_moments_match_per_trial_engine(self, index, n_trials):
+        point = CAMPAIGN[index]
+        params, noise = point_params(point), point_noise(point)
+        p_s = predict_phases(params).p_click if point.p_signal is None else point.p_signal
+        exact, reference = [], []
+        for seed in range(self.SEEDS):
+            stats = simulate_trials(params, noise, n_trials, seed, p_signal=point.p_signal)
+            counts = drawn_counts(seed, n_trials, p_s, noise.background_click_rate)
+            assert counts.sum() == n_trials
+            assert (stats.click.count, stats.noclick.count) == (counts[0] + counts[1], counts[2])
+            exact.append(self.statistics(counts, stats))
+            reference.append(
+                self.statistics(*per_trial_reference(params, noise, n_trials, seed, point.p_signal))
+            )
+        exact, reference = np.array(exact, dtype=float), np.array(reference, dtype=float)
+        sd_exact, sd_reference = exact.std(axis=0, ddof=1), reference.std(axis=0, ddof=1)
+        z = (exact.mean(axis=0) - reference.mean(axis=0)) / np.hypot(sd_exact, sd_reference)
+        z *= math.sqrt(self.SEEDS)
+        assert np.all(np.abs(z) < 4.0), z
+        ratio = sd_exact / sd_reference
+        assert np.all((ratio > 0.8) & (ratio < 1.25)), ratio
 
 
 class TestEstimatePhases:
     def test_all_click_batch_is_insufficient(self):
-        params = row1_params()
-        stats = simulate_trials(params, NoiseModel(0.1, 0.0), 1000, seed=2, p_signal=0.999)
+        # one no-click among 1000 trials leaves that group no stderr
+        stats = TrialStats(1000, click=GroupStats(999, 2e-4, 9.99), noclick=GroupStats(1, 1e-4, 0.0))
         with pytest.raises(InsufficientDataError):
             estimate_phases(stats)
 

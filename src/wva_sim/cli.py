@@ -14,14 +14,17 @@ result bit-exactly:
                    Carlo loop, on the seed that fig3 / fig4 point i uses
 
 Exit codes: 0 success, 1 config error (an --out or fit sidecar that cannot
-be written among them, found before any work starts, and a point whose
-signal click probability is outside [0, 1)), 2 tolerance, estimation or fit
+be written among them, found before any work starts, a point whose signal
+click probability is outside [0, 1), and one whose n_total * trials_scale
+reaches 2^63, reported at trials_scale), 2 tolerance, estimation or fit
 failure (an oracle point in the valid regime that raises among them), or
 a usage error that click rejects (a missing --seed, a flag value of the
 wrong type).  Config files are single JSON documents;
 command-line flags override file fields.  Phases in configs and outputs
 are microradians unless a field says otherwise; internals run in radians.
 Monte Carlo commands require an explicit --seed (no silent entropy).
+The probe amplitude beta is an oracle parameter: the Monte Carlo reads no
+beta, and its campaign value is presets.PROBE_AMPLITUDE.
 --workers is accepted and must be at least 1; it never appears in output
 and never changes it.
 """
@@ -45,6 +48,7 @@ from . import __version__, presets
 from .errors import DegenerateFitError, InsufficientDataError, InvalidRegimeError
 from .model import InterferometerParams
 from .montecarlo import (
+    NoiseModel,
     estimate_phases,
     fit_differential,
     fit_per_photon_phase,
@@ -73,7 +77,6 @@ _CAMPAIGN_POINTS = [dataclasses.asdict(p) for p in presets.CAMPAIGN]
 FIG3_DEFAULTS: dict = {
     "phi_bar_urad": presets.PER_PHOTON_PHASE_URAD,
     "span_urad": presets.PHASE_SPLIT_URAD,
-    "beta": presets.PROBE_AMPLITUDE,
     "phase_sigma": presets.DEFAULT_PHASE_SIGMA,
     "trials_scale": 0.01,
     "points": _CAMPAIGN_POINTS,
@@ -86,12 +89,10 @@ FIG4_DEFAULTS: dict = dict(
 )
 
 SNR_DEFAULTS: dict = {
-    # sigma / sqrt(N) sets the resolution; the small default sigma stands in
-    # for the campaign's ~1e9-trial budgets at a desk-scale trial count
+    # sigma / sqrt(N) sets the resolution
     "n_trials": 2_000_000,
     "trials_scale": 1.0,
     "phase_sigma": 0.001,
-    "beta": presets.PROBE_AMPLITUDE,
     "wva": {
         "n_bar": 95.0,
         "delta": 0.10,
@@ -284,21 +285,25 @@ def _trials_scale(value) -> float:
     return scale
 
 
-def _simulate_points(points, beta, phase_sigma, scale, seed, workers) -> list:
+def _simulate_points(points, phase_sigma, scale, seed, workers) -> list:
     """The one Monte Carlo point loop of fig3, fig4 and snr.
 
     Entry ``i`` of ``points`` is ``(field, CampaignPoint, phi_bar_urad,
     span_urad)``; it runs ``max(2, round(point.n_total * scale))`` trials on
     the seed that the seed sequence ``(seed, i)`` gives, and is reduced to
     its EstimatorResult as it is simulated, in constant memory.  A point
-    whose signal click probability is not in [0, 1) is a config error at
-    ``field``.  Returns ``(point, trials, EstimatorResult)`` for each entry.
+    whose ``n_total * scale`` reaches 2^63, more than a multinomial draw
+    counts, is a config error at ``trials_scale``; one whose signal click
+    probability is not in [0, 1) is a config error at ``field``.  Returns
+    ``(point, trials, EstimatorResult)`` for each entry.
     """
     results = []
     for i, (field, point, phi_bar_urad, span_urad) in enumerate(points):
-        params = presets.point_params(point, phi_bar_urad, span_urad, beta)
-        noise = presets.point_noise(point, phase_sigma)
-        trials = max(2, round(point.n_total * scale))
+        params = presets.point_params(point, phi_bar_urad, span_urad)
+        noise = NoiseModel(phase_sigma, point.background)
+        scaled = point.n_total * scale
+        _require(scaled < 2**63, "trials_scale", f"small enough that {field} runs < 2^63 trials")
+        trials = max(2, round(scaled))
         point_seed = int(np.random.SeedSequence((seed, i)).generate_state(1, np.uint64)[0])
         try:
             stats = simulate_trials(
@@ -319,8 +324,8 @@ def _campaign(command, config, seed, workers, out_path, fit_name, fit, columns, 
     sidecar, whose path is checked before any point is simulated.
     """
     _check_seed(seed)
-    phi_bar_urad, span_urad, beta, phase_sigma = (
-        _number(config[k], k) for k in ("phi_bar_urad", "span_urad", "beta", "phase_sigma")
+    phi_bar_urad, span_urad, phase_sigma = (
+        _number(config[k], k) for k in ("phi_bar_urad", "span_urad", "phase_sigma")
     )
     scale = _trials_scale(config["trials_scale"])
     raw_points = config["points"]
@@ -332,7 +337,7 @@ def _campaign(command, config, seed, workers, out_path, fit_name, fit, columns, 
     noisy = phase_sigma > 0.0
     sidecar = str(Path(out_path).with_suffix(".fit.json")) if noisy and out_path else None
     _check_out(sidecar)
-    results = _simulate_points(points, beta, phase_sigma, scale, seed, workers)
+    results = _simulate_points(points, phase_sigma, scale, seed, workers)
 
     fit_note = "skipped (zero-noise run has no stderr)"
     if noisy:
@@ -507,9 +512,7 @@ def snr(config_path, out_path, seed, trials_scale, workers) -> None:
     """Compare the amplified and direct schemes at equal trial budgets."""
     _check_seed(seed)
     config = _merged_config(SNR_DEFAULTS, config_path, {"trials_scale": trials_scale})
-    beta, phase_sigma, n_trials = (
-        _number(config[k], k) for k in ("beta", "phase_sigma", "n_trials")
-    )
+    phase_sigma, n_trials = (_number(config[k], k) for k in ("phase_sigma", "n_trials"))
     _require(n_trials.is_integer() and n_trials >= 2, "n_trials", "an integer >= 2")
     scale = _trials_scale(config["trials_scale"])
 
@@ -520,7 +523,7 @@ def snr(config_path, out_path, seed, trials_scale, workers) -> None:
 
     schemes = [(name, *_parse(scheme, config[name], name)) for name in ("wva", "direct")]
     snrs = []
-    for _, trials, est in _simulate_points(schemes, beta, phase_sigma, scale, seed, workers):
+    for _, trials, est in _simulate_points(schemes, phase_sigma, scale, seed, workers):
         value, stderr = est.differential
         snrs.append(SNR_CAP if stderr == 0.0 else min(abs(value) / stderr, SNR_CAP))
     snr_wva, snr_direct = snrs

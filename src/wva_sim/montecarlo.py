@@ -136,8 +136,8 @@ def simulate_trials(
     is accepted, must be at least 1, and never changes the output: the draw
     is a few variates per point, so nothing is run in parallel.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+    if not 1 <= n_trials < 2**63:
+        raise ValueError(f"n_trials must be in [1, 2^63), got {n_trials!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     if not 0 <= seed < 2**64:

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 from .model import InterferometerParams
-from .montecarlo import NoiseModel
 
 URAD = 1e-6
 
@@ -50,7 +49,7 @@ class CampaignPoint:
             ("eta", 0.0 <= self.eta <= 1.0, "in [0, 1]"),
             ("n_total", float(self.n_total).is_integer() and self.n_total >= 1, "an integer >= 1"),
             ("background", 0.0 <= self.background < 1.0, "in [0, 1)"),
-            ("p_signal", self.p_signal is None or 0.0 <= self.p_signal <= 1.0, "in [0, 1]"),
+            ("p_signal", self.p_signal is None or 0.0 <= self.p_signal < 1.0, "in [0, 1)"),
         )
         for name, ok, rule in rules:
             if not ok:
@@ -77,20 +76,19 @@ def point_params(
     point: CampaignPoint,
     phi_bar_urad: float = PER_PHOTON_PHASE_URAD,
     span_urad: float = PHASE_SPLIT_URAD,
-    beta: float = PROBE_AMPLITUDE,
 ) -> InterferometerParams:
-    """The point's interferometer, its arm phases given as mean and split in urad."""
+    """The point's interferometer, its arm phases given as mean and split in urad.
+
+    Its probe amplitude is PROBE_AMPLITUDE, which only the exact oracle reads.
+    """
     phi_bar = phi_bar_urad * URAD
     half_span = 0.5 * span_urad * URAD
     return InterferometerParams(
         alpha=math.sqrt(point.n_bar),
-        beta=beta,
+        beta=PROBE_AMPLITUDE,
         delta=point.delta,
         eta=point.eta,
         phi_plus=phi_bar + half_span,
         phi_minus=phi_bar - half_span,
     )
 
-
-def point_noise(point: CampaignPoint, phase_sigma: float = DEFAULT_PHASE_SIGMA) -> NoiseModel:
-    return NoiseModel(phase_sigma=phase_sigma, background_click_rate=point.background)

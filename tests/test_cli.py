@@ -347,8 +347,12 @@ class TestFig4:
 
     @pytest.mark.parametrize(
         "bad,field",
-        [({"delta": 2.0}, "points[0].delta"), ({"background": 1.5}, "points[0].background")],
-        ids=["delta", "background"],
+        [
+            ({"delta": 2.0}, "points[0].delta"),
+            ({"background": 1.5}, "points[0].background"),
+            ({"p_signal": 1.0}, "points[0].p_signal"),
+        ],
+        ids=["delta", "background", "p_signal"],
     )
     def test_bad_point_field_named(self, runner, tmp_path, bad, field):
         config = tmp_path / "bad.json"
@@ -477,7 +481,11 @@ FIG4_POINT = {"n_bar": 95, "delta": 0.1, "eta": 0.2, "n_total": 1000, "backgroun
         ("oracle-validate", dict(SMALL_ORACLE, alpha=[0.3, True]), [], "alpha[1]"),
         ("fig4", {"points": [dict(FIG4_POINT, eta="0.2")]}, ["--seed", "1"], "points[0].eta"),
         ("fig4", {"points": [dict(FIG4_POINT, colour=1)]}, ["--seed", "1"], "points[0].colour"),
-        ("snr", {"beta": -1}, ["--seed", "1"], "beta"),
+        ("fig3", {"beta": 44.72}, ["--seed", "1"], "beta"),
+        ("snr", {"beta": 44.72}, ["--seed", "1"], "beta"),
+        ("fig3", {"trials_scale": 3e10}, ["--seed", "1"], "trials_scale"),
+        ("fig3", {"points": [dict(FIG4_POINT, n_total=1e308)]},
+         ["--seed", "1", "--trials-scale", "10"], "trials_scale"),
     ],
     ids=[
         "missing-file", "directory", "invalid-json", "array-oracle", "array-snr",
@@ -485,7 +493,8 @@ FIG4_POINT = {"n_bar": 95, "delta": 0.1, "eta": 0.2, "n_total": 1000, "backgroun
         "oracle-seed-over-64-bits", "snr-fractional-n_trials", "point-not-object",
         "point-missing-n_total", "include_delta_one-not-bool", "oracle-beta-square-overflows",
         "oracle-phase-overflows", "tolerance-not-a-number", "alpha-item-bool",
-        "point-field-string", "point-unknown-field", "snr-negative-beta",
+        "point-field-string", "point-unknown-field", "fig3-beta-unknown", "snr-beta-unknown",
+        "trials-over-2-63", "n_total-times-scale-overflows",
     ],
 )
 def test_config_errors_exit_one_and_name_field(runner, tmp_path, command, config, flags, field):
@@ -651,7 +660,7 @@ def test_snr_scheme_runs_as_the_campaign_point(runner, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "simulate_trials", recording)
     schemes = [SNR_WVA, dict(SNR_WVA, n_bar=45.0, delta=0.14, p_signal=0.2)]
-    shared = {"beta": 40.0, "phase_sigma": 0.1, "trials_scale": 0.5}
+    shared = {"phase_sigma": 0.1, "trials_scale": 0.5}
     snr_config = dict(shared, n_trials=20000, wva=schemes[0], direct=schemes[1])
     points = [
         {k: v for k, v in s.items() if not k.endswith("_urad")} | {"n_total": 20000}

@@ -22,7 +22,7 @@ from wva_sim.montecarlo import (
     fit_per_photon_phase,
     simulate_trials,
 )
-from wva_sim.presets import CAMPAIGN, point_noise, point_params
+from wva_sim.presets import CAMPAIGN, point_params
 
 
 def row1_params():
@@ -108,7 +108,7 @@ class TestSimulateTrials:
         params = point_params(point)
         stats = simulate_trials(
             params,
-            point_noise(point),
+            NoiseModel(0.1, point.background),
             200_000,
             seed=6,
             p_signal=point.p_signal,
@@ -121,7 +121,7 @@ class TestSimulateTrials:
         params = point_params(point)
         assert predict_phases(params).p_click == pytest.approx(1.2)
         with pytest.raises(InvalidRegimeError):
-            simulate_trials(params, point_noise(point), 100, seed=0)
+            simulate_trials(params, NoiseModel(0.1, point.background), 100, seed=0)
 
     def test_background_plus_signal_must_leave_noclicks(self):
         params = row1_params()
@@ -137,7 +137,7 @@ class TestSimulateTrials:
         point = dataclasses.replace(CAMPAIGN[0], n_bar=3.0, delta=0.5, eta=1.0, background=0.3)
         params = point_params(point)
         assert predict_phases(params).p_click == pytest.approx(0.75)
-        stats = simulate_trials(params, point_noise(point), 200_000, seed=9)
+        stats = simulate_trials(params, NoiseModel(0.1, point.background), 200_000, seed=9)
         # binomial sigma ~0.00085
         assert stats.click.count / stats.n_trials == pytest.approx(1 - 0.25 * 0.7, abs=0.005)
 
@@ -159,8 +159,14 @@ class TestSimulateTrials:
 
     @pytest.mark.parametrize(
         "n_trials,seed,match",
-        [(0, 1, "n_trials"), (-5, 1, "n_trials"), (100, 2**64, "64 bits"), (100, -1, "64 bits")],
-        ids=["zero-trials", "negative-trials", "seed-over-64-bits", "negative-seed"],
+        [
+            (0, 1, "n_trials"),
+            (-5, 1, "n_trials"),
+            (2**63, 1, "n_trials"),
+            (100, 2**64, "64 bits"),
+            (100, -1, "64 bits"),
+        ],
+        ids=["zero-trials", "negative-trials", "trials-2-63", "seed-over-64-bits", "negative-seed"],
     )
     def test_bad_trial_count_or_seed_rejected(self, n_trials, seed, match):
         with pytest.raises(ValueError, match=match):
@@ -217,7 +223,7 @@ class TestSimulateTrials:
         # the delta = 1 control's full count, the campaign's largest point:
         # the per-trial engine held O(block) arrays and took ~16 s for it
         point = CAMPAIGN[4]
-        params, noise, n = point_params(point), point_noise(point), point.n_total
+        params, noise, n = point_params(point), NoiseModel(0.1, point.background), point.n_total
         assert n == 374_443_000
         # the first seed sequence imports numpy's entropy helpers (~1 MB traced)
         simulate_trials(params, noise, 100, seed=5, p_signal=point.p_signal)
@@ -229,6 +235,12 @@ class TestSimulateTrials:
             tracemalloc.stop()
         assert stats.click.count + stats.noclick.count == n
         assert peak < 64 * 2**10
+
+    def test_largest_trial_count_draws(self):
+        # the multinomial takes a C long: 2^63 - 1 is the most trials it counts
+        n = 2**63 - 1
+        stats = simulate_trials(row1_params(), NoiseModel(0.1, 0.06), n, seed=3)
+        assert stats.click.count + stats.noclick.count == n
 
 
 class TestExactLaw:
@@ -259,7 +271,7 @@ class TestExactLaw:
     )
     def test_moments_match_per_trial_engine(self, index, n_trials):
         point = CAMPAIGN[index]
-        params, noise = point_params(point), point_noise(point)
+        params, noise = point_params(point), NoiseModel(0.1, point.background)
         p_s = predict_phases(params).p_click if point.p_signal is None else point.p_signal
         exact, reference = [], []
         for seed in range(self.SEEDS):
@@ -362,7 +374,7 @@ class TestFits:
         for i, point in enumerate(CAMPAIGN[:4]):
             params = point_params(point)
             stats = simulate_trials(
-                params, point_noise(point), 400_000, seed=100 + i
+                params, NoiseModel(0.1, point.background), 400_000, seed=100 + i
             )
             est = estimate_phases(stats)
             points.append((point.n_bar, est.phi_noclick[0], est.phi_noclick[1]))

@@ -197,18 +197,20 @@ def _check_out(out: str | None) -> None:
     """Reject an ``out`` that cannot be written, before any work is done.
 
     The probe opens the file for appending, which changes no existing file,
-    and removes a file that it created.
+    and removes a file that it created.  It probes the resolved path, so a
+    symlink to a file not yet written stays as it was.
     """
     if out is None:
         return
-    existed = os.path.lexists(out)
+    path = os.path.realpath(out)
+    existed = os.path.exists(path)
     try:
-        with open(out, "a", encoding="utf-8"):
+        with open(path, "a", encoding="utf-8"):
             pass
     except OSError as exc:
         raise ConfigError("out", f"cannot write {out}: {exc}") from exc
     if not existed:
-        os.remove(out)
+        os.remove(path)
 
 
 def _exit_codes(command):

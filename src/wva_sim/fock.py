@@ -13,8 +13,8 @@ eigendecomposition.  Each angle's blocks are built once and extended on
 demand; the cache drops its least recently used angles so that it never
 holds more than DEFAULT_AMPLITUDE_BUDGET entries.  Every block is checked
 for unitarity and a failure raises BlockUnitarityError instead of silently
-losing norm.  The rotation itself is one batched real matrix product per
-slice of the register, with no per-multiplet loop.
+losing norm.  The rotation is one real matrix product per multiplet,
+batched over all the other modes.
 Projection onto a Fock level (a view, not a copy) and the usual
 expectation values round out the surface.
 
@@ -228,25 +228,6 @@ def _bs_blocks(theta: float, count: int) -> list[np.ndarray]:
         return blocks
 
 
-def _packed_blocks(blocks: list[np.ndarray], rows: range, small: int, large: int) -> np.ndarray:
-    """The (len(rows), small, small) block-diagonal matrices of ``rows``.
-
-    Row r holds the multiplets N = r and N = r + large of a (small, large)
-    plane, indexed by the small mode's level j: j = 0 .. min(r, small - 1)
-    for the first, j = r + 1 .. small - 1 for the second.  The small mode is
-    always the beam splitter's first (a call with the larger mode first is
-    rotated as the swapped pair at -theta), so j is the block index m and
-    every block is read as built.
-    """
-    packed = np.zeros((len(rows), small, small))
-    for i, r in enumerate(rows):
-        k = min(r, small - 1) + 1
-        packed[i, :k, :k] = blocks[r][:k, :k]
-        if k < small:
-            packed[i, k:, k:] = blocks[r + large][k:small, k:small]
-    return packed
-
-
 def apply_beam_splitter(
     state: FockRegister, mode_a: int, mode_b: int, theta: float
 ) -> FockRegister:
@@ -262,17 +243,11 @@ def apply_beam_splitter(
     level of either mode (the union of the two edges, so their shared
     corner counts once) exceeds LEAK_WARN_TOL.
 
-    Every rotation runs in one mode order, the smaller cutoff first: a call
-    whose first mode has the larger cutoff is rotated as the swapped pair
-    (mode_b, mode_a) at -theta, the same rotation, so its blocks are cached
-    under -theta.  The two modes' (small, large) level plane is cut into
-    ``large`` rows, row r being the levels (j, (r - j) mod large) for
-    j < small: the multiplets N = r and N = r + large, which together fill
-    exactly ``small`` slots.  Each row is gathered, multiplied by its
-    block-diagonal matrix in one batched real product over all other modes,
-    and scattered into the result; a slice of at most ``large // 8`` rows
-    (at least one) is in flight at a time, so temporaries stay a fraction
-    of the register.
+    Each multiplet is rotated where it lies: the levels (m, N - m) of the
+    two modes that fit inside the cutoffs are gathered for all other modes
+    at once, multiplied by the matching square of B_N in one real product,
+    and scattered into the result.  The block index m is always mode_a's
+    level, so the blocks are cached under the caller's own angle.
     """
     mode_a = _check_mode(state, mode_a)
     mode_b = _check_mode(state, mode_b)
@@ -280,15 +255,12 @@ def apply_beam_splitter(
         raise ValueError("beam splitter needs two distinct modes")
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    if state.cutoffs[mode_a] > state.cutoffs[mode_b]:
-        mode_a, mode_b, theta = mode_b, mode_a, -theta
-
-    small, large = state.cutoffs[mode_a], state.cutoffs[mode_b]
-    count = small + large - 1  # blocks N = 0 .. small + large - 2
+    cut_a, cut_b = state.cutoffs[mode_a], state.cutoffs[mode_b]
+    count = cut_a + cut_b - 1  # blocks N = 0 .. cut_a + cut_b - 2
     entries = _block_entries(count)
     if entries > DEFAULT_AMPLITUDE_BUDGET:
         raise RegisterBudgetError(
-            f"beam-splitter blocks for cutoffs ({small}, {large}) need {entries} entries, "
+            f"beam-splitter blocks for cutoffs ({cut_a}, {cut_b}) need {entries} entries, "
             f"budget is {DEFAULT_AMPLITUDE_BUDGET}"
         )
     source = np.moveaxis(state.amplitudes, (mode_a, mode_b), (0, 1))
@@ -305,17 +277,14 @@ def apply_beam_splitter(
     blocks = _bs_blocks(float(theta), count)
     out = np.empty(state.cutoffs, dtype=np.complex128)
     target = np.moveaxis(out, (mode_a, mode_b), (0, 1))
-    slots = np.arange(small)
-    levels = (np.arange(large)[:, None] - slots) % large  # row r, slot j: (j, levels[r, j])
-    step = max(1, large // 8)
-    for start in range(0, large, step):
-        rows = range(start, min(start + step, large))
-        index = (slots, levels[start : rows.stop])
+    for total in range(count):
+        lo, hi = max(0, total - cut_b + 1), min(total, cut_a - 1) + 1
+        levels = np.arange(lo, hi)  # mode_a's; mode_b holds total - levels
+        index = (levels, total - levels)
         gathered = source[index]
-        real = gathered.reshape(len(rows), small, -1).view(np.float64)
-        rotated = _packed_blocks(blocks, rows, small, large) @ real
+        real = gathered.reshape(levels.size, -1).view(np.float64)
+        rotated = blocks[total][lo:hi, lo:hi] @ real
         target[index] = rotated.view(np.complex128).reshape(gathered.shape)
-        del gathered, real, rotated  # freed before the next slice allocates its own
 
     # the blocks are unitary, so the norm^2 missing from the result is the
     # part the truncated rows of each block would have put past a cutoff

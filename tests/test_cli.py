@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 
 import pytest
 from click.testing import CliRunner
@@ -623,15 +624,19 @@ def test_unwritable_out_rejected_before_any_run(runner, tmp_path, monkeypatch, c
 
 
 def test_out_probe_leaves_files_as_they_were(runner, tmp_path):
-    # a run that fails after the --out check creates no file and changes none
-    fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+    # a run that fails after the --out check creates no file and changes none,
+    # also through a symlink whose target does not exist yet
+    fresh, kept, link = tmp_path / "fresh.csv", tmp_path / "kept.csv", tmp_path / "link.csv"
     kept.write_text("earlier result\n")
-    for out in (fresh, kept):
+    link.symlink_to(tmp_path / "target.csv")
+    for out in (fresh, kept, link):
         result = runner.invoke(main, ["oracle-validate", "--tolerance", "-1", "--out", str(out)])
         assert result.exit_code == 1, result.output
         assert "field 'tolerance'" in result.output
     assert not fresh.exists()
     assert kept.read_text() == "earlier result\n"
+    assert link.is_symlink() and os.readlink(link) == str(tmp_path / "target.csv")
+    assert not (tmp_path / "target.csv").exists()
 
 
 def test_unwritable_sidecar_rejected_before_any_run(runner, tmp_path, monkeypatch):

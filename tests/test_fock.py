@@ -273,13 +273,17 @@ class TestBeamSplitter:
                 np.testing.assert_allclose(result, out.transpose(order), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize(
-        "cutoffs,modes",
-        [((37, 37, 26), (0, 1)), ((37, 37, 26, 37), (0, 1)), ((37, 37, 26, 37), (1, 3)), ((17, 17, 17), (0, 1))],
-        ids=["37x37x26", "37x37x26x37", "37x37x26x37-modes-1-3", "17x17x17"],
+        "cutoffs,modes,registers",
+        [((37, 37, 26), (0, 1), 1.15), ((37, 37, 26, 37), (0, 1), 1.15),
+         ((37, 37, 26, 37), (1, 3), 1.15), ((39, 39, 600), (0, 1), 1.15),
+         ((17, 17, 17), (0, 1), 1.5)],
+        ids=["37x37x26", "37x37x26x37", "37x37x26x37-modes-1-3", "39x39x600", "17x17x17"],
     )
-    def test_peak_memory_within_one_and_a_half_registers(self, cutoffs, modes):
-        # the result is one register; the slices in flight must add at most half
-        # of one more (blocks are cached and bounded by the amplitude budget)
+    def test_peak_memory_within_one_and_a_half_registers(self, cutoffs, modes, registers):
+        # the result is one register; beside it one multiplet is in flight at
+        # a time, gathered and rotated (blocks are cached and bounded by the
+        # amplitude budget), which on the larger shapes stays under 0.15 of a
+        # register; on small ones the fixed temporaries weigh more
         reg = fock.make_coherent(1.0, cutoffs[0])
         for cut in cutoffs[1:]:
             reg = fock.tensor(reg, fock.make_coherent(1.0, cut))
@@ -290,7 +294,7 @@ class TestBeamSplitter:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * reg.amplitudes.nbytes
+        assert peak <= registers * reg.amplitudes.nbytes
 
     def test_edge_occupation_warns(self):
         reg = fock.tensor(fock.make_fock(2, 3), fock.make_fock(0, 3))

@@ -7,6 +7,7 @@ import pytest
 from wva_sim import fock, protocol
 from wva_sim.errors import RegisterBudgetError
 from wva_sim.model import InterferometerParams, predict_phases
+from wva_sim.presets import CAMPAIGN, point_params
 from wva_sim.protocol import (
     default_cutoffs,
     differential_rel_error,
@@ -87,6 +88,19 @@ class TestRunProtocol:
         total = r.p_click + r.p_noclick + r.p_multi
         assert total == pytest.approx(1.0 - r.truncation_deficit, abs=1e-10)
         assert r.truncation_deficit < 1e-8
+
+    def test_campaign_point_dense_register(self):
+        # n_bar = 10, delta = 0.32, eta = 0.2 with the campaign probe
+        # beta = 44.72: a 39 x 39 x 2279 register, about 0.35 s and 150 MB
+        point = CAMPAIGN[3]
+        assert (point.n_bar, point.delta, point.eta) == (10.0, 0.32, 0.2)
+        p = point_params(point)
+        r = run_protocol(p)
+        assert r.differential_exact == pytest.approx(1.9174729249825555e-05, rel=1e-12)
+        assert r.p_click == pytest.approx(0.1543631536762108, rel=1e-12)
+        assert differential_rel_error(r, predict_phases(p)) < 1e-3
+        total = r.p_noclick + r.p_click + r.p_multi + r.truncation_deficit
+        assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_phase_noclick_linear_in_mean_photon_number(self):
         # slope phi_bar within 1e-3 relative, in the small-delta regime

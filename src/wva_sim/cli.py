@@ -25,14 +25,15 @@ are microradians unless a field says otherwise; internals run in radians.
 Monte Carlo commands require an explicit --seed (no silent entropy).
 The probe amplitude beta is an oracle parameter: the Monte Carlo reads no
 beta, and its campaign value is presets.PROBE_AMPLITUDE.
---workers is accepted and must be at least 1; it never appears in output
-and never changes it.
+Every command checks, in this order and before any work: --out, --workers
+(at least 1), --seed (an unsigned 64-bit integer) and then the merged
+config.  --workers is checked there and read nowhere else, so it never
+appears in output and never changes it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import inspect
 import itertools
 import json
@@ -93,12 +94,9 @@ SNR_DEFAULTS: dict = {
     "n_trials": 2_000_000,
     "trials_scale": 1.0,
     "phase_sigma": 0.001,
+    # the n_bar = 95 campaign point
     "wva": {
-        "n_bar": 95.0,
-        "delta": 0.10,
-        "eta": 0.2,
-        "background": 0.06,
-        "p_signal": None,
+        **{k: v for k, v in _CAMPAIGN_POINTS[0].items() if k != "n_total"},
         "phi_bar_urad": presets.PER_PHOTON_PHASE_URAD,
         "span_urad": presets.PHASE_SPLIT_URAD,
     },
@@ -213,28 +211,6 @@ def _check_out(out: str | None) -> None:
         os.remove(path)
 
 
-def _exit_codes(command):
-    """Check ``--out``, then map a command's rejections onto the exit codes
-    of the module docstring."""
-
-    @functools.wraps(command)
-    def run(*args, **kwargs):
-        try:
-            _check_out(kwargs["out_path"])
-            return command(*args, **kwargs)
-        except ConfigError as exc:
-            _fail(1, "config error", exc)
-        except InsufficientDataError as exc:
-            _fail(2, "estimation failure", exc)
-        except DegenerateFitError as exc:
-            _fail(2, "fit failure", exc)
-        except ValueError as exc:
-            # a dataclass rejecting a top-level field, or --workers
-            _fail(1, "config error", ConfigError(str(exc).split()[0], str(exc)))
-
-    return run
-
-
 def _provenance(command: str, config: dict, seed: int | None) -> dict:
     """What re-runs an output: generator, command, config and any seed."""
     record = {"generator": f"wva-sim {__version__}", "command": command, "config": config}
@@ -277,17 +253,13 @@ def _csv_row(*cells) -> str:
     return ",".join(map(_csv_cell, cells))
 
 
-def _check_seed(seed: int) -> None:
-    _require(0 <= seed < 2**64, "seed", "an unsigned 64-bit integer")
-
-
 def _trials_scale(value) -> float:
     scale = _number(value, "trials_scale")
     _require(scale > 0.0, "trials_scale", "a positive number")
     return scale
 
 
-def _simulate_points(points, phase_sigma, scale, seed, workers) -> list:
+def _simulate_points(points, phase_sigma, scale, seed) -> list:
     """The one Monte Carlo point loop of fig3, fig4 and snr.
 
     Entry ``i`` of ``points`` is ``(field, CampaignPoint, phi_bar_urad,
@@ -308,16 +280,14 @@ def _simulate_points(points, phase_sigma, scale, seed, workers) -> list:
         trials = max(2, round(scaled))
         point_seed = int(np.random.SeedSequence((seed, i)).generate_state(1, np.uint64)[0])
         try:
-            stats = simulate_trials(
-                params, noise, trials, point_seed, p_signal=point.p_signal, workers=workers
-            )
+            stats = simulate_trials(params, noise, trials, point_seed, p_signal=point.p_signal)
         except InvalidRegimeError as exc:
             raise ConfigError(field, str(exc)) from exc
         results.append((point, trials, estimate_phases(stats)))
     return results
 
 
-def _campaign(command, config, seed, workers, out_path, fit_name, fit, columns, cells) -> None:
+def _campaign(command, config, seed, out_path, fit_name, fit, columns, cells) -> None:
     """The fig3 / fig4 pipeline: simulate every configured point, fit, write.
 
     ``fit(results)`` returns the FitResult and any further fit JSON fields;
@@ -325,7 +295,6 @@ def _campaign(command, config, seed, workers, out_path, fit_name, fit, columns, 
     A noisy run with an ``out_path`` also writes the fit to a ``.fit.json``
     sidecar, whose path is checked before any point is simulated.
     """
-    _check_seed(seed)
     phi_bar_urad, span_urad, phase_sigma = (
         _number(config[k], k) for k in ("phi_bar_urad", "span_urad", "phase_sigma")
     )
@@ -339,7 +308,7 @@ def _campaign(command, config, seed, workers, out_path, fit_name, fit, columns, 
     noisy = phase_sigma > 0.0
     sidecar = str(Path(out_path).with_suffix(".fit.json")) if noisy and out_path else None
     _check_out(sidecar)
-    results = _simulate_points(points, phase_sigma, scale, seed, workers)
+    results = _simulate_points(points, phase_sigma, scale, seed)
 
     fit_note = "skipped (zero-noise run has no stderr)"
     if noisy:
@@ -369,36 +338,66 @@ def _campaign(command, config, seed, workers, out_path, fit_name, fit, columns, 
         )
 
 
-def _campaign_options(command):
-    options = (
-        click.option("--config", "config_path", type=click.Path(), help="JSON config file."),
-        click.option("--out", "out_path", type=click.Path(), help="Output path (default stdout)."),
-        click.option("--seed", type=int, required=True, help="Master seed (required; no silent entropy)."),
-        click.option("--trials-scale", type=float, help="Scale on each point's trial count."),
-        click.option("--workers", type=int, default=1, help="Accepted, at least 1; never changes the output."),
-    )
-    for option in reversed(options):
-        command = option(command)
-    return command
-
-
 @click.group()
 @click.version_option(version=__version__, prog_name="wva-sim")
 def main() -> None:
     """Simulation harness for post-selected cross-phase interferometry."""
 
 
-@main.command("oracle-validate")
-@click.option("--config", "config_path", type=click.Path(), default=None, help="JSON config file.")
-@click.option("--out", "out_path", type=click.Path(), default=None, help="CSV output path (default stdout).")
-@click.option("--seed", type=int, default=None, help="Echoed for provenance; this command is deterministic.")
-@click.option("--tolerance", type=float, default=None, help="Override the relative-error gate.")
-@_exit_codes
-def oracle_validate(config_path, out_path, seed, tolerance) -> None:
+def _command(name: str, defaults: dict, *options):
+    """Register ``body(config, out_path, seed)`` as the subcommand ``name``.
+
+    The command takes ``--config``, ``--out`` and ``options``.  Before the
+    body runs it probes ``--out``, requires ``--workers`` (where given) to be
+    at least 1 and drops it, checks ``--seed`` (where given) as an unsigned
+    64-bit integer, and merges ``defaults``, the config file and every other
+    option, keyed by its dest, which names the config field it overrides.
+    The body's rejections map onto the exit codes of the module docstring.
+    """
+
+    def register(body):
+        def run(config_path, out_path, seed, workers=1, **overrides):
+            try:
+                _check_out(out_path)
+                _require(workers >= 1, "workers", ">= 1")
+                _require(seed is None or 0 <= seed < 2**64, "seed", "an unsigned 64-bit integer")
+                body(_merged_config(defaults, config_path, overrides), out_path, seed)
+            except ConfigError as exc:
+                _fail(1, "config error", exc)
+            except InsufficientDataError as exc:
+                _fail(2, "estimation failure", exc)
+            except DegenerateFitError as exc:
+                _fail(2, "fit failure", exc)
+            except ValueError as exc:
+                # a dataclass rejecting a top-level field
+                _fail(1, "config error", ConfigError(str(exc).split()[0], str(exc)))
+
+        common = (
+            click.option("--config", "config_path", type=click.Path(), help="JSON config file."),
+            click.option("--out", "out_path", type=click.Path(), help="Output path (default stdout)."),
+        )
+        for option in reversed((*common, *options)):
+            run = option(run)
+        return main.command(name, help=body.__doc__)(run)
+
+    return register
+
+
+_MONTE_CARLO_OPTIONS = (
+    click.option("--seed", type=int, required=True, help="Master seed (required; no silent entropy)."),
+    click.option("--trials-scale", type=float, help="Scale on each point's trial count."),
+    click.option("--workers", type=int, default=1, help="Accepted, at least 1; never changes the output."),
+)
+
+
+@_command(
+    "oracle-validate",
+    ORACLE_DEFAULTS,
+    click.option("--seed", type=int, help="Echoed for provenance; this command is deterministic."),
+    click.option("--tolerance", type=float, help="Override the relative-error gate."),
+)
+def oracle_validate(config, out_path, seed) -> None:
     """Sweep the exact pipeline against the closed forms; gate valid rows."""
-    if seed is not None:
-        _check_seed(seed)
-    config = _merged_config(ORACLE_DEFAULTS, config_path, {"tolerance": tolerance})
     alphas, deltas, betas, etas, phi_bars = (
         _number_list(config, k) for k in ("alpha", "delta", "beta", "eta", "phi_bar_urad")
     )
@@ -463,12 +462,9 @@ def oracle_validate(config_path, out_path, seed, tolerance) -> None:
         sys.exit(2)
 
 
-@main.command("fig3")
-@_campaign_options
-@_exit_codes
-def fig3(config_path, out_path, seed, trials_scale, workers) -> None:
+@_command("fig3", FIG3_DEFAULTS, *_MONTE_CARLO_OPTIONS)
+def fig3(config, out_path, seed) -> None:
     """Click / no-click phase scan with the per-photon-phase fit."""
-    config = _merged_config(FIG3_DEFAULTS, config_path, {"trials_scale": trials_scale})
 
     def fit(results):
         points = [(point.n_bar, *est.phi_noclick) for point, _, est in results]
@@ -478,15 +474,12 @@ def fig3(config_path, out_path, seed, trials_scale, workers) -> None:
         return [value / URAD for value in (*est.phi_click, *est.phi_noclick, *est.differential)]
 
     columns = "phi_click,phi_click_stderr,phi_noclick,phi_noclick_stderr,diff,diff_stderr"
-    _campaign("fig3", config, seed, workers, out_path, "phi0", fit, columns, cells)
+    _campaign("fig3", config, seed, out_path, "phi0", fit, columns, cells)
 
 
-@main.command("fig4")
-@_campaign_options
-@_exit_codes
-def fig4(config_path, out_path, seed, trials_scale, workers) -> None:
+@_command("fig4", FIG4_DEFAULTS, *_MONTE_CARLO_OPTIONS)
+def fig4(config, out_path, seed) -> None:
     """Differential phase versus overlap, with the amplified-split fit."""
-    config = _merged_config(FIG4_DEFAULTS, config_path, {"trials_scale": trials_scale})
     phi_bar_fixed = _number(config["phi_bar_fixed_urad"], "phi_bar_fixed_urad") * URAD
     include_d1 = config["include_delta_one"]
     _require(isinstance(include_d1, bool), "include_delta_one", "true or false")
@@ -504,16 +497,12 @@ def fig4(config_path, out_path, seed, trials_scale, workers) -> None:
         return [diff / URAD, diff_stderr / URAD, amplification, int(in_fit)]
 
     columns = "diff,diff_stderr,amplification,in_fit"
-    _campaign("fig4", config, seed, workers, out_path, "span", fit, columns, cells)
+    _campaign("fig4", config, seed, out_path, "span", fit, columns, cells)
 
 
-@main.command("snr")
-@_campaign_options
-@_exit_codes
-def snr(config_path, out_path, seed, trials_scale, workers) -> None:
+@_command("snr", SNR_DEFAULTS, *_MONTE_CARLO_OPTIONS)
+def snr(config, out_path, seed) -> None:
     """Compare the amplified and direct schemes at equal trial budgets."""
-    _check_seed(seed)
-    config = _merged_config(SNR_DEFAULTS, config_path, {"trials_scale": trials_scale})
     phase_sigma, n_trials = (_number(config[k], k) for k in ("phase_sigma", "n_trials"))
     _require(n_trials.is_integer() and n_trials >= 2, "n_trials", "an integer >= 2")
     scale = _trials_scale(config["trials_scale"])
@@ -525,7 +514,7 @@ def snr(config_path, out_path, seed, trials_scale, workers) -> None:
 
     schemes = [(name, *_parse(scheme, config[name], name)) for name in ("wva", "direct")]
     snrs = []
-    for _, trials, est in _simulate_points(schemes, phase_sigma, scale, seed, workers):
+    for _, trials, est in _simulate_points(schemes, phase_sigma, scale, seed):
         value, stderr = est.differential
         snrs.append(SNR_CAP if stderr == 0.0 else min(abs(value) / stderr, SNR_CAP))
     snr_wva, snr_direct = snrs

@@ -341,6 +341,15 @@ class TestFig4:
         assert result.exit_code == 2  # click usage error
         assert "--seed" in result.output
 
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("fig3", "--workers"), ("fig4", "--trials-scale"), ("oracle-validate", "--tolerance")],
+    )
+    def test_flag_of_wrong_type_is_usage_error(self, runner, command, flag):
+        result = runner.invoke(main, [command, "--seed", "1", flag, "abc"])
+        assert result.exit_code == 2  # click usage error
+        assert f"Invalid value for '{flag}'" in result.output
+
     def test_negative_seed_rejected(self, runner):
         result = runner.invoke(main, ["fig4", "--seed", "-1"])
         assert result.exit_code == 1
@@ -487,6 +496,10 @@ FIG4_POINT = {"n_bar": 95, "delta": 0.1, "eta": 0.2, "n_total": 1000, "backgroun
         ("fig3", {"trials_scale": 3e10}, ["--seed", "1"], "trials_scale"),
         ("fig3", {"points": [dict(FIG4_POINT, n_total=1e308)]},
          ["--seed", "1", "--trials-scale", "10"], "trials_scale"),
+        ("fig3", {"phase_sigma": -1.0}, ["--seed", "1"], "phase_sigma"),
+        ("fig4", {"phase_sigma": -1.0}, ["--seed", "1"], "phase_sigma"),
+        ("snr", {"phase_sigma": -1.0}, ["--seed", "1"], "phase_sigma"),
+        ("fig3", {"points": []}, ["--seed", "1"], "points"),
     ],
     ids=[
         "missing-file", "directory", "invalid-json", "array-oracle", "array-snr",
@@ -495,7 +508,8 @@ FIG4_POINT = {"n_bar": 95, "delta": 0.1, "eta": 0.2, "n_total": 1000, "backgroun
         "point-missing-n_total", "include_delta_one-not-bool", "oracle-beta-square-overflows",
         "oracle-phase-overflows", "tolerance-not-a-number", "alpha-item-bool",
         "point-field-string", "point-unknown-field", "fig3-beta-unknown", "snr-beta-unknown",
-        "trials-over-2-63", "n_total-times-scale-overflows",
+        "trials-over-2-63", "n_total-times-scale-overflows", "fig3-negative-phase_sigma",
+        "fig4-negative-phase_sigma", "snr-negative-phase_sigma", "points-empty",
     ],
 )
 def test_config_errors_exit_one_and_name_field(runner, tmp_path, command, config, flags, field):
@@ -619,6 +633,17 @@ def test_unwritable_out_rejected_before_any_run(runner, tmp_path, monkeypatch, c
     result = runner.invoke(main, [command, *flags, "--out", str(tmp_path / "missing" / "x.csv")])
     assert result.exit_code == 1, result.output
     assert "field 'out'" in result.output
+    assert isinstance(result.exception, SystemExit)
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["fig3", "fig4", "snr"])
+def test_zero_workers_rejected_before_any_run(runner, monkeypatch, command):
+    calls = []
+    monkeypatch.setattr(cli, "simulate_trials", lambda *args, **kwargs: calls.append(args))
+    result = runner.invoke(main, [command, "--seed", "1", "--trials-scale", "1e-3", "--workers", "0"])
+    assert result.exit_code == 1, result.output
+    assert "field 'workers'" in result.output
     assert isinstance(result.exception, SystemExit)
     assert calls == []
 

@@ -39,11 +39,11 @@ import itertools
 import json
 import math
 import os
+import random
 import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__, presets
 from .errors import DegenerateFitError, InsufficientDataError, InvalidRegimeError
@@ -259,17 +259,25 @@ def _trials_scale(value) -> float:
     return scale
 
 
+def _point_seed(seed: int, index: int) -> int:
+    """The 64-bit seed of point ``index`` of a run seeded ``seed``: the first
+    64 bits of ``random.Random`` seeded with the 16 bytes of ``seed`` and
+    ``index``, each 8 little-endian, which Random hashes with SHA-512."""
+    key = seed.to_bytes(8, "little") + index.to_bytes(8, "little")
+    return random.Random(key).getrandbits(64)
+
+
 def _simulate_points(points, phase_sigma, scale, seed) -> list:
     """The one Monte Carlo point loop of fig3, fig4 and snr.
 
     Entry ``i`` of ``points`` is ``(field, CampaignPoint, phi_bar_urad,
     span_urad)``; it runs ``max(2, round(point.n_total * scale))`` trials on
-    the seed that the seed sequence ``(seed, i)`` gives, and is reduced to
-    its EstimatorResult as it is simulated, in constant memory.  A point
-    whose ``n_total * scale`` reaches 2^63, more than a multinomial draw
-    counts, is a config error at ``trials_scale``; one whose signal click
-    probability is not in [0, 1) is a config error at ``field``.  Returns
-    ``(point, trials, EstimatorResult)`` for each entry.
+    ``_point_seed(seed, i)``, and is reduced to its EstimatorResult as it is
+    simulated, in constant memory.  A point whose ``n_total * scale``
+    reaches 2^63, more than the count draws take, is a config error at
+    ``trials_scale``; one whose signal click probability is not in [0, 1)
+    is a config error at ``field``.  Returns ``(point, trials,
+    EstimatorResult)`` for each entry.
     """
     results = []
     for i, (field, point, phi_bar_urad, span_urad) in enumerate(points):
@@ -278,9 +286,8 @@ def _simulate_points(points, phase_sigma, scale, seed) -> list:
         scaled = point.n_total * scale
         _require(scaled < 2**63, "trials_scale", f"small enough that {field} runs < 2^63 trials")
         trials = max(2, round(scaled))
-        point_seed = int(np.random.SeedSequence((seed, i)).generate_state(1, np.uint64)[0])
         try:
-            stats = simulate_trials(params, noise, trials, point_seed, p_signal=point.p_signal)
+            stats = simulate_trials(params, noise, trials, _point_seed(seed, i), p_signal=point.p_signal)
         except InvalidRegimeError as exc:
             raise ConfigError(field, str(exc)) from exc
         results.append((point, trials, estimate_phases(stats)))

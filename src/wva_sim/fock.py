@@ -34,8 +34,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import lazy_numpy
 from .errors import (
     BlockUnitarityError,
     DegenerateStateError,
@@ -43,6 +42,8 @@ from .errors import (
     TruncationError,
     TruncationWarning,
 )
+
+np = lazy_numpy()
 
 # Amplitude-count ceiling for tensor products (~1 GiB of complex128), for
 # the entries of the beam-splitter blocks a register needs, and for the

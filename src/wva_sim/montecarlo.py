@@ -16,38 +16,57 @@ The estimators need only the count, mean and summed squared deviation
 (M2) of each conditioning group, so no trial is ever drawn: each point
 draws those statistics from their exact law.  A trial's true phase is one
 of two constants, so a group splits into three constant-phase subgroups:
-signal clicks, background-only clicks and no-clicks.  Their counts are one
-multinomial draw over n_trials with probabilities p_s, b (1 - p_s) and
-(1 - p_s)(1 - b).  A subgroup of m phases ``phase + sigma z`` with unit
-normal z has mean ``phase + sigma zbar``, with zbar ~ N(0, 1/m), and M2
-``sigma^2 X``, with X ~ chi^2 on m - 1 degrees of freedom independent of
-zbar (Cochran, Proc. Camb. Phil. Soc. 30, 178 (1934)); an empty subgroup
-has no statistics and one of one trial has M2 = 0.  One pairwise update of
-Chan, Golub & LeVeque (Am. Stat. 37(3), 1983) joins the two click
-subgroups.  A point costs a handful of variates in constant memory,
+signal clicks, background-only clicks and no-clicks.  Their counts are two
+binomial draws: k1 ~ Bin(n_trials, p_s) signal clicks, then
+k2 ~ Bin(n_trials - k1, b) background-only clicks among the rest, which
+leaves n_trials - k1 - k2 no-clicks (the multinomial over p_s, b (1 - p_s)
+and (1 - p_s)(1 - b)).  A subgroup of m phases ``phase + sigma z`` with
+unit normal z has mean ``phase + sigma zbar``, with zbar ~ N(0, 1/m), and
+M2 ``sigma^2 X``, with X ~ chi^2 on m - 1 degrees of freedom independent
+of zbar (Cochran, Proc. Camb. Phil. Soc. 30, 178 (1934)); an empty
+subgroup has no statistics and one of one trial has M2 = 0.  One pairwise
+update of Chan, Golub & LeVeque (Am. Stat. 37(3), 1983) joins the two
+click subgroups.  A point costs a handful of variates in constant memory,
 whatever its trial count.
 
+The variates come from the standard library's Mersenne Twister through
+this module's samplers, exact at every trial count below 2^63 and without
+numpy.  A binomial of at most 2^40 trials is drawn as CPython 3.12's
+``random.binomialvariate`` draws it: by the geometric method when n p < 10,
+else by Hoermann's BTRS (J. Stat. Comput. Simul. 46, 101 (1993)).  A larger
+one is first halved, as often as needed, by the j-th of its n uniforms,
+whose law is Beta(j, n - j + 1) (Devroye, Non-Uniform Random Variate
+Generation (1986), X.4).  A chi^2 on k degrees of freedom is twice a
+Gamma(k/2) variate, drawn by Marsaglia & Tsang (ACM TOMS 26, 363 (2000)),
+and each mean by ``random.gauss``.
+
 Reproducibility contract: the statistics are a pure function of
-(params, noise, n_trials, seed).  The seed sequence ``seed`` spawns two
-PCG64 streams: the first draws the multinomial, the second the noise, in
-subgroup order (signal, background-only, no-click) with the mean before
-the chi^2 within each subgroup.  The multinomial takes a number of raw
-draws that depends on n_trials and the probabilities, and that variation
-stays inside its own stream.  ``workers`` never changes the output.
+(params, noise, n_trials, seed).  Two streams are drawn from: stream k is
+``random.Random`` seeded with the 9 bytes ``seed.to_bytes(8, "little")
++ bytes([k])``, which Random hashes with SHA-512.  Stream 0 draws the two
+binomials, stream 1 the noise, in subgroup order (signal, background-only,
+no-click) with the mean before the chi^2 within each subgroup.  The
+samplers take a number of raw draws that depends on their arguments, and
+that variation stays inside its own stream.  ``workers`` never changes
+the output.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .errors import DegenerateFitError, InsufficientDataError, InvalidRegimeError
 from .model import InterferometerParams, predict_phases
 
 _MIN_GROUP = 2  # samples needed per conditioning group for a stderr
+
+# Largest trial count drawn by BTRS itself.  Its acceptance test subtracts
+# lgamma values of size n ln n, whose rounding grows with n; a larger count
+# is first halved by an order statistic.
+_BTRS_MAX_TRIALS = 2**40
 
 
 @dataclass(frozen=True)
@@ -116,6 +135,103 @@ class FitResult:
     dof: int
 
 
+def _stream(seed: int, index: int) -> random.Random:
+    """Stream ``index`` of ``seed``, as the module docstring defines it."""
+    return random.Random(seed.to_bytes(8, "little") + bytes([index]))
+
+
+def _gamma(rng: random.Random, shape: float) -> float:
+    """A Gamma(shape, 1) variate for shape > 0 (Marsaglia & Tsang 2000).
+
+    The acceptance test's d (1 - v + ln v), with v = (1 + t)^3, is written
+    as d (3 log1p(t) - t (3 + t (3 + t))): the bracket, of order t^2, is
+    formed before it is scaled by d, so no number of size d is rounded
+    (d - d v rounds to multiples of 1024 at shapes near 2^62).  A shape
+    below 1 is boosted: Gamma(a) = Gamma(a + 1) U^(1/a).
+    """
+    if shape < 1.0:
+        return _gamma(rng, shape + 1.0) * rng.random() ** (1.0 / shape)
+    d = shape - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    while True:
+        x = rng.gauss(0.0, 1.0)
+        t = c * x
+        if t <= -1.0:
+            continue
+        log_ratio = 0.5 * x * x + d * (3.0 * math.log1p(t) - t * (3.0 + t * (3.0 + t)))
+        if math.log(1.0 - rng.random()) < log_ratio:
+            return d * (1.0 + t) ** 3
+
+
+def _binomial(rng: random.Random, n: int, p: float) -> int:
+    """A Bin(n, p) variate for 0 <= n < 2^63 and 0 <= p <= 1.
+
+    While n exceeds _BTRS_MAX_TRIALS, the j-th smallest U of the n trials'
+    uniforms, j = ceil(n / 2), splits them: if U < p, the j trials up to U
+    all succeed and the n - j above it succeed with probability
+    (p - U) / (1 - U); otherwise the j - 1 below it succeed with
+    probability p / U.  U is drawn as G_j / (G_j + G_{n-j+1}), from two
+    gamma variates of those shapes.
+    """
+    successes = 0
+    while n > _BTRS_MAX_TRIALS and 0.0 < p < 1.0:
+        j = (n + 1) // 2
+        below = _gamma(rng, j)
+        u = below / (below + _gamma(rng, n - j + 1))
+        if u < p:
+            successes += j
+            n, p = n - j, (p - u) / (1.0 - u)
+        else:
+            n, p = j - 1, p / u
+    return successes + _binomial_btrs(rng, n, p)
+
+
+def _binomial_btrs(rng: random.Random, n: int, p: float) -> int:
+    """Bin(n, p) by the geometric method or BTRS, as random.binomialvariate
+    draws it in CPython 3.12, with two changes: the waiting time uses
+    log1p(-p), so a p below 2^-53, where log2(1 - p) is 0, still draws its
+    successes, and neither method takes the log of, or divides by, a zero
+    uniform."""
+    if p <= 0.0 or n == 0:
+        return 0
+    if p >= 1.0:
+        return n
+    if p > 0.5:
+        return n - _binomial_btrs(rng, n, 1.0 - p)
+    if n * p < 10.0:
+        # the successes are the waiting times, Geometric(p), that fit in n
+        log_q = math.log1p(-p)
+        successes = trial = 0
+        while True:
+            trial += math.floor(math.log(1.0 - rng.random()) / log_q) + 1
+            if trial > n:
+                return successes
+            successes += 1
+    spq = math.sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    v_r = 0.92 - 4.2 / b
+    alpha = (2.83 + 5.1 / b) * spq
+    log_odds = math.log(p / (1.0 - p))
+    mode = math.floor((n + 1) * p)
+    h = math.lgamma(mode + 1) + math.lgamma(n - mode + 1)
+    while True:
+        u = rng.random() - 0.5
+        us = 0.5 - abs(u)
+        if us == 0.0:
+            continue
+        k = math.floor((2.0 * a / us + b) * u + c)
+        if not 0 <= k <= n:
+            continue
+        v = 1.0 - rng.random()
+        if us >= 0.07 and v <= v_r:  # the squeeze
+            return k
+        v *= alpha / (a / (us * us) + b)
+        if math.log(v) <= h - math.lgamma(k + 1) - math.lgamma(n - k + 1) + (k - mode) * log_odds:
+            return k
+
+
 def simulate_trials(
     params: InterferometerParams,
     noise: NoiseModel,
@@ -148,24 +264,23 @@ def simulate_trials(
     if not 0.0 <= p_s < 1.0:
         raise InvalidRegimeError(f"signal click probability {p_s:.4g} is outside [0, 1)")
     sigma = noise.phase_sigma
-    count_rng, noise_rng = (
-        np.random.Generator(np.random.PCG64(child)) for child in np.random.SeedSequence(seed).spawn(2)
-    )
-    # signal clicks, stray-only clicks, no-clicks
-    counts = count_rng.multinomial(n_trials, (p_s, b * (1.0 - p_s), (1.0 - p_s) * (1.0 - b)))
+    count_rng, noise_rng = _stream(seed, 0), _stream(seed, 1)
+    signal = _binomial(count_rng, n_trials, p_s)
+    stray = _binomial(count_rng, n_trials - signal, b)
+    counts = (signal, stray, n_trials - signal - stray)
 
     def subgroup(count: int, phase: float) -> GroupStats:
         """``count`` phases ``phase + sigma z``: the mean of z is N(0, 1/count)
         and its M2 an independent chi^2 with count - 1 degrees of freedom."""
         if count == 0:
             return GroupStats()
-        z_mean = noise_rng.normal(0.0, 1.0 / math.sqrt(count))
-        chi2 = noise_rng.chisquare(count - 1) if count > 1 else 0.0
+        z_mean = noise_rng.gauss(0.0, 1.0 / math.sqrt(count))
+        chi2 = 2.0 * _gamma(noise_rng, 0.5 * (count - 1)) if count > 1 else 0.0
         return GroupStats(count, phase + sigma * z_mean, sigma * sigma * chi2)
 
     phases = (prediction.phase_click, prediction.phase_noclick, prediction.phase_noclick)
     signal_clicks, stray_clicks, noclicks = (
-        subgroup(int(count), phase) for count, phase in zip(counts, phases)
+        subgroup(count, phase) for count, phase in zip(counts, phases)
     )
     return TrialStats(n_trials, click=signal_clicks.merge(stray_clicks), noclick=noclicks)
 
@@ -196,12 +311,10 @@ def estimate_phases(stats: TrialStats) -> EstimatorResult:
 def _validated_points(points: Sequence[tuple[float, float, float]], what: str):
     if any(len(p) != 3 for p in points):
         raise ValueError(f"{what} points must be (abscissa, value, sigma) triples")
-    x = np.array([p[0] for p in points], dtype=np.float64)
-    y = np.array([p[1] for p in points], dtype=np.float64)
-    s = np.array([p[2] for p in points], dtype=np.float64)
-    if np.any(s < 0.0) or not np.all(np.isfinite(s)):
+    x, y, s = ([float(p[i]) for p in points] for i in range(3))
+    if not all(math.isfinite(v) and v >= 0.0 for v in s):
         raise ValueError(f"{what} sigmas must be positive and finite")
-    if np.any(s == 0.0):
+    if 0.0 in s:
         # a noise-free point, or a stderr that underflowed: infinite weight
         raise DegenerateFitError(f"{what} has a zero sigma")
     return x, y, s
@@ -214,7 +327,8 @@ def _weighted_slope(design, target, s, dof: int, *, intercept: bool) -> FitResul
     that line has the slope of the through-origin fit to both series less
     their weighted means, so one formula serves both fits.  Sigmas are
     known measurement errors: the stderr is 1/sqrt(sum w design^2) and
-    chi^2 is reported unscaled.
+    chi^2 is reported unscaled.  Every sum is a correctly rounded
+    ``math.fsum``.
 
     The weights are 1/(s 2^-k)^2, with the k that puts max(s 2^-k) in
     [1/2, 1): dividing every sigma by one power of two leaves the slope
@@ -225,19 +339,24 @@ def _weighted_slope(design, target, s, dof: int, *, intercept: bool) -> FitResul
     A sigma below about 1e-154 of the largest still gets an infinite
     weight, and that raises DegenerateFitError.
     """
-    k = math.frexp(float(s.max()))[1]
-    with np.errstate(divide="ignore", over="ignore"):
-        w = 1.0 / np.ldexp(s, -k) ** 2
-    if not np.all(np.isfinite(w)):
+    k = math.frexp(max(s))[1]
+    scaled = [math.ldexp(v, -k) for v in s]
+    w = [1.0 / (v * v) if v * v > 0.0 else math.inf for v in scaled]
+    if not all(map(math.isfinite, w)):
         raise DegenerateFitError("a sigma below ~1e-154 of the largest has an infinite weight")
+
+    def centred(values):
+        mean = math.fsum(wi * v for wi, v in zip(w, values)) / math.fsum(w)
+        return [v - mean for v in values]
+
     if intercept:
-        design = design - (w * design).sum() / w.sum()
-        target = target - (w * target).sum() / w.sum()
-    denom = float((w * design**2).sum())
+        design, target = centred(design), centred(target)
+    denom = math.fsum(wi * (d * d) for wi, d in zip(w, design))
     if not denom > 0.0:
         raise DegenerateFitError("singular normal equations")
-    slope = float((w * design * target).sum() / denom)
-    chi2 = float((w * (target - slope * design) ** 2).sum())
+    slope = math.fsum(wi * d * t for wi, d, t in zip(w, design, target)) / denom
+    residuals = [t - slope * d for d, t in zip(design, target)]
+    chi2 = math.fsum(wi * (r * r) for wi, r in zip(w, residuals))
     return FitResult(
         parameter=slope,
         stderr=math.ldexp(1.0 / math.sqrt(denom), k),
@@ -255,11 +374,11 @@ def fit_per_photon_phase(points: Sequence[tuple[float, float, float]]) -> FitRes
     solving for it; the stderr is the slope's, with the intercept free.
     """
     x, y, s = _validated_points(points, "per-photon fit")
-    if x.size < 3:
+    if len(x) < 3:
         raise DegenerateFitError("need >= 3 points for the slope-plus-intercept fit")
-    if np.unique(x).size < 2:
+    if len(set(x)) < 2:
         raise DegenerateFitError("degenerate abscissas: all n_bar equal")
-    return _weighted_slope(x, y, s, x.size - 2, intercept=True)
+    return _weighted_slope(x, y, s, len(x) - 2, intercept=True)
 
 
 def fit_differential(
@@ -276,10 +395,12 @@ def fit_differential(
     """
     x, y, s = _validated_points(points, "differential fit")
     if not include_delta_one:
-        keep = x < 1.0
-        x, y, s = x[keep], y[keep], s[keep]
-    if x.size < 2:
+        keep = [delta < 1.0 for delta in x]
+        x, y, s = ([v for v, kept in zip(values, keep) if kept] for values in (x, y, s))
+    if len(x) < 2:
         raise DegenerateFitError("need >= 2 points below delta = 1 for the fit")
-    if np.unique(x).size < 2:
+    if len(set(x)) < 2:
         raise DegenerateFitError("degenerate abscissas: all delta equal")
-    return _weighted_slope(1.0 / (2.0 * x), y - phi_bar_fixed, s, x.size - 1, intercept=False)
+    design = [1.0 / (2.0 * delta) for delta in x]
+    target = [value - phi_bar_fixed for value in y]
+    return _weighted_slope(design, target, s, len(x) - 1, intercept=False)

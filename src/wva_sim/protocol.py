@@ -41,10 +41,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-import numpy as np
-
-from . import fock
+from . import fock, lazy_numpy
 from .model import InterferometerParams, PhasePrediction, check_validity, predict_phases
+
+np = lazy_numpy()
 
 # A branch below this squared norm is degenerate: its phase is nan.
 DEGENERATE_NORM2 = 1e-30

@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 from wva_sim import fock
-from wva_sim.cli import main as cli_main
+from wva_sim.cli import _point_seed, main as cli_main
 from wva_sim.model import (
     InterferometerParams,
     check_validity,
@@ -127,7 +127,7 @@ def _campaign_estimates(trials_scale, seed):
     for i, point in enumerate(CAMPAIGN):
         params = point_params(point)
         trials = max(2, round(point.n_total * trials_scale))
-        row_seed = int(np.random.SeedSequence((seed, i)).generate_state(1, np.uint64)[0])
+        row_seed = _point_seed(seed, i)
         noise = NoiseModel(DEFAULT_PHASE_SIGMA, point.background)
         stats = simulate_trials(params, noise, trials, row_seed, p_signal=point.p_signal)
         rows.append((point, estimate_phases(stats)))
@@ -167,7 +167,7 @@ def test_criterion_5_delta_one_control():
     expected = predict_phases(params).differential  # phi_bar + span / 2
     assert expected / URAD == pytest.approx(9.94, abs=0.01)
 
-    row_seed = int(np.random.SeedSequence((20260808, 4)).generate_state(1, np.uint64)[0])
+    row_seed = _point_seed(20260808, 4)
     trials = max(2, round(point.n_total * trials_scale))
     noise = NoiseModel(DEFAULT_PHASE_SIGMA, point.background)
     stats = simulate_trials(params, noise, trials, row_seed, p_signal=point.p_signal)

@@ -1,5 +1,5 @@
-"""The import graph: nothing loads scipy or the thread pool, and BLAS starts
-no threads.
+"""The import graph: nothing loads scipy or the thread pool, only the
+oracle executes numpy, and BLAS starts no threads.
 
 Each case runs in a fresh interpreter, since this process has long since
 imported numpy and scipy.  The CLI runs as the console script does, through
@@ -37,6 +37,15 @@ except SystemExit as exc:
     code = exc.code
 """
 RUN_CLI = CALL_CLI + REPORT
+
+# numpy counts as executed once any of its submodules is loaded: importing
+# wva_sim binds a lazy numpy module that executes on its first attribute access
+NUMPY = (
+    'print(json.dumps({"code": code,'
+    ' "numpy": any(name.startswith("numpy.") for name in sys.modules)}))'
+)
+BLOCK_NUMPY = 'import sys; sys.modules["numpy"] = None\n'
+LOAD_NUMPY = "import numpy\n"
 
 # concurrent.futures imports logging; together they cost several milliseconds
 POOL = (
@@ -168,3 +177,31 @@ print(json.dumps({{"untouched": dict(os.environ) == before, "set": os.environ.ge
 """
     report = run_fresh(code, **dict(UNSET, **{variable: "2"}))
     assert report == {"untouched": True, "set": "2"}
+
+
+@pytest.mark.parametrize("command", ["oracle-validate", "fig3", "fig4", "snr"])
+def test_help_leaves_numpy_unexecuted(command):
+    assert run_fresh(CALL_CLI + NUMPY, command, "--help") == {"code": 0, "numpy": False}
+
+
+@pytest.mark.parametrize("command", ["fig3", "fig4", "snr"])
+def test_monte_carlo_leaves_numpy_unexecuted(tmp_path, command):
+    args = command, "--seed", "1", "--trials-scale", "1e-3", "--out", str(tmp_path / "out.csv")
+    assert run_fresh(CALL_CLI + NUMPY, *args) == {"code": 0, "numpy": False}
+    assert (tmp_path / "out.csv").is_file()
+
+
+def test_oracle_validate_executes_numpy(tmp_path):
+    assert run_fresh(CALL_CLI + NUMPY, *oracle_args(tmp_path)) == {"code": 0, "numpy": True}
+
+
+@pytest.mark.parametrize("command", ["fig3", "fig4"])
+def test_monte_carlo_bytes_without_numpy(tmp_path, command):
+    # the import blocked, against a run that has numpy loaded first
+    outputs = {}
+    for name, prelude in (("blocked", BLOCK_NUMPY), ("loaded", LOAD_NUMPY)):
+        out = tmp_path / f"{name}.csv"
+        args = command, "--seed", "1", "--trials-scale", "1e-3", "--out", str(out)
+        assert run_fresh(prelude + CALL_CLI + REPORT, *args) == {"code": 0, "scipy": False}
+        outputs[name] = out.read_bytes(), out.with_suffix(".fit.json").read_bytes()
+    assert outputs["blocked"] == outputs["loaded"]

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import random
+import statistics
 from fractions import Fraction
 from functools import partial
 from operator import mul
@@ -12,6 +14,7 @@ from wva_sim.errors import (
     InsufficientDataError,
     InvalidRegimeError,
 )
+from wva_sim import montecarlo
 from wva_sim.model import predict_phases
 from wva_sim.montecarlo import (
     GroupStats,
@@ -38,10 +41,12 @@ def mixture_click_mean(params, p_signal, background):
 
 def drawn_counts(seed, n_trials, p_s, background):
     """simulate_trials' (signal, stray-only, no-click) counts, drawn again
-    from its count stream: the first of the two streams the seed spawns."""
-    count_stream = np.random.SeedSequence(seed).spawn(2)[0]
-    probabilities = (p_s, background * (1 - p_s), (1 - p_s) * (1 - background))
-    return np.random.Generator(np.random.PCG64(count_stream)).multinomial(n_trials, probabilities)
+    from its count stream: Bin(n, p_s) signal clicks, then Bin(rest,
+    background) stray-only clicks among the rest."""
+    count_rng = montecarlo._stream(seed, 0)
+    signal = montecarlo._binomial(count_rng, n_trials, p_s)
+    stray = montecarlo._binomial(count_rng, n_trials - signal, background)
+    return np.array((signal, stray, n_trials - signal - stray))
 
 
 def per_trial_reference(params, noise, n_trials, seed, p_signal=None):
@@ -225,7 +230,7 @@ class TestSimulateTrials:
         point = CAMPAIGN[4]
         params, noise, n = point_params(point), NoiseModel(0.1, point.background), point.n_total
         assert n == 374_443_000
-        # the first seed sequence imports numpy's entropy helpers (~1 MB traced)
+        # one untraced call first, so that no one-time set-up is traced
         simulate_trials(params, noise, 100, seed=5, p_signal=point.p_signal)
         tracemalloc.start()
         try:
@@ -237,7 +242,8 @@ class TestSimulateTrials:
         assert peak < 64 * 2**10
 
     def test_largest_trial_count_draws(self):
-        # the multinomial takes a C long: 2^63 - 1 is the most trials it counts
+        # 2^63 - 1, the most trials simulate_trials takes: the signal count's
+        # draw halves it 23 times before BTRS
         n = 2**63 - 1
         stats = simulate_trials(row1_params(), NoiseModel(0.1, 0.06), n, seed=3)
         assert stats.click.count + stats.noclick.count == n
@@ -290,6 +296,45 @@ class TestExactLaw:
         assert np.all(np.abs(z) < 4.0), z
         ratio = sd_exact / sd_reference
         assert np.all((ratio > 0.8) & (ratio < 1.25)), ratio
+
+
+class TestSamplers:
+    """The exact samplers' standardized draws, at fixed seeds.
+
+    Over N draws the sample mean of a standardized variate has SD
+    1/sqrt(N), and its sample SD has SD sqrt((kurtosis - 1) / (4N)), which
+    is sqrt(1/(2N)) at the binomial's near-normal kurtosis of 3; both must
+    lie within 4 of those SDs of 0 and 1.  The large counts and degrees of
+    freedom are where shortcuts fail: with the standard library's
+    gammavariate (Cheng's method) for the gamma variates, the SD reads 1.27
+    on chi^2 at 2^62 and 1.28 on Bin(2^63 - 1, 0.06); with BTRS at every
+    count, and no order-statistic split, it reads 1.14 on Bin(1e15, 0.06)
+    and 4.7 on Bin(2^63 - 1, 0.06).
+    """
+
+    @staticmethod
+    def assert_standard(z, kurtosis=3.0):
+        n = len(z)
+        mean, sd = statistics.fmean(z), statistics.stdev(z)
+        assert abs(mean) < 4.0 / math.sqrt(n), mean
+        assert abs(sd - 1.0) < 4.0 * math.sqrt((kurtosis - 1.0) / (4 * n)), sd
+
+    @pytest.mark.parametrize("p", [0.06, 0.2])
+    @pytest.mark.parametrize(
+        "n", [10**8, 2**40 + 1, 10**15, 2**63 - 1], ids=["1e8", "2^40+1", "1e15", "2^63-1"]
+    )
+    def test_binomial(self, n, p):
+        rng = random.Random(f"binomial {n} {p}")
+        mean, sd = n * p, math.sqrt(n * p * (1.0 - p))
+        self.assert_standard([(montecarlo._binomial(rng, n, p) - mean) / sd for _ in range(4000)])
+
+    @pytest.mark.parametrize(
+        "df", [1, 2, 10**8, 10**15, 2**62], ids=["1", "2", "1e8", "1e15", "2^62"]
+    )
+    def test_chi_squared(self, df):
+        rng = random.Random(f"chi2 {df}")
+        z = [(2.0 * montecarlo._gamma(rng, 0.5 * df) - df) / math.sqrt(2.0 * df) for _ in range(20_000)]
+        self.assert_standard(z, kurtosis=3.0 + 12.0 / df)
 
 
 class TestEstimatePhases:

@@ -31,14 +31,13 @@ whatever its trial count.
 
 The variates come from the standard library's Mersenne Twister through
 this module's samplers, exact at every trial count below 2^63 and without
-numpy.  A binomial of at most 2^40 trials is drawn as CPython 3.12's
-``random.binomialvariate`` draws it: by the geometric method when n p < 10,
-else by Hoermann's BTRS (J. Stat. Comput. Simul. 46, 101 (1993)).  A larger
-one is first halved, as often as needed, by the j-th of its n uniforms,
+numpy.  A binomial is split at its j-th order statistic, j = round(n p),
 whose law is Beta(j, n - j + 1) (Devroye, Non-Uniform Random Variate
-Generation (1986), X.4).  A chi^2 on k degrees of freedom is twice a
-Gamma(k/2) variate, drawn by Marsaglia & Tsang (ACM TOMS 26, 363 (2000)),
-and each mean by ``random.gauss``.
+Generation (1986), X.4), until its mean on the rarer side is below 10; the
+rest is counted by geometric waiting times.  A chi^2 on k degrees of
+freedom is twice a Gamma(k/2) variate, drawn by Marsaglia & Tsang (ACM
+TOMS 26, 363 (2000)), which also draws the order statistics, and each
+mean by ``random.gauss``.
 
 Reproducibility contract: the statistics are a pure function of
 (params, noise, n_trials, seed).  Two streams are drawn from: stream k is
@@ -62,11 +61,6 @@ from .errors import DegenerateFitError, InsufficientDataError, InvalidRegimeErro
 from .model import InterferometerParams, predict_phases
 
 _MIN_GROUP = 2  # samples needed per conditioning group for a stderr
-
-# Largest trial count drawn by BTRS itself.  Its acceptance test subtracts
-# lgamma values of size n ln n, whose rounding grows with n; a larger count
-# is first halved by an order statistic.
-_BTRS_MAX_TRIALS = 2**40
 
 
 @dataclass(frozen=True)
@@ -150,7 +144,7 @@ def _gamma(rng: random.Random, shape: float) -> float:
     below 1 is boosted: Gamma(a) = Gamma(a + 1) U^(1/a).
     """
     if shape < 1.0:
-        return _gamma(rng, shape + 1.0) * rng.random() ** (1.0 / shape)
+        return _gamma(rng, shape + 1.0) * (1.0 - rng.random()) ** (1.0 / shape)
     d = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
     while True:
@@ -166,16 +160,21 @@ def _gamma(rng: random.Random, shape: float) -> float:
 def _binomial(rng: random.Random, n: int, p: float) -> int:
     """A Bin(n, p) variate for 0 <= n < 2^63 and 0 <= p <= 1.
 
-    While n exceeds _BTRS_MAX_TRIALS, the j-th smallest U of the n trials'
-    uniforms, j = ceil(n / 2), splits them: if U < p, the j trials up to U
+    While n min(p, 1 - p) >= 10, the j-th smallest U of the n trials'
+    uniforms, j = round(n p), splits them: if U < p, the j trials up to U
     all succeed and the n - j above it succeed with probability
     (p - U) / (1 - U); otherwise the j - 1 below it succeed with
     probability p / U.  U is drawn as G_j / (G_j + G_{n-j+1}), from two
-    gamma variates of those shapes.
+    gamma variates of those shapes.  The split is exact for any j; at
+    j = round(n p) it leaves a mean of about the square root of the one
+    before, so a few splits suffice at any n.  The rarer outcome is then
+    counted by its waiting times, Geometric(min(p, 1 - p)), that fit in n;
+    log1p keeps a p below 2^-53, where 1 - p rounds to 1, drawing its
+    successes.
     """
     successes = 0
-    while n > _BTRS_MAX_TRIALS and 0.0 < p < 1.0:
-        j = (n + 1) // 2
+    while n * min(p, 1.0 - p) >= 10.0:
+        j = min(max(round(n * p), 1), n)
         below = _gamma(rng, j)
         u = below / (below + _gamma(rng, n - j + 1))
         if u < p:
@@ -183,53 +182,19 @@ def _binomial(rng: random.Random, n: int, p: float) -> int:
             n, p = n - j, (p - u) / (1.0 - u)
         else:
             n, p = j - 1, p / u
-    return successes + _binomial_btrs(rng, n, p)
-
-
-def _binomial_btrs(rng: random.Random, n: int, p: float) -> int:
-    """Bin(n, p) by the geometric method or BTRS, as random.binomialvariate
-    draws it in CPython 3.12, with two changes: the waiting time uses
-    log1p(-p), so a p below 2^-53, where log2(1 - p) is 0, still draws its
-    successes, and neither method takes the log of, or divides by, a zero
-    uniform."""
-    if p <= 0.0 or n == 0:
-        return 0
-    if p >= 1.0:
-        return n
-    if p > 0.5:
-        return n - _binomial_btrs(rng, n, 1.0 - p)
-    if n * p < 10.0:
-        # the successes are the waiting times, Geometric(p), that fit in n
-        log_q = math.log1p(-p)
-        successes = trial = 0
+    rare = min(p, 1.0 - p)
+    count = trial = 0
+    if n > 0 and rare > 0.0:
+        log_q = math.log1p(-rare)
         while True:
-            trial += math.floor(math.log(1.0 - rng.random()) / log_q) + 1
+            # at a subnormal p the wait can overflow to inf; any wait of n
+            # or more ends the count, so it is capped at n
+            wait = min(math.log(1.0 - rng.random()) / log_q, n)
+            trial += math.floor(wait) + 1
             if trial > n:
-                return successes
-            successes += 1
-    spq = math.sqrt(n * p * (1.0 - p))
-    b = 1.15 + 2.53 * spq
-    a = -0.0873 + 0.0248 * b + 0.01 * p
-    c = n * p + 0.5
-    v_r = 0.92 - 4.2 / b
-    alpha = (2.83 + 5.1 / b) * spq
-    log_odds = math.log(p / (1.0 - p))
-    mode = math.floor((n + 1) * p)
-    h = math.lgamma(mode + 1) + math.lgamma(n - mode + 1)
-    while True:
-        u = rng.random() - 0.5
-        us = 0.5 - abs(u)
-        if us == 0.0:
-            continue
-        k = math.floor((2.0 * a / us + b) * u + c)
-        if not 0 <= k <= n:
-            continue
-        v = 1.0 - rng.random()
-        if us >= 0.07 and v <= v_r:  # the squeeze
-            return k
-        v *= alpha / (a / (us * us) + b)
-        if math.log(v) <= h - math.lgamma(k + 1) - math.lgamma(n - k + 1) + (k - mode) * log_odds:
-            return k
+                break
+            count += 1
+    return successes + (count if p <= 0.5 else n - count)
 
 
 def simulate_trials(

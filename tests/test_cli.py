@@ -220,6 +220,20 @@ class TestFig3:
         assert [p["delta"] for p in config["points"]] == [0.10, 0.14, 0.22, 0.32, 1.0]
         assert len(rows) == 5
 
+    def test_largest_trial_counts_run(self, runner, tmp_path):
+        # the delta = 1 control's 374 443 000 trials scaled to 8.99e18, just
+        # below the 2^63 that is a config error
+        out, scale = tmp_path / "fig3.csv", 2.4e10
+        result = runner.invoke(
+            main, ["fig3", "--out", str(out), "--seed", "1", "--trials-scale", str(scale)]
+        )
+        assert result.exit_code == 0, result.output
+        header, _, rows = parse_csv(out.read_text())
+        n_totals = [p["n_total"] for p in json.loads(header["config"])["points"]]
+        trials = [int(row["trials"]) for row in rows]
+        assert trials == [round(n * scale) for n in n_totals]
+        assert max(trials) < 2**63
+
     def test_too_few_trials_exits_two(self, runner, tmp_path):
         # a vanishing trials scale leaves groups too small to estimate
         result = runner.invoke(

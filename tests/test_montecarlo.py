@@ -2,12 +2,14 @@ import dataclasses
 import math
 import random
 import statistics
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from operator import mul
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from wva_sim.errors import (
     DegenerateFitError,
@@ -242,8 +244,8 @@ class TestSimulateTrials:
         assert peak < 64 * 2**10
 
     def test_largest_trial_count_draws(self):
-        # 2^63 - 1, the most trials simulate_trials takes: the signal count's
-        # draw halves it 23 times before BTRS
+        # 2^63 - 1, the most trials simulate_trials takes: each count's draw
+        # splits it a few times before it counts the rest by waiting times
         n = 2**63 - 1
         stats = simulate_trials(row1_params(), NoiseModel(0.1, 0.06), n, seed=3)
         assert stats.click.count + stats.noclick.count == n
@@ -299,7 +301,8 @@ class TestExactLaw:
 
 
 class TestSamplers:
-    """The exact samplers' standardized draws, at fixed seeds.
+    """The exact samplers' standardized draws, at fixed seeds, and the
+    binomial's law at small counts.
 
     Over N draws the sample mean of a standardized variate has SD
     1/sqrt(N), and its sample SD has SD sqrt((kurtosis - 1) / (4N)), which
@@ -307,9 +310,11 @@ class TestSamplers:
     lie within 4 of those SDs of 0 and 1.  The large counts and degrees of
     freedom are where shortcuts fail: with the standard library's
     gammavariate (Cheng's method) for the gamma variates, the SD reads 1.27
-    on chi^2 at 2^62 and 1.28 on Bin(2^63 - 1, 0.06); with BTRS at every
-    count, and no order-statistic split, it reads 1.14 on Bin(1e15, 0.06)
-    and 4.7 on Bin(2^63 - 1, 0.06).
+    on chi^2 at 2^62 and on Bin(2^63 - 1, 0.06).  Small counts are where an
+    off-by-one in the order-statistic split shows: keeping j trials below
+    the split, not j - 1, moves no standardized moment here, but the
+    exact-law test reads chi^2 = 1326 on 19 degrees of freedom at
+    Bin(60, 0.19).
     """
 
     @staticmethod
@@ -327,6 +332,63 @@ class TestSamplers:
         rng = random.Random(f"binomial {n} {p}")
         mean, sd = n * p, math.sqrt(n * p * (1.0 - p))
         self.assert_standard([(montecarlo._binomial(rng, n, p) - mean) / sd for _ in range(4000)])
+
+    # (n, p, exact probabilities of 0, 1, 2, ... successes): waiting times
+    # alone, also reflected; one or two splits; a split then reflected
+    # waiting times; one trial; and a p below 2^-53, where Bin(2^62, 2^-60)
+    # is Poisson(4) to within 2^-58
+    @pytest.mark.parametrize(
+        "n,p,pmf",
+        [
+            *(
+                (n, p, [math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)])
+                for n, p in [(30, 0.1), (20, 0.9), (60, 0.19), (200, 0.06), (500, 0.5),
+                             (1000, 0.97), (1, 0.3)]
+            ),
+            (2**62, 2.0**-60, [math.exp(-4.0) * 4.0**k / math.factorial(k) for k in range(40)]),
+        ],
+        ids=["waiting", "waiting-reflected", "60-0.19", "200-0.06", "500-0.5", "1000-0.97",
+             "one-trial", "poisson"],
+    )
+    def test_binomial_exact_law(self, n, p, pmf):
+        # chi^2 goodness of fit over 10 000 draws, in bins of consecutive
+        # counts that each expect at least 5 draws (the last bin takes every
+        # count above); the fit must not be rejected at the 1e-4 level
+        rng = random.Random(f"binomial law {n} {p}")
+        draws = [montecarlo._binomial(rng, n, p) for _ in range(10_000)]
+        assert 0 <= min(draws) and max(draws) <= n
+        seen, observed, expected = Counter(draws), [], []
+        o = e = 0.0
+        for k, prob in enumerate(pmf):
+            o, e = o + seen[k], e + len(draws) * prob
+            if e >= 5.0:
+                observed.append(o)
+                expected.append(e)
+                o = e = 0.0
+        observed[-1] = len(draws) - sum(observed[:-1])
+        expected[-1] = len(draws) - sum(expected[:-1])
+        statistic = sum((a - b) ** 2 / b for a, b in zip(observed, expected))
+        assert chi2.sf(statistic, len(expected) - 1) > 1e-4, (statistic, len(expected) - 1)
+
+    def test_binomial_subnormal_p_has_no_successes(self):
+        # log(U) / log1p(-p) overflows to inf at p = 5e-324; the waiting time
+        # is capped at n, so the draw ends with no success, not OverflowError
+        rng = random.Random("binomial subnormal")
+        assert [montecarlo._binomial(rng, n, 5e-324) for n in (1, 10**6, 2**63 - 1)] == [0, 0, 0]
+
+    def test_gamma_boost_takes_no_zero_uniform(self):
+        # random() returns 0.0 with probability 2^-53; the shape < 1 boost
+        # U^(1/shape) must not use it, or a two-trial subgroup's chi^2 is 0
+        class Stub:
+            uniforms = iter([0.5, 0.0])  # Gamma(1.5) accepts t = 0, then the boost
+
+            def gauss(self, mu, sigma):
+                return 0.0
+
+            def random(self):
+                return next(self.uniforms)
+
+        assert montecarlo._gamma(Stub(), 0.5) > 0.0
 
     @pytest.mark.parametrize(
         "df", [1, 2, 10**8, 10**15, 2**62], ids=["1", "2", "1e8", "1e15", "2^62"]

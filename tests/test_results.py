@@ -1,0 +1,51 @@
+"""The committed Monte Carlo results are what the README's commands write now.
+
+Each figure is run again in-process with the README's arguments and compared
+with its committed CSV and ``.fit.json``, line by line: every number written
+with a decimal point or an exponent (a float) must agree with the committed
+one to 1e-12 relative, as the oracle results are held to in CI, and all other
+text, integers included, must match exactly.  So a change that moves the
+Monte Carlo's bytes fails here until ``results/`` is regenerated.
+"""
+
+import math
+import re
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from wva_sim.cli import main
+
+RESULTS = Path(__file__).resolve().parent.parent / "results"
+NUMBER = re.compile(r"(-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def assert_current(fresh: str, committed: str, name: str) -> None:
+    fresh_lines, committed_lines = fresh.splitlines(), committed.splitlines()
+    assert len(fresh_lines) == len(committed_lines), name
+    for line, (new, old) in enumerate(zip(fresh_lines, committed_lines), 1):
+        # the split alternates text and numbers, so odd pieces are numbers
+        new_parts, old_parts = NUMBER.split(new), NUMBER.split(old)
+        where = f"{name}:{line}: {new!r} vs {old!r}"
+        assert len(new_parts) == len(old_parts), where
+        for i, (a, b) in enumerate(zip(new_parts, old_parts)):
+            if i % 2 and any(c in b for c in ".eE"):
+                assert math.isclose(float(a), float(b), rel_tol=1e-12), where
+            else:
+                assert a == b, where
+
+
+@pytest.mark.parametrize(
+    "command,stem", [("fig3", "phase_scan"), ("fig4", "differential_scan")]
+)
+def test_committed_monte_carlo_results_are_current(tmp_path, command, stem):
+    out = tmp_path / f"{stem}.csv"
+    result = CliRunner().invoke(
+        main,
+        [command, "--seed", "20260808", "--trials-scale", "1", "--workers", "2", "--out", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+    for suffix in (".csv", ".fit.json"):
+        name = stem + suffix
+        assert_current((tmp_path / name).read_text(), (RESULTS / name).read_text(), name)

@@ -13,15 +13,20 @@ result bit-exactly:
                    scheme i is a campaign point run through the same Monte
                    Carlo loop, on the seed that fig3 / fig4 point i uses
 
-Exit codes: 0 success, 1 config error (an --out or fit sidecar that cannot
-be written among them, found before any work starts, a point whose signal
-click probability is outside [0, 1), and one whose n_total * trials_scale
-reaches 2^63, reported at trials_scale), 2 tolerance, estimation or fit
-failure (an oracle point in the valid regime that raises among them), or
-a usage error that click rejects (a missing --seed, a flag value of the
-wrong type).  Config files are single JSON documents;
-command-line flags override file fields.  Phases in configs and outputs
-are microradians unless a field says otherwise; internals run in radians.
+Exit codes: 0 success, 1 config error, 2 tolerance, estimation or fit
+failure (an oracle point in the valid regime that raises among them, one
+over the amplitude budget too, which is rejected before any mode is built),
+or a usage error that click rejects (a missing --seed, a flag value of the
+wrong type).  A config error is an errors.FieldError naming the rejected
+field: a frozen record's own rejection, reported under the config path it
+was parsed from, a config file that cannot be read, is not UTF-8 or is not
+JSON (at <config>), a number too large for a float, an --out or fit
+sidecar that cannot be written (found before any work starts), a point
+whose signal click probability is outside [0, 1), and one whose n_total *
+trials_scale reaches 2^63 (at trials_scale).  Config files are single JSON
+documents, read as UTF-8; command-line flags override file fields.  Phases
+in configs and outputs are microradians unless a field says otherwise;
+internals run in radians.
 Monte Carlo commands require an explicit --seed (no silent entropy).
 The probe amplitude beta is an oracle parameter: the Monte Carlo reads no
 beta, and its campaign value is presets.PROBE_AMPLITUDE.
@@ -46,7 +51,7 @@ from pathlib import Path
 import click
 
 from . import __version__, presets
-from .errors import DegenerateFitError, InsufficientDataError, InvalidRegimeError
+from .errors import DegenerateFitError, FieldError, InsufficientDataError, InvalidRegimeError, require
 from .model import InterferometerParams
 from .montecarlo import (
     NoiseModel,
@@ -112,25 +117,23 @@ SNR_DEFAULTS: dict = {
 }
 
 
-class ConfigError(Exception):
-    def __init__(self, field: str, message: str) -> None:
-        super().__init__(f"field '{field}': {message}")
-
-
 def _merged_config(defaults: dict, path: str | None, overrides: dict) -> dict:
     config = json.loads(json.dumps(defaults))  # deep copy
     if path is not None:
         try:
-            loaded = json.loads(Path(path).read_text())
+            # JSON text is UTF-8 (RFC 8259), whatever the locale's encoding
+            loaded = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
-            raise ConfigError("<config>", f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError("<config>", f"{path} is not valid JSON: {exc}") from exc
+            raise FieldError("<config>", f"cannot read {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise FieldError("<config>", f"{path} is not UTF-8: {exc}") from exc
+        except ValueError as exc:  # a JSONDecodeError, or an integer past int_max_str_digits
+            raise FieldError("<config>", f"{path} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
-            raise ConfigError("<config>", "top level must be a JSON object")
+            raise FieldError("<config>", "top level must be a JSON object")
         for key, value in loaded.items():
             if key not in defaults:
-                raise ConfigError(key, "unknown config field")
+                raise FieldError(key, "unknown config field")
             config[key] = value
     for key, value in overrides.items():
         if value is not None:
@@ -138,20 +141,19 @@ def _merged_config(defaults: dict, path: str | None, overrides: dict) -> dict:
     return config
 
 
-def _require(ok: bool, field: str, rule: str) -> None:
-    if not ok:
-        raise ConfigError(field, f"must be {rule}")
-
-
 def _number(value, field: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-        raise ConfigError(field, f"expected a finite number, got {value!r}")
-    return float(value)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        # false for nan and inf, and exact for an int too large for a float
+        if abs(value) <= sys.float_info.max:
+            return float(value)
+        if isinstance(value, int):
+            raise FieldError(field, "expected a finite number, got an integer too large for a float")
+    raise FieldError(field, f"expected a finite number, got {value!r}")
 
 
 def _number_list(config: dict, field: str) -> list[float]:
     value = config[field]
-    _require(isinstance(value, list) and bool(value), field, "a non-empty list of numbers")
+    require(isinstance(value, list) and bool(value), field, "a non-empty list of numbers")
     return [_number(item, f"{field}[{i}]") for i, item in enumerate(value)]
 
 
@@ -160,30 +162,26 @@ def _parse(make, raw, path: str):
 
     ``raw`` must name only parameters of ``make`` and every parameter
     without a default; each value must be a finite number, or null where
-    the default is None.  The frozen dataclasses start every ValueError
-    with the rejected field's name: one naming a field of ``raw`` is
-    reported at ``path.field``, any other propagates.
+    the default is None.  A FieldError that ``make`` raises is reported at
+    ``path.field``.
     """
     if not isinstance(raw, dict):
-        raise ConfigError(path, "expected an object")
+        raise FieldError(path, "expected an object")
     params = inspect.signature(make).parameters
     for key in raw:
         if key not in params:
-            raise ConfigError(f"{path}.{key}", "unknown field")
+            raise FieldError(f"{path}.{key}", "unknown field")
     fields = {}
     for name, param in params.items():
         if name not in raw:
             if param.default is param.empty:
-                raise ConfigError(f"{path}.{name}", "missing required field")
+                raise FieldError(f"{path}.{name}", "missing required field")
         elif raw[name] is not None or param.default is not None:
             fields[name] = _number(raw[name], f"{path}.{name}")
     try:
         return make(**fields)
-    except ValueError as exc:
-        field = str(exc).split()[0]
-        if field not in fields:
-            raise
-        raise ConfigError(f"{path}.{field}", str(exc)) from exc
+    except FieldError as exc:
+        raise FieldError(f"{path}.{exc.field}", exc.message) from exc
 
 
 def _fail(code: int, what: str, exc: Exception) -> None:
@@ -206,7 +204,7 @@ def _check_out(out: str | None) -> None:
         with open(path, "a", encoding="utf-8"):
             pass
     except OSError as exc:
-        raise ConfigError("out", f"cannot write {out}: {exc}") from exc
+        raise FieldError("out", f"cannot write {out}: {exc}") from exc
     if not existed:
         os.remove(path)
 
@@ -236,7 +234,7 @@ def _write_text(out: str | None, text: str) -> None:
     try:
         Path(out).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise ConfigError("out", f"cannot write {out}: {exc}") from exc
+        raise FieldError("out", f"cannot write {out}: {exc}") from exc
 
 
 def _csv_cell(cell) -> str:
@@ -255,7 +253,7 @@ def _csv_row(*cells) -> str:
 
 def _trials_scale(value) -> float:
     scale = _number(value, "trials_scale")
-    _require(scale > 0.0, "trials_scale", "a positive number")
+    require(scale > 0.0, "trials_scale", "a positive number")
     return scale
 
 
@@ -284,12 +282,12 @@ def _simulate_points(points, phase_sigma, scale, seed) -> list:
         params = presets.point_params(point, phi_bar_urad, span_urad)
         noise = NoiseModel(phase_sigma, point.background)
         scaled = point.n_total * scale
-        _require(scaled < 2**63, "trials_scale", f"small enough that {field} runs < 2^63 trials")
+        require(scaled < 2**63, "trials_scale", f"small enough that {field} runs < 2^63 trials")
         trials = max(2, round(scaled))
         try:
             stats = simulate_trials(params, noise, trials, _point_seed(seed, i), p_signal=point.p_signal)
         except InvalidRegimeError as exc:
-            raise ConfigError(field, str(exc)) from exc
+            raise FieldError(field, str(exc)) from exc
         results.append((point, trials, estimate_phases(stats)))
     return results
 
@@ -307,7 +305,7 @@ def _campaign(command, config, seed, out_path, fit_name, fit, columns, cells) ->
     )
     scale = _trials_scale(config["trials_scale"])
     raw_points = config["points"]
-    _require(isinstance(raw_points, list) and bool(raw_points), "points", "a non-empty list")
+    require(isinstance(raw_points, list) and bool(raw_points), "points", "a non-empty list")
     points = [
         (f"points[{i}]", _parse(presets.CampaignPoint, raw, f"points[{i}]"), phi_bar_urad, span_urad)
         for i, raw in enumerate(raw_points)
@@ -366,18 +364,15 @@ def _command(name: str, defaults: dict, *options):
         def run(config_path, out_path, seed, workers=1, **overrides):
             try:
                 _check_out(out_path)
-                _require(workers >= 1, "workers", ">= 1")
-                _require(seed is None or 0 <= seed < 2**64, "seed", "an unsigned 64-bit integer")
+                require(workers >= 1, "workers", ">= 1")
+                require(seed is None or 0 <= seed < 2**64, "seed", "an unsigned 64-bit integer")
                 body(_merged_config(defaults, config_path, overrides), out_path, seed)
-            except ConfigError as exc:
+            except FieldError as exc:
                 _fail(1, "config error", exc)
             except InsufficientDataError as exc:
                 _fail(2, "estimation failure", exc)
             except DegenerateFitError as exc:
                 _fail(2, "fit failure", exc)
-            except ValueError as exc:
-                # a dataclass rejecting a top-level field
-                _fail(1, "config error", ConfigError(str(exc).split()[0], str(exc)))
 
         common = (
             click.option("--config", "config_path", type=click.Path(), help="JSON config file."),
@@ -409,15 +404,15 @@ def oracle_validate(config, out_path, seed) -> None:
         _number_list(config, k) for k in ("alpha", "delta", "beta", "eta", "phi_bar_urad")
     )
     span_ratio, gate = (_number(config[k], k) for k in ("span_over_phi_bar", "tolerance"))
-    _require(span_ratio >= 0.0, "span_over_phi_bar", ">= 0")
-    _require(gate >= 0.0, "tolerance", ">= 0")
+    require(span_ratio >= 0.0, "span_over_phi_bar", ">= 0")
+    require(gate >= 0.0, "tolerance", ">= 0")
     grid = []
     axes = itertools.product(alphas, deltas, betas, phi_bars, etas)
     for alpha, delta, beta, phi_bar_urad, eta in axes:
         phi_bar = phi_bar_urad * URAD
         half_span = 0.5 * span_ratio * phi_bar
         phi_plus, phi_minus = phi_bar + half_span, phi_bar - half_span
-        _require(
+        require(
             math.isfinite(phi_plus) and math.isfinite(phi_minus),
             "span_over_phi_bar",
             "small enough that phi_plus and phi_minus stay finite",
@@ -489,7 +484,7 @@ def fig4(config, out_path, seed) -> None:
     """Differential phase versus overlap, with the amplified-split fit."""
     phi_bar_fixed = _number(config["phi_bar_fixed_urad"], "phi_bar_fixed_urad") * URAD
     include_d1 = config["include_delta_one"]
-    _require(isinstance(include_d1, bool), "include_delta_one", "true or false")
+    require(isinstance(include_d1, bool), "include_delta_one", "true or false")
 
     def fit(results):
         points = [(point.delta, *est.differential) for point, _, est in results]
@@ -511,7 +506,7 @@ def fig4(config, out_path, seed) -> None:
 def snr(config, out_path, seed) -> None:
     """Compare the amplified and direct schemes at equal trial budgets."""
     phase_sigma, n_trials = (_number(config[k], k) for k in ("phase_sigma", "n_trials"))
-    _require(n_trials.is_integer() and n_trials >= 2, "n_trials", "an integer >= 2")
+    require(n_trials.is_integer() and n_trials >= 2, "n_trials", "an integer >= 2")
     scale = _trials_scale(config["trials_scale"])
 
     def scheme(n_bar, delta, eta, background, phi_bar_urad, span_urad, p_signal=None):

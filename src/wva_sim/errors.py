@@ -1,6 +1,23 @@
 """Exception and warning types shared across the package."""
 
 
+class FieldError(ValueError):
+    """A value rejected at the config or record field that ``field`` names."""
+
+    def __init__(self, field: str, message: str) -> None:
+        super().__init__(f"field '{field}': {message}")
+        self.field = field
+        self.message = message
+
+
+def require(ok: bool, field: str, rule: str, *got) -> None:
+    """Unless ``ok``, raise FieldError(field, "must be <rule>"), followed by
+    ", got <repr>" when the rejected value is given as the one ``got``."""
+    if not ok:
+        shown = f", got {got[0]!r}" if got else ""
+        raise FieldError(field, f"must be {rule}{shown}")
+
+
 class RegisterBudgetError(MemoryError):
     """Tensor product would exceed the configured amplitude budget."""
 

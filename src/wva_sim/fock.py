@@ -138,13 +138,17 @@ def make_fock(n: int, cutoff: int) -> FockRegister:
     return FockRegister(amps)
 
 
-def tensor(a: FockRegister, b: FockRegister) -> FockRegister:
-    """Tensor product; mode axes concatenate and norms multiply."""
-    size = a.amplitudes.size * b.amplitudes.size
+def check_register_size(size: int) -> None:
+    """Raise RegisterBudgetError if ``size`` amplitudes exceed DEFAULT_AMPLITUDE_BUDGET."""
     if size > DEFAULT_AMPLITUDE_BUDGET:
         raise RegisterBudgetError(
             f"tensor product needs {size} amplitudes, budget is {DEFAULT_AMPLITUDE_BUDGET}"
         )
+
+
+def tensor(a: FockRegister, b: FockRegister) -> FockRegister:
+    """Tensor product; mode axes concatenate and norms multiply."""
+    check_register_size(a.amplitudes.size * b.amplitudes.size)
     return FockRegister(np.multiply.outer(a.amplitudes, b.amplitudes))
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DivergentWeakValueError
+from .errors import DivergentWeakValueError, require
 
 # Verdict thresholds on the two validity ratios: both below VALID_MAX is
 # "valid", both below MARGINAL_MAX is "marginal", anything else "invalid".
@@ -51,18 +51,17 @@ class InterferometerParams:
     phi_minus: float
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta"):
-            # the mean photon numbers alpha^2 and beta^2 must be finite too
-            value = getattr(self, name)
-            if not (math.isfinite(value * value) and value >= 0.0):
-                raise ValueError(f"{name} must be >= 0 with a finite square, got {value!r}")
-        if not (0.0 < self.delta <= 1.0):
-            raise ValueError(f"delta must lie in (0, 1], got {self.delta!r}")
-        if not (0.0 <= self.eta <= 1.0):
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta!r}")
-        for name in ("phi_plus", "phi_minus"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        # the mean photon numbers alpha^2 and beta^2 must be finite too
+        squared = ">= 0 with a finite square"
+        for name, ok, rule in (
+            ("alpha", math.isfinite(self.alpha * self.alpha) and self.alpha >= 0.0, squared),
+            ("beta", math.isfinite(self.beta * self.beta) and self.beta >= 0.0, squared),
+            ("delta", 0.0 < self.delta <= 1.0, "in (0, 1]"),
+            ("eta", 0.0 <= self.eta <= 1.0, "in [0, 1]"),
+            ("phi_plus", math.isfinite(self.phi_plus), "finite"),
+            ("phi_minus", math.isfinite(self.phi_minus), "finite"),
+        ):
+            require(ok, name, rule, getattr(self, name))
 
     @property
     def n_bar(self) -> float:

@@ -57,7 +57,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DegenerateFitError, InsufficientDataError, InvalidRegimeError
+from .errors import DegenerateFitError, InsufficientDataError, InvalidRegimeError, require
 from .model import InterferometerParams, predict_phases
 
 _MIN_GROUP = 2  # samples needed per conditioning group for a stderr
@@ -71,12 +71,12 @@ class NoiseModel:
     background_click_rate: float = 0.06
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.phase_sigma) and self.phase_sigma >= 0.0):
-            raise ValueError(f"phase_sigma must be >= 0, got {self.phase_sigma!r}")
-        if not (0.0 <= self.background_click_rate < 1.0):
-            raise ValueError(
-                f"background_click_rate must lie in [0, 1), got {self.background_click_rate!r}"
-            )
+        sigma = self.phase_sigma
+        for name, ok, rule in (
+            ("phase_sigma", math.isfinite(sigma) and sigma >= 0.0, "finite and >= 0"),
+            ("background_click_rate", 0.0 <= self.background_click_rate < 1.0, "in [0, 1)"),
+        ):
+            require(ok, name, rule, getattr(self, name))
 
 
 @dataclass(frozen=True)

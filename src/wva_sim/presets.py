@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import require
 from .model import InterferometerParams
 
 URAD = 1e-6
@@ -42,18 +43,15 @@ class CampaignPoint:
     p_signal: float | None = None  # overrides eta*delta^2*n_bar when set
 
     def __post_init__(self) -> None:
-        # each rejection starts with the field's name, which the CLI reports
-        rules = (
+        for name, ok, rule in (
             ("n_bar", math.isfinite(self.n_bar) and self.n_bar >= 0.0, "finite and >= 0"),
             ("delta", 0.0 < self.delta <= 1.0, "in (0, 1]"),
             ("eta", 0.0 <= self.eta <= 1.0, "in [0, 1]"),
             ("n_total", float(self.n_total).is_integer() and self.n_total >= 1, "an integer >= 1"),
             ("background", 0.0 <= self.background < 1.0, "in [0, 1)"),
             ("p_signal", self.p_signal is None or 0.0 <= self.p_signal < 1.0, "in [0, 1)"),
-        )
-        for name, ok, rule in rules:
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        ):
+            require(ok, name, rule, getattr(self, name))
 
 
 CAMPAIGN: tuple[CampaignPoint, ...] = (

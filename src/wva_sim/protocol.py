@@ -108,8 +108,11 @@ def _optics_stage(
     Returns the truncation deficit, the dark-port distribution P(d) and the
     P(d)-weighted probe field at every d with P(d) > 0, the arrays read-only.
     The cutoffs follow from alpha and beta (``default_cutoffs``).  The one
-    entry keeps these O(cutoff) results, never the register.
+    entry keeps these O(cutoff) results, never the register.  A register
+    over the amplitude budget raises RegisterBudgetError before any mode is
+    built, since a mode's cutoff grows as its amplitude squared.
     """
+    fock.check_register_size(math.prod(cutoffs))
     arm1_cut, arm2_cut, probe_cut = cutoffs
     root2 = math.sqrt(2.0)
     reg = fock.tensor(

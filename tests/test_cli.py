@@ -2,6 +2,9 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -514,6 +517,13 @@ FIG4_POINT = {"n_bar": 95, "delta": 0.1, "eta": 0.2, "n_total": 1000, "backgroun
         ("fig4", {"phase_sigma": -1.0}, ["--seed", "1"], "phase_sigma"),
         ("snr", {"phase_sigma": -1.0}, ["--seed", "1"], "phase_sigma"),
         ("fig3", {"points": []}, ["--seed", "1"], "points"),
+        ("fig3", {"phase_sigma": 10**400}, ["--seed", "1"], "phase_sigma"),
+        ("fig3", {"points": [dict(FIG4_POINT, n_total=10**400)]}, ["--seed", "1"],
+         "points[0].n_total"),
+        ("oracle-validate", dict(SMALL_ORACLE, alpha=[10**400]), [], "alpha[0]"),
+        ("snr", {"n_trials": 10**400}, ["--seed", "1"], "n_trials"),
+        ("fig3", '{"phase_sigma": 1' + "0" * 5000 + "}", ["--seed", "1"], "<config>"),
+        ("fig3", b"\xff{}", ["--seed", "1"], "<config>"),
     ],
     ids=[
         "missing-file", "directory", "invalid-json", "array-oracle", "array-snr",
@@ -524,19 +534,40 @@ FIG4_POINT = {"n_bar": 95, "delta": 0.1, "eta": 0.2, "n_total": 1000, "backgroun
         "point-field-string", "point-unknown-field", "fig3-beta-unknown", "snr-beta-unknown",
         "trials-over-2-63", "n_total-times-scale-overflows", "fig3-negative-phase_sigma",
         "fig4-negative-phase_sigma", "snr-negative-phase_sigma", "points-empty",
+        "fig3-phase_sigma-int-past-float", "fig3-n_total-int-past-float",
+        "oracle-alpha-int-past-float", "snr-n_trials-int-past-float",
+        "int-past-str-digits-limit", "not-utf-8",
     ],
 )
 def test_config_errors_exit_one_and_name_field(runner, tmp_path, command, config, flags, field):
     path = tmp_path / "config.json"
     if config == "dir":
         path.mkdir()
+    elif isinstance(config, bytes):
+        path.write_bytes(config)
     elif isinstance(config, str):
         path.write_text(config)
     elif config is not None:
         path.write_text(json.dumps(config))
     result = runner.invoke(main, [command, "--config", str(path), *flags])
     assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # not an uncaught exception
     assert f"field '{field}'" in result.output
+    assert "0" * 400 not in result.output
+
+
+def test_config_is_read_as_utf8_in_any_locale(tmp_path):
+    # the C locale's default text encoding is ASCII, and JSON text is UTF-8
+    config = tmp_path / "config.json"
+    config.write_text('{"\u00b5": 1}', encoding="utf-8")
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", "from wva_sim.cli import main; main()",
+         "fig3", "--seed", "1", "--config", str(config)],
+        env=env, capture_output=True, timeout=60,
+    )
+    assert run.returncode == 1, run.stderr
+    assert b"unknown config field" in run.stderr
 
 
 @pytest.mark.parametrize(

@@ -238,6 +238,17 @@ class TestOpticsCache:
         info = protocol._optics_stage.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
 
+    def test_over_budget_point_raises_before_any_mode_is_built(self, monkeypatch):
+        # alpha 2.5 needs a (32, 32, 16) register, past this budget; a probe
+        # mode's cutoff grows as beta^2, so building modes first can itself
+        # exhaust memory
+        calls = []
+        monkeypatch.setattr(fock, "DEFAULT_AMPLITUDE_BUDGET", 5000)
+        monkeypatch.setattr(fock, "make_coherent", lambda *args: calls.append(args))
+        with pytest.raises(RegisterBudgetError, match="tensor product needs 16384 amplitudes"):
+            run_protocol(make_params(alpha=2.5, beta=0.8))
+        assert calls == []
+
 
 class TestBreakdown:
     def test_strong_backaction_breaks_closed_form(self):

@@ -19,12 +19,13 @@ over the amplitude budget too, which is rejected before any mode is built),
 or a usage error that click rejects (a missing --seed, a flag value of the
 wrong type).  A config error is an errors.FieldError naming the rejected
 field: a frozen record's own rejection, reported under the config path it
-was parsed from, a config file that cannot be read, is not UTF-8 or is not
-JSON (at <config>), a number too large for a float, an --out or fit
-sidecar that cannot be written (found before any work starts), a point
-whose signal click probability is outside [0, 1), and one whose n_total *
-trials_scale reaches 2^63 (at trials_scale).  Config files are single JSON
-documents, read as UTF-8; command-line flags override file fields.  Phases
+was parsed from, a config file that cannot be read, is not UTF-8, is not
+JSON or nests deeper than the recursion limit (at <config>), a number too
+large for a float, an --out or fit sidecar that cannot be written (found
+before any work starts), a point whose signal click probability is outside
+[0, 1), and one whose n_total * trials_scale reaches 2^63 (at
+trials_scale).  Config files are single JSON documents, read as UTF-8;
+command-line flags override file fields.  Phases
 in configs and outputs are microradians unless a field says otherwise;
 internals run in radians.
 Monte Carlo commands require an explicit --seed (no silent entropy).
@@ -129,6 +130,8 @@ def _merged_config(defaults: dict, path: str | None, overrides: dict) -> dict:
             raise FieldError("<config>", f"{path} is not UTF-8: {exc}") from exc
         except ValueError as exc:  # a JSONDecodeError, or an integer past int_max_str_digits
             raise FieldError("<config>", f"{path} is not valid JSON: {exc}") from exc
+        except RecursionError as exc:  # arrays or objects nested past the recursion limit
+            raise FieldError("<config>", f"{path} is nested too deeply: {exc}") from exc
         if not isinstance(loaded, dict):
             raise FieldError("<config>", "top level must be a JSON object")
         for key, value in loaded.items():

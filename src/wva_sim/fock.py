@@ -9,12 +9,14 @@ blockwise per total photon number, so photon number is conserved by
 construction), and a cross-Kerr phase (diagonal, hence exactly unitary).
 The photon-number-N block comes from the N - 1 block by Risbo's recursion
 (J. Geodesy 70, 383, 1996), a few O(N^2) array operations with no
-eigendecomposition.  Each angle's blocks are built once and extended on
-demand; the cache drops its least recently used angles so that it never
-holds more than DEFAULT_AMPLITUDE_BUDGET entries.  Every block is checked
-for unitarity and a failure raises BlockUnitarityError instead of silently
-losing norm.  The rotation is one real matrix product per multiplet,
-batched over all the other modes.
+eigendecomposition.  Only the blocks of the angle built last are kept: a
+larger register at that angle extends them and a new angle replaces them,
+so the blocks held never exceed DEFAULT_AMPLITUDE_BUDGET entries.  A caller
+that alternates angles rebuilds them each time; ``protocol.sweep_validity``
+runs its points grouped by angle, so it builds each angle once.  Every
+block is checked for unitarity and a failure raises BlockUnitarityError
+instead of silently losing norm.  The rotation is one real matrix product
+per multiplet, batched over all the other modes.
 Projection onto a Fock level (a view, not a copy) and the usual
 expectation values round out the surface.
 
@@ -30,8 +32,6 @@ from __future__ import annotations
 
 import math
 import warnings
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from . import lazy_numpy
@@ -45,9 +45,8 @@ from .errors import (
 
 np = lazy_numpy()
 
-# Amplitude-count ceiling for tensor products (~1 GiB of complex128), for
-# the entries of the beam-splitter blocks a register needs, and for the
-# entries of all cached blocks together.
+# Amplitude-count ceiling for tensor products (~1 GiB of complex128) and for
+# the entries of the beam-splitter blocks a register needs.
 DEFAULT_AMPLITUDE_BUDGET = 64_000_000
 
 # Beam-splitter leakage handling: warn when the last retained level of an
@@ -187,13 +186,12 @@ def _next_block(prev: np.ndarray, c: float, s: float) -> np.ndarray:
     return block
 
 
-# Beam-splitter blocks B_0, B_1, ... per angle, least recently used angle
-# first; together they hold at most DEFAULT_AMPLITUDE_BUDGET entries.
-_BLOCK_CACHE: OrderedDict[float, list[np.ndarray]] = OrderedDict()
-_BLOCK_LOCK = threading.Lock()
+# The beam-splitter blocks B_0, B_1, ... of the angle built last, as one
+# (theta, blocks) pair that is replaced whole and never changed in place.
+_LAST_BLOCKS: tuple[float | None, tuple[np.ndarray, ...]] = (None, ())
 
 
-def _bs_blocks(theta: float, count: int) -> list[np.ndarray]:
+def _bs_blocks(theta: float, count: int) -> tuple[np.ndarray, ...]:
     """The beam-splitter blocks B_0 .. B_(count - 1) at ``theta`` (or more).
 
     B_N is the unitary on the total-photon-N multiplet, basis index m =
@@ -203,34 +201,35 @@ def _bs_blocks(theta: float, count: int) -> list[np.ndarray]:
     the matrix [[c, -s], [s, c]]; B_N is exp(theta K_N) with the real
     antisymmetric hopping generator K_N = a2+ a1 - a1+ a2.
 
-    Each angle's blocks come from B_0 = [[1]] by ``_next_block`` and are
-    cached, so a larger register only extends its list.  Every block is
-    checked as it is built: a departure from unitarity past
-    BLOCK_UNITARITY_TOL raises BlockUnitarityError.  Before a list grows,
-    the least recently used angles are dropped until the cache, new blocks
-    included, fits DEFAULT_AMPLITUDE_BUDGET; the caller keeps ``count``
-    itself within the budget.
+    The blocks come from B_0 = [[1]] by ``_next_block``.  Only the last
+    angle's blocks are kept: a larger register at that angle extends them,
+    and a new angle drops them before it builds anything, so the blocks held
+    are at most one angle's, which the caller keeps within the amplitude
+    budget.  The angle and its blocks are published together as one tuple,
+    so concurrent callers each read one angle's checked blocks and build the
+    same bits.  Every block is checked as it is built: a departure from
+    unitarity past BLOCK_UNITARITY_TOL raises BlockUnitarityError, and
+    neither that block nor any above it is kept.
     """
-    with _BLOCK_LOCK:
-        blocks = _BLOCK_CACHE.pop(theta, None) or [np.ones((1, 1))]
-        if len(blocks) < count:
-            held = sum(_block_entries(len(other)) for other in _BLOCK_CACHE.values())
-            while _BLOCK_CACHE and held + _block_entries(count) > DEFAULT_AMPLITUDE_BUDGET:
-                held -= _block_entries(len(_BLOCK_CACHE.popitem(last=False)[1]))
-            c, s = math.cos(theta), math.sin(theta)
-            for total in range(len(blocks), count):
-                block = _next_block(blocks[-1], c, s)
-                gram = block @ block.T
-                gram.flat[:: total + 2] -= 1.0
-                error = float(np.max(np.abs(gram)))
-                if not error <= BLOCK_UNITARITY_TOL:  # NaN fails too
-                    raise BlockUnitarityError(
-                        f"beam-splitter block N={total}, theta={theta!r} departs from "
-                        f"unitarity by {error:.3e} (tolerance {BLOCK_UNITARITY_TOL:.0e})"
-                    )
-                blocks.append(block)
-        _BLOCK_CACHE[theta] = blocks
-        return blocks
+    global _LAST_BLOCKS
+    last_theta, blocks = _LAST_BLOCKS
+    if last_theta != theta:
+        _LAST_BLOCKS = (None, ())  # drop the last angle's blocks before building
+        blocks = (np.ones((1, 1)),)
+    c, s = math.cos(theta), math.sin(theta)
+    for total in range(len(blocks), count):
+        block = _next_block(blocks[-1], c, s)
+        gram = block @ block.T
+        gram.flat[:: total + 2] -= 1.0
+        error = float(np.max(np.abs(gram)))
+        if not error <= BLOCK_UNITARITY_TOL:  # NaN fails too
+            raise BlockUnitarityError(
+                f"beam-splitter block N={total}, theta={theta!r} departs from "
+                f"unitarity by {error:.3e} (tolerance {BLOCK_UNITARITY_TOL:.0e})"
+            )
+        blocks += (block,)  # a new tuple: the published one is never changed
+        _LAST_BLOCKS = (theta, blocks)
+    return blocks
 
 
 def apply_beam_splitter(
@@ -252,7 +251,7 @@ def apply_beam_splitter(
     two modes that fit inside the cutoffs are gathered for all other modes
     at once, multiplied by the matching square of B_N in one real product,
     and scattered into the result.  The block index m is always mode_a's
-    level, so the blocks are cached under the caller's own angle.
+    level, so the blocks are kept under the caller's own angle.
     """
     mode_a = _check_mode(state, mode_a)
     mode_b = _check_mode(state, mode_b)

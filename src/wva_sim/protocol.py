@@ -24,11 +24,11 @@ cross-Kerr phases, the recombiner) does not involve eta; it reduces the
 register to the truncation deficit, the dark-port distribution P(d) and the
 P(d)-weighted probe mean field at each d with P(d) > 0.  The detector stage
 weighs those per-d results with the POVM.  The optics stage is cached with
-one entry, keyed on (alpha, beta, theta, phi_plus, phi_minus) (the cutoffs
-follow from alpha and beta); the entry holds the three O(cutoff) results,
-never the register.  A sweep that varies eta innermost, as
-``oracle-validate`` orders its grid, thus builds each register once per eta
-sweep; any other order gives the same results and only rebuilds more often.
+one entry, keyed on the register a point needs (``_register_key``: theta,
+the cutoffs, alpha, beta, phi_plus, phi_minus); the entry holds the three
+O(cutoff) results, never the register.  ``sweep_validity`` runs its points
+sorted on that key and returns the rows in grid order, so it builds each
+register, and each angle's beam-splitter blocks, once in any grid order.
 
 Everything here is deterministic; sweeps are embarrassingly parallel.
 """
@@ -94,12 +94,22 @@ def default_cutoffs(params: InterferometerParams) -> tuple[int, int, int]:
     return arm, arm, probe
 
 
+def _register_key(p: InterferometerParams) -> tuple:
+    """Which register point ``p`` needs: the arguments of ``_optics_stage``.
+
+    The angle comes first and the cutoffs second, so sorting points by this
+    key runs each register's points, and then each angle's, back to back,
+    with the registers of one angle in order of growing cutoffs.
+    """
+    return (p.theta, default_cutoffs(p), p.alpha, p.beta, p.phi_plus, p.phi_minus)
+
+
 @lru_cache(maxsize=1)
 def _optics_stage(
+    theta: float,
     cutoffs: tuple[int, int, int],
     alpha: float,
     beta: float,
-    theta: float,
     phi_plus: float,
     phi_minus: float,
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -145,10 +155,10 @@ def run_protocol(params: InterferometerParams) -> ProtocolResult:
     Modes are truncated at ``default_cutoffs(params)``.  The optics stage
     (preparation, both cross-Kerr phases, the recombiner) does not depend on
     eta; it yields the dark-port distribution P(d) and the P(d)-weighted
-    probe mean field at each fixed d.  Its last result is cached, so a call
-    that differs from the previous one only in eta skips it; that is why a
-    sweep should vary eta innermost.  A point that raises is not cached and
-    raises again.  The detector stage then acts on d with the binomial
+    probe mean field at each fixed d.  Its last result is cached under
+    ``_register_key(params)``, so a call that differs from the previous one
+    only in eta skips it.  A point that raises is not cached and raises
+    again.  The detector stage then acts on d with the binomial
     weights w0 = (1-eta)^d (no click) and w1 = d eta (1-eta)^(d-1) (one
     click), by one rule for both branches: the probability is the sum of
     w_k(d) P(d), and the phase is the argument of the w_k(d)-weighted sum
@@ -157,14 +167,7 @@ def run_protocol(params: InterferometerParams) -> ProtocolResult:
     is what the two branches leave of P(d): its sum less both branch
     probabilities, floored at 0.
     """
-    deficit, dark, fields = _optics_stage(
-        default_cutoffs(params),
-        params.alpha,
-        params.beta,
-        params.theta,
-        params.phi_plus,
-        params.phi_minus,
-    )
+    deficit, dark, fields = _optics_stage(*_register_key(params))
     d = np.arange(dark.size)
     w_noclick = (1.0 - params.eta) ** d
     # the factor d makes w1(0) exactly 0, also where 0**0 = 1 at eta = 1
@@ -193,28 +196,32 @@ def differential_rel_error(result: ProtocolResult, prediction: PhasePrediction) 
     return abs(exact - analytic) / abs(analytic)
 
 
+def _sweep_row(params: InterferometerParams) -> SweepRow:
+    """One point's row; a point that raises is recorded in the row's note."""
+    prediction = predict_phases(params)
+    verdict = check_validity(params).verdict
+    try:
+        result = run_protocol(params)
+    except Exception as exc:  # recorded in-row by contract
+        return SweepRow(params, prediction, None, math.nan, verdict, note=f"error: {exc}")
+    # a branch below DEGENERATE_NORM2 has a nan phase
+    note = "degenerate branch" if math.isnan(result.differential_exact) else ""
+    rel = math.nan if note else differential_rel_error(result, prediction)
+    return SweepRow(params, prediction, result, rel, verdict, note=note)
+
+
 def sweep_validity(params_grid: Iterable[InterferometerParams]) -> list[SweepRow]:
     """Oracle-versus-analytic comparison over a parameter grid.
 
-    One row per point; per-point failures (truncation, degenerate branches)
-    are recorded in the row note and never abort the sweep.
+    One row per point, in grid order; per-point failures (truncation,
+    degenerate branches) are recorded in the row note and never abort the
+    sweep.  The points run in ``_register_key`` order, a stable sort, so
+    each register and each angle's beam-splitter blocks are built once
+    whatever the grid's order, and the rows are independent of it.
     """
     grid = list(params_grid)
     if not grid:
         raise ValueError("parameter grid is empty")
-    rows: list[SweepRow] = []
-    for params in grid:
-        prediction = predict_phases(params)
-        verdict = check_validity(params).verdict
-        try:
-            result = run_protocol(params)
-        except Exception as exc:  # recorded in-row by contract
-            rows.append(
-                SweepRow(params, prediction, None, math.nan, verdict, note=f"error: {exc}")
-            )
-            continue
-        # a branch below DEGENERATE_NORM2 has a nan phase
-        note = "degenerate branch" if math.isnan(result.differential_exact) else ""
-        rel = math.nan if note else differential_rel_error(result, prediction)
-        rows.append(SweepRow(params, prediction, result, rel, verdict, note=note))
-    return rows
+    order = sorted(range(len(grid)), key=lambda i: _register_key(grid[i]))
+    rows = {i: _sweep_row(grid[i]) for i in order}
+    return [rows[i] for i in range(len(grid))]

@@ -14,14 +14,14 @@ import pytest
 from click.testing import CliRunner
 
 from wva_sim import fock
-from wva_sim.cli import _point_seed, main as cli_main
+from wva_sim.cli import _simulate_points, main as cli_main
 from wva_sim.model import (
     InterferometerParams,
     check_validity,
     predict_phases,
     weak_value_photon_number,
 )
-from wva_sim.montecarlo import NoiseModel, estimate_phases, fit_differential, simulate_trials
+from wva_sim.montecarlo import fit_differential
 from wva_sim.presets import (
     CAMPAIGN,
     DEFAULT_PHASE_SIGMA,
@@ -122,21 +122,20 @@ def test_criterion_3_sum_rule_exact():
     assert ok
 
 
-def _campaign_estimates(trials_scale, seed):
-    rows = []
-    for i, point in enumerate(CAMPAIGN):
-        params = point_params(point)
-        trials = max(2, round(point.n_total * trials_scale))
-        row_seed = _point_seed(seed, i)
-        noise = NoiseModel(DEFAULT_PHASE_SIGMA, point.background)
-        stats = simulate_trials(params, noise, trials, row_seed, p_signal=point.p_signal)
-        rows.append((point, estimate_phases(stats)))
-    return rows
+def _campaign_estimates(trials_scale, seed=20260808):
+    """``(point, EstimatorResult)`` per campaign point from the CLI's own
+    point loop, at the campaign's phases: what fig3 and fig4 run."""
+    points = [
+        (f"points[{i}]", point, PER_PHOTON_PHASE_URAD, PHASE_SPLIT_URAD)
+        for i, point in enumerate(CAMPAIGN)
+    ]
+    results = _simulate_points(points, DEFAULT_PHASE_SIGMA, trials_scale, seed)
+    return [(point, est) for point, _, est in results]
 
 
 def test_criterion_4_differential_scan_fit():
     """Campaign Monte Carlo at 1% trials: span fit within 2 stderr of 8.7 urad."""
-    rows = _campaign_estimates(trials_scale=0.01, seed=20260808)
+    rows = _campaign_estimates(0.01)
     points = [(p.delta, est.differential[0], est.differential[1]) for p, est in rows]
     fit = fit_differential(points, PER_PHOTON_PHASE_URAD * URAD)
     span_urad = fit.parameter / URAD
@@ -167,11 +166,8 @@ def test_criterion_5_delta_one_control():
     expected = predict_phases(params).differential  # phi_bar + span / 2
     assert expected / URAD == pytest.approx(9.94, abs=0.01)
 
-    row_seed = _point_seed(20260808, 4)
-    trials = max(2, round(point.n_total * trials_scale))
-    noise = NoiseModel(DEFAULT_PHASE_SIGMA, point.background)
-    stats = simulate_trials(params, noise, trials, row_seed, p_signal=point.p_signal)
-    est = estimate_phases(stats)
+    # the control is campaign point 4, so it runs on fig3's and fig4's point-4 seed
+    est = _campaign_estimates(trials_scale)[4][1]
     mc_pull = abs(est.differential[0] - expected) / est.differential[1]
 
     # full-campaign scale: our stderr shrinks by sqrt(trials_scale); the

@@ -1,6 +1,8 @@
 import math
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import hypothesis.strategies as st
 import numpy as np
@@ -483,20 +485,18 @@ def hopping_generator(total):
 
 
 @pytest.fixture
-def cold_block_caches():
-    fock._BLOCK_CACHE.clear()
-    yield
-    fock._BLOCK_CACHE.clear()
+def cold_blocks(monkeypatch):
+    monkeypatch.setattr(fock, "_LAST_BLOCKS", (None, ()))
 
 
-def cached_entries():
-    return sum(block.size for blocks in fock._BLOCK_CACHE.values() for block in blocks)
+def held_entries():
+    return sum(block.size for block in fock._LAST_BLOCKS[1])
 
 
 class TestBeamSplitterBlocks:
     @pytest.mark.parametrize("total", [100, 200, 400])
     @pytest.mark.parametrize("theta", [0.813, -2.1, math.pi / 2])
-    def test_unitary_at_large_n(self, cold_block_caches, total, theta):
+    def test_unitary_at_large_n(self, cold_blocks, total, theta):
         block = fock._bs_blocks(theta, total + 1)[total]
         gram = block @ block.T
         assert np.max(np.abs(gram - np.eye(total + 1))) < 1e-12
@@ -512,7 +512,7 @@ class TestBeamSplitterBlocks:
             expected = scipy.linalg.expm(theta * hopping_generator(total))
             np.testing.assert_allclose(blocks[total], expected, rtol=0, atol=1e-13)
 
-    def test_blocks_built_once_per_angle(self, cold_block_caches, monkeypatch):
+    def test_blocks_built_once_per_angle(self, cold_blocks, monkeypatch):
         built = []
         next_block = fock._next_block
 
@@ -524,47 +524,54 @@ class TestBeamSplitterBlocks:
         reg = fock.tensor(fock.make_coherent(0.5, 14), fock.make_coherent(1.0, 17))
         n_totals = 17 + 14 - 1
         angles = [0.1 + 0.07 * k for k in range(20)]
-        for theta in angles:
-            fock.apply_beam_splitter(reg, 0, 1, theta)
+        first = [fock.apply_beam_splitter(reg, 0, 1, theta).amplitudes for theta in angles]
         # B_0 = [[1]] needs no step; each angle builds B_1 .. B_29 once
         assert built == list(range(1, n_totals)) * 20
-        for theta in angles:
-            fock.apply_beam_splitter(reg, 0, 1, theta)
+        # calls in a row at the last angle build nothing more
+        for _ in range(3):
+            fock.apply_beam_splitter(reg, 0, 1, angles[-1])
         assert len(built) == 20 * (n_totals - 1)
-        # a larger register at a cached angle only extends that angle's list
+        # a larger register at that angle only extends its list
         wide = fock.tensor(fock.make_coherent(1.0, 17), fock.make_coherent(0.5, 20))
-        fock.apply_beam_splitter(wide, 0, 1, angles[3])
+        fock.apply_beam_splitter(wide, 0, 1, angles[-1])
         assert built[20 * (n_totals - 1) :] == list(range(n_totals, 17 + 20 - 1))
+        # an earlier angle is built again from B_1, to the same bits
+        del built[:]
+        again = fock.apply_beam_splitter(reg, 0, 1, angles[3]).amplitudes
+        assert built == list(range(1, n_totals))
+        assert np.array_equal(again, first[3])
 
-    def test_block_entries_within_budget(self, cold_block_caches, monkeypatch):
+    def test_block_entries_within_budget(self, cold_blocks, monkeypatch):
         # cutoffs (20, 20) need blocks up to N = 38: 39 * 40 * 79 / 6 = 20,540 entries
         reg = fock.tensor(fock.make_coherent(1.0, 20), fock.make_coherent(1.0, 20))
         monkeypatch.setattr(fock, "DEFAULT_AMPLITUDE_BUDGET", 1000)
         with pytest.raises(RegisterBudgetError, match="20540 entries"):
             fock.apply_beam_splitter(reg, 0, 1, 0.3)
         # rejected before any block is built
-        assert not fock._BLOCK_CACHE
+        assert fock._LAST_BLOCKS == (None, ())
 
-    def test_cache_never_exceeds_budget(self, cold_block_caches, monkeypatch):
-        # cutoffs (8, 10) need 17 blocks, 1785 entries: two angles fit in 4000
-        monkeypatch.setattr(fock, "DEFAULT_AMPLITUDE_BUDGET", 4000)
+    def test_cache_never_exceeds_budget(self, cold_blocks, monkeypatch):
+        # cutoffs (8, 10) need 17 blocks, 1785 entries: one angle's fit in 2000
+        monkeypatch.setattr(fock, "DEFAULT_AMPLITUDE_BUDGET", 2000)
         reg = fock.tensor(fock.make_coherent(0.3, 8), fock.make_coherent(0.3, 10))
         angles = [0.1 * k for k in range(1, 8)]
         first = fock.apply_beam_splitter(reg, 0, 1, angles[0]).amplitudes
-        for i in range(1, len(angles)):
-            fock.apply_beam_splitter(reg, 0, 1, angles[i])
-            assert cached_entries() <= 4000
-            # the least recently used angle went first
-            assert list(fock._BLOCK_CACHE) == angles[i - 1 : i + 1]
-        # an evicted angle is rebuilt to the same bits
+        for theta in angles[1:]:
+            fock.apply_beam_splitter(reg, 0, 1, theta)
+            # only the last angle's blocks are held
+            assert fock._LAST_BLOCKS[0] == theta
+            assert held_entries() == 1785
+        # a dropped angle is rebuilt to the same bits
         assert np.array_equal(fock.apply_beam_splitter(reg, 0, 1, angles[0]).amplitudes, first)
-        # one angle's longer list (21 blocks, 3311 entries) evicts the rest
+        # a larger register's blocks (21 blocks, 3311 entries) are rejected
+        # before any is built, and the held blocks stay as they were
         wide = fock.tensor(fock.make_coherent(0.3, 10), fock.make_coherent(0.3, 12))
-        fock.apply_beam_splitter(wide, 0, 1, angles[-1])
-        assert list(fock._BLOCK_CACHE) == [angles[-1]]
-        assert cached_entries() == 3311
+        with pytest.raises(RegisterBudgetError, match="3311 entries"):
+            fock.apply_beam_splitter(wide, 0, 1, angles[-1])
+        assert fock._LAST_BLOCKS[0] == angles[0]
+        assert held_entries() == 1785
 
-    def test_non_unitary_block_raises(self, cold_block_caches, monkeypatch):
+    def test_non_unitary_block_raises(self, cold_blocks, monkeypatch):
         next_block = fock._next_block
 
         def perturbed(prev, c, s):
@@ -576,8 +583,38 @@ class TestBeamSplitterBlocks:
         monkeypatch.setattr(fock, "_next_block", perturbed)
         with pytest.raises(BlockUnitarityError, match="N=12"):
             fock._bs_blocks(0.4, 20)
-        # nothing past the failed block is kept
-        assert not fock._BLOCK_CACHE
+        # the checked blocks B_0 .. B_11 are kept, and nothing from B_12 on
+        assert fock._LAST_BLOCKS[0] == 0.4
+        assert [block.shape[0] for block in fock._LAST_BLOCKS[1]] == list(range(1, 13))
+        monkeypatch.setattr(fock, "_next_block", next_block)
+        extended = fock._bs_blocks(0.4, 20)
+        monkeypatch.setattr(fock, "_LAST_BLOCKS", (None, ()))
+        cold = fock._bs_blocks(0.4, 20)
+        assert all(np.array_equal(a, b) for a, b in zip(extended, cold, strict=True))
+
+    def test_threads_alternating_angles_get_serial_bits(self, cold_blocks):
+        # each call at the other angle drops the held blocks and rebuilds
+        # B_1 .. B_46, while the other threads read and replace them
+        reg = random_register(np.random.default_rng(5), (24, 24, 2), max_level=11)
+        angles = (0.3, -1.1)
+        serial = [fock.apply_beam_splitter(reg, 0, 1, theta).amplitudes for theta in angles]
+
+        def alternate(start):
+            return [
+                fock.apply_beam_splitter(reg, 0, 1, angles[(start + j) % 2]).amplitudes
+                for j in range(20)
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside the builds too
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                runs = list(pool.map(alternate, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for start, run in enumerate(runs):
+            for j, amplitudes in enumerate(run):
+                assert np.array_equal(amplitudes, serial[(start + j) % 2])
 
 
 class TestRegisterInvariants:

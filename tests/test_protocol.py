@@ -1,10 +1,12 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from wva_sim import fock, protocol
+from wva_sim.cli import ORACLE_DEFAULTS
 from wva_sim.errors import RegisterBudgetError
 from wva_sim.model import InterferometerParams, predict_phases
 from wva_sim.presets import CAMPAIGN, point_params
@@ -200,7 +202,6 @@ class TestOpticsCache:
             return apply(*args, **kwargs)
 
         monkeypatch.setattr(fock, "apply_beam_splitter", counted)
-        # eta innermost, as oracle-validate orders its grid
         grid = [
             make_params(alpha=alpha, delta=delta, phi_minus=phi_minus, eta=eta)
             for alpha in (0.3, 0.8)
@@ -216,12 +217,47 @@ class TestOpticsCache:
             assert repr(run_protocol(row.params)) == repr(row.result)
         assert len(calls) == len(grid) // 2 + len(grid)
 
+    @pytest.mark.parametrize(
+        "order",
+        [
+            ("alpha", "delta", "beta", "phi_bar_urad", "eta"),  # oracle-validate's
+            ("eta", "alpha", "delta", "beta", "phi_bar_urad"),
+            ("alpha", "beta", "phi_bar_urad", "eta", "delta"),
+        ],
+        ids=["cli", "eta-outermost", "delta-innermost"],
+    )
+    def test_build_counts_independent_of_grid_order(self, monkeypatch, order):
+        monkeypatch.setattr(fock, "_LAST_BLOCKS", (None, ()))
+        counts = {"apply_beam_splitter": 0, "_next_block": 0}
+        for name in counts:
+
+            def counted(*args, _name=name, _original=getattr(fock, name)):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(fock, name, counted)
+        grid = []
+        for values in itertools.product(*(ORACLE_DEFAULTS[name] for name in order)):
+            point = dict(zip(order, values))
+            phi_bar = point.pop("phi_bar_urad") * 1e-6
+            grid.append(InterferometerParams(**point, phi_plus=2.0 * phi_bar, phi_minus=0.0))
+        rows = sweep_validity(grid)
+        assert [row.params for row in rows] == grid
+        # 36 registers (eta pairs share one) over 3 angles, whose largest
+        # register, alpha 1 at cutoffs (17, 17, 17), needs B_1 .. B_32
+        assert counts == {"apply_beam_splitter": 36, "_next_block": 3 * 32}
+        # only the last angle's blocks are held: the largest theta in key order
+        theta, blocks = fock._LAST_BLOCKS
+        assert theta == max(p.theta for p in grid)
+        assert len(blocks) == 33
+        # the reversed grid gives the same rows, reversed
+        reversed_rows = sweep_validity(grid[::-1])[::-1]
+        assert [repr(row) for row in reversed_rows] == [repr(row) for row in rows]
+
     def test_cache_holds_read_only_per_level_arrays(self):
         p = make_params(alpha=0.8, eta=0.5)
         run_protocol(p)
-        deficit, dark, fields = protocol._optics_stage(
-            default_cutoffs(p), p.alpha, p.beta, p.theta, p.phi_plus, p.phi_minus
-        )
+        deficit, dark, fields = protocol._optics_stage(*protocol._register_key(p))
         assert protocol._optics_stage.cache_info().hits == 1
         assert deficit == run_protocol(p).truncation_deficit
         for array in (dark, fields):

@@ -1,13 +1,17 @@
-"""The committed Monte Carlo results are what the README's commands write now.
+"""The committed results are what the README's commands write now.
 
 Each figure is run again in-process with the README's arguments and compared
 with its committed CSV and ``.fit.json``, line by line: every number written
 with a decimal point or an exponent (a float) must agree with the committed
 one to 1e-12 relative, as the oracle results are held to in CI, and all other
-text, integers included, must match exactly.  So a change that moves the
-Monte Carlo's bytes fails here until ``results/`` is regenerated.
+text, integers included, must match exactly.  The oracle's default grid is
+compared with ``oracle_validation.csv`` row by row under CI's rules for it:
+``p_click_exact`` and ``diff_exact`` to 1e-12 relative, ``rel_error`` to
+1e-12 absolute (NaN equal to NaN), every other cell exactly.  So a change
+that moves the bytes of either fails here until ``results/`` is regenerated.
 """
 
+import csv
 import math
 import re
 from pathlib import Path
@@ -49,3 +53,30 @@ def test_committed_monte_carlo_results_are_current(tmp_path, command, stem):
     for suffix in (".csv", ".fit.json"):
         name = stem + suffix
         assert_current((tmp_path / name).read_text(), (RESULTS / name).read_text(), name)
+
+
+def oracle_rows(text: str) -> list[dict]:
+    return list(csv.DictReader(line for line in text.splitlines() if not line.startswith("#")))
+
+
+def test_committed_oracle_results_are_current(tmp_path):
+    out = tmp_path / "oracle_validation.csv"
+    result = CliRunner().invoke(main, ["oracle-validate", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    fresh = oracle_rows(out.read_text())
+    committed = oracle_rows((RESULTS / "oracle_validation.csv").read_text())
+    assert len(fresh) == len(committed)
+    tolerances = {"p_click_exact": (1e-12, 0.0), "diff_exact": (1e-12, 0.0), "rel_error": (0.0, 1e-12)}
+    for i, (new, old) in enumerate(zip(fresh, committed)):
+        assert list(new) == list(old), i
+        for column, value in new.items():
+            where = f"row {i}, {column}: {value} against committed {old[column]}"
+            if column not in tolerances:
+                assert value == old[column], where
+                continue
+            x, y = float(value), float(old[column])
+            rel, abs_ = tolerances[column]
+            if math.isnan(x) or math.isnan(y):
+                assert math.isnan(x) and math.isnan(y), where
+            else:
+                assert x == y or abs(x - y) <= max(rel * abs(x), abs_), where

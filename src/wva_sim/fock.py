@@ -9,14 +9,12 @@ blockwise per total photon number, so photon number is conserved by
 construction), and a cross-Kerr phase (diagonal, hence exactly unitary).
 The photon-number-N block comes from the N - 1 block by Risbo's recursion
 (J. Geodesy 70, 383, 1996), a few O(N^2) array operations with no
-eigendecomposition.  Only the blocks of the angle built last are kept: a
-larger register at that angle extends them and a new angle replaces them,
-so the blocks held never exceed DEFAULT_AMPLITUDE_BUDGET entries.  A caller
-that alternates angles rebuilds them each time; ``protocol.sweep_validity``
-runs its points grouped by angle, so it builds each angle once.  Every
-block is checked for unitarity and a failure raises BlockUnitarityError
-instead of silently losing norm.  The rotation is one real matrix product
-per multiplet, batched over all the other modes.
+eigendecomposition.  Each call builds its blocks as the rotation reaches
+them and drops each after use, so it holds at most two blocks and the
+module keeps no state between calls.  Every block is checked for
+unitarity and a failure raises BlockUnitarityError instead of silently
+losing norm.  The rotation is one real matrix product per multiplet,
+batched over all the other modes.
 Projection onto a Fock level (a view, not a copy) and the usual
 expectation values round out the surface.
 
@@ -33,6 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import lazy_numpy
 from .errors import (
@@ -46,7 +45,7 @@ from .errors import (
 np = lazy_numpy()
 
 # Amplitude-count ceiling for tensor products (~1 GiB of complex128) and for
-# the entries of the beam-splitter blocks a register needs.
+# the entries of the beam-splitter blocks one rotation builds.
 DEFAULT_AMPLITUDE_BUDGET = 64_000_000
 
 # Beam-splitter leakage handling: warn when the last retained level of an
@@ -164,35 +163,31 @@ def _block_entries(count: int) -> int:
     return count * (count + 1) * (2 * count + 1) // 6
 
 
-def _next_block(prev: np.ndarray, c: float, s: float) -> np.ndarray:
+def _next_block(prev: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """B_N from P = B_(N-1) by Risbo's recursion (J. Geodesy 70, 383, 1996).
 
     |m, N-m> = (sqrt(m) a1+ |m-1, N-m> + sqrt(N-m) a2+ |m, N-m-1>) / N, and
     the rotation maps a1+ and a2+ to c a1+ + s a2+ and c a2+ - s a1+, so
     B_N[m', m] = (c sqrt(m' m) P[m'-1, m-1] + s sqrt((N-m') m) P[m', m-1]
                   - s sqrt(m' (N-m)) P[m'-1, m] + c sqrt((N-m')(N-m)) P[m', m]) / N.
+    The rows of ``roots`` are sqrt(m), c sqrt(m) and s sqrt(m) for m = 1 .. N
+    or beyond; each step reads their first N columns.
     """
     total = prev.shape[0]
-    up = np.sqrt(np.arange(1.0, total + 1.0))  # sqrt(m), m = 1 .. N
-    down = up[::-1]  # sqrt(N - m), m = 0 .. N - 1
+    up, c_up, s_up = roots[:, :total]  # sqrt(m) times 1, c and s; m = 1 .. N
     raised = prev * up  # columns m = 1 .. N
-    kept = prev * down  # columns m = 0 .. N - 1
+    kept = prev * up[::-1]  # columns m = 0 .. N - 1, times sqrt(N - m)
     block = np.zeros((total + 1, total + 1))
-    block[1:, 1:] = (c * up)[:, None] * raised
-    block[:-1, 1:] += (s * down)[:, None] * raised
-    block[1:, :-1] -= (s * up)[:, None] * kept
-    block[:-1, :-1] += (c * down)[:, None] * kept
+    block[1:, 1:] = c_up[:, None] * raised
+    block[:-1, 1:] += s_up[::-1, None] * raised
+    block[1:, :-1] -= s_up[:, None] * kept
+    block[:-1, :-1] += c_up[::-1, None] * kept
     block /= total
     return block
 
 
-# The beam-splitter blocks B_0, B_1, ... of the angle built last, as one
-# (theta, blocks) pair that is replaced whole and never changed in place.
-_LAST_BLOCKS: tuple[float | None, tuple[np.ndarray, ...]] = (None, ())
-
-
-def _bs_blocks(theta: float, count: int) -> tuple[np.ndarray, ...]:
-    """The beam-splitter blocks B_0 .. B_(count - 1) at ``theta`` (or more).
+def _blocks(theta: float, count: int) -> Iterator[np.ndarray]:
+    """Yield the beam-splitter blocks B_0 .. B_(count - 1) at ``theta``.
 
     B_N is the unitary on the total-photon-N multiplet, basis index m =
     photons in the first mode (the second holds N - m), rows the output m'.
@@ -201,24 +196,17 @@ def _bs_blocks(theta: float, count: int) -> tuple[np.ndarray, ...]:
     the matrix [[c, -s], [s, c]]; B_N is exp(theta K_N) with the real
     antisymmetric hopping generator K_N = a2+ a1 - a1+ a2.
 
-    The blocks come from B_0 = [[1]] by ``_next_block``.  Only the last
-    angle's blocks are kept: a larger register at that angle extends them,
-    and a new angle drops them before it builds anything, so the blocks held
-    are at most one angle's, which the caller keeps within the amplitude
-    budget.  The angle and its blocks are published together as one tuple,
-    so concurrent callers each read one angle's checked blocks and build the
-    same bits.  Every block is checked as it is built: a departure from
-    unitarity past BLOCK_UNITARITY_TOL raises BlockUnitarityError, and
-    neither that block nor any above it is kept.
+    The blocks come from B_0 = [[1]] by ``_next_block``, each built only
+    when the one before it has been taken, and each is checked before it is
+    yielded: a departure from unitarity past BLOCK_UNITARITY_TOL raises
+    BlockUnitarityError and ends the blocks there.
     """
-    global _LAST_BLOCKS
-    last_theta, blocks = _LAST_BLOCKS
-    if last_theta != theta:
-        _LAST_BLOCKS = (None, ())  # drop the last angle's blocks before building
-        blocks = (np.ones((1, 1)),)
-    c, s = math.cos(theta), math.sin(theta)
-    for total in range(len(blocks), count):
-        block = _next_block(blocks[-1], c, s)
+    factors = np.array([[1.0], [math.cos(theta)], [math.sin(theta)]])
+    roots = factors * np.sqrt(np.arange(1.0, count))  # m = 1 .. count - 1
+    block = np.ones((1, 1))
+    yield block
+    for total in range(1, count):
+        block = _next_block(block, roots)
         gram = block @ block.T
         gram.flat[:: total + 2] -= 1.0
         error = float(np.max(np.abs(gram)))
@@ -227,9 +215,8 @@ def _bs_blocks(theta: float, count: int) -> tuple[np.ndarray, ...]:
                 f"beam-splitter block N={total}, theta={theta!r} departs from "
                 f"unitarity by {error:.3e} (tolerance {BLOCK_UNITARITY_TOL:.0e})"
             )
-        blocks += (block,)  # a new tuple: the published one is never changed
-        _LAST_BLOCKS = (theta, blocks)
-    return blocks
+        del gram  # not held while the caller uses the block
+        yield block
 
 
 def apply_beam_splitter(
@@ -239,8 +226,9 @@ def apply_beam_splitter(
     (cos(theta) a - sin(theta) b, sin(theta) a + cos(theta) b).
 
     Exactly number-conserving: every total-photon multiplet is rotated by a
-    unitary block (``_bs_blocks``).  Blocks whose entries would exceed the
-    amplitude budget raise RegisterBudgetError before any is built.
+    unitary block (``_blocks``), built when the rotation reaches it and
+    dropped after use.  Blocks whose entries would exceed the amplitude
+    budget raise RegisterBudgetError before any is built.
     Multiplets that do not fit inside the cutoffs lose their clipped part;
     the lost norm^2 is raised as a truncation error past LEAK_FAIL_TOL.
     A truncation warning is raised when the weight on the last retained
@@ -251,7 +239,7 @@ def apply_beam_splitter(
     two modes that fit inside the cutoffs are gathered for all other modes
     at once, multiplied by the matching square of B_N in one real product,
     and scattered into the result.  The block index m is always mode_a's
-    level, so the blocks are kept under the caller's own angle.
+    level, so the blocks are built at the caller's own angle.
     """
     mode_a = _check_mode(state, mode_a)
     mode_b = _check_mode(state, mode_b)
@@ -278,16 +266,15 @@ def apply_beam_splitter(
             stacklevel=2,
         )
 
-    blocks = _bs_blocks(float(theta), count)
     out = np.empty(state.cutoffs, dtype=np.complex128)
     target = np.moveaxis(out, (mode_a, mode_b), (0, 1))
-    for total in range(count):
+    for total, block in enumerate(_blocks(float(theta), count)):
         lo, hi = max(0, total - cut_b + 1), min(total, cut_a - 1) + 1
         levels = np.arange(lo, hi)  # mode_a's; mode_b holds total - levels
         index = (levels, total - levels)
         gathered = source[index]
         real = gathered.reshape(levels.size, -1).view(np.float64)
-        rotated = blocks[total][lo:hi, lo:hi] @ real
+        rotated = block[lo:hi, lo:hi] @ real
         target[index] = rotated.view(np.complex128).reshape(gathered.shape)
 
     # the blocks are unitary, so the norm^2 missing from the result is the

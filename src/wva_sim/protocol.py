@@ -28,7 +28,7 @@ one entry, keyed on the register a point needs (``_register_key``: theta,
 the cutoffs, alpha, beta, phi_plus, phi_minus); the entry holds the three
 O(cutoff) results, never the register.  ``sweep_validity`` runs its points
 sorted on that key and returns the rows in grid order, so it builds each
-register, and each angle's beam-splitter blocks, once in any grid order.
+register once in any grid order.
 
 Everything here is deterministic; sweeps are embarrassingly parallel.
 """
@@ -97,9 +97,8 @@ def default_cutoffs(params: InterferometerParams) -> tuple[int, int, int]:
 def _register_key(p: InterferometerParams) -> tuple:
     """Which register point ``p`` needs: the arguments of ``_optics_stage``.
 
-    The angle comes first and the cutoffs second, so sorting points by this
-    key runs each register's points, and then each angle's, back to back,
-    with the registers of one angle in order of growing cutoffs.
+    Sorting points by this key runs each register's points back to back, so
+    points that differ only in eta share one optics stage.
     """
     return (p.theta, default_cutoffs(p), p.alpha, p.beta, p.phi_plus, p.phi_minus)
 
@@ -216,8 +215,8 @@ def sweep_validity(params_grid: Iterable[InterferometerParams]) -> list[SweepRow
     One row per point, in grid order; per-point failures (truncation,
     degenerate branches) are recorded in the row note and never abort the
     sweep.  The points run in ``_register_key`` order, a stable sort, so
-    each register and each angle's beam-splitter blocks are built once
-    whatever the grid's order, and the rows are independent of it.
+    each register is built once whatever the grid's order, and the rows are
+    independent of it.
     """
     grid = list(params_grid)
     if not grid:

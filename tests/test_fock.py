@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import tracemalloc
@@ -275,28 +276,31 @@ class TestBeamSplitter:
                 np.testing.assert_allclose(result, out.transpose(order), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize(
-        "cutoffs,modes,registers",
-        [((37, 37, 26), (0, 1), 1.15), ((37, 37, 26, 37), (0, 1), 1.15),
-         ((37, 37, 26, 37), (1, 3), 1.15), ((39, 39, 600), (0, 1), 1.15),
-         ((17, 17, 17), (0, 1), 1.5)],
-        ids=["37x37x26", "37x37x26x37", "37x37x26x37-modes-1-3", "39x39x600", "17x17x17"],
+        "cutoffs,modes",
+        [((37, 37, 26), (0, 1)), ((37, 37, 26, 37), (0, 1)), ((37, 37, 26, 37), (1, 3)),
+         ((39, 39, 600), (0, 1)), ((17, 17, 17), (0, 1)), ((164, 164, 14), (0, 1))],
+        ids=["37x37x26", "37x37x26x37", "37x37x26x37-modes-1-3", "39x39x600", "17x17x17",
+             "164x164x14"],
     )
-    def test_peak_memory_within_one_and_a_half_registers(self, cutoffs, modes, registers):
-        # the result is one register; beside it one multiplet is in flight at
-        # a time, gathered and rotated (blocks are cached and bounded by the
-        # amplitude budget), which on the larger shapes stays under 0.15 of a
-        # register; on small ones the fixed temporaries weigh more
+    def test_peak_memory_within_one_and_a_half_registers(self, cutoffs, modes):
+        # from a cold start: the result is one register; beside it one
+        # multiplet is in flight at a time, gathered and rotated, under 0.15
+        # of a register, and the blocks are built as the rotation reaches
+        # them, so at most eight (N + 1)^2 arrays of reals, N < count, are
+        # alive at once
         reg = fock.make_coherent(1.0, cutoffs[0])
         for cut in cutoffs[1:]:
             reg = fock.tensor(reg, fock.make_coherent(1.0, cut))
-        fock.apply_beam_splitter(reg, *modes, 0.4)
+        count = cutoffs[modes[0]] + cutoffs[modes[1]] - 1
         tracemalloc.start()
         try:
-            fock.apply_beam_splitter(reg, *modes, 0.4)
-            peak = tracemalloc.get_traced_memory()[1]
+            result = fock.apply_beam_splitter(reg, *modes, 0.4)
+            left, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= registers * reg.amplitudes.nbytes
+        assert peak <= 1.15 * reg.amplitudes.nbytes + 8 * count**2 * 8
+        # nothing but the result outlives the call
+        assert left - result.amplitudes.nbytes < 4096
 
     def test_edge_occupation_warns(self):
         reg = fock.tensor(fock.make_fock(2, 3), fock.make_fock(0, 3))
@@ -470,7 +474,7 @@ class TestHelpers:
         assert fock.make_fock(2, 3).amplitudes[2] == 1.0
 
     def test_beam_splitter_block_unitarity_large_n(self):
-        blocks = fock._bs_blocks(0.813, 56)
+        blocks = list(itertools.islice(fock._blocks(0.813, 56), 56))
         for total in (10, 25, 40, 55):
             block = blocks[total]
             gram = block.T @ block
@@ -485,19 +489,24 @@ def hopping_generator(total):
 
 
 @pytest.fixture
-def cold_blocks(monkeypatch):
-    monkeypatch.setattr(fock, "_LAST_BLOCKS", (None, ()))
+def built(monkeypatch):
+    """The sizes of the blocks B_(N-1) that ``fock._next_block`` steps from."""
+    sizes = []
+    next_block = fock._next_block
 
+    def counted(prev, roots):
+        sizes.append(prev.shape[0])
+        return next_block(prev, roots)
 
-def held_entries():
-    return sum(block.size for block in fock._LAST_BLOCKS[1])
+    monkeypatch.setattr(fock, "_next_block", counted)
+    return sizes
 
 
 class TestBeamSplitterBlocks:
     @pytest.mark.parametrize("total", [100, 200, 400])
     @pytest.mark.parametrize("theta", [0.813, -2.1, math.pi / 2])
-    def test_unitary_at_large_n(self, cold_blocks, total, theta):
-        block = fock._bs_blocks(theta, total + 1)[total]
+    def test_unitary_at_large_n(self, total, theta):
+        (block,) = itertools.islice(fock._blocks(theta, total + 1), total, None)
         gram = block @ block.T
         assert np.max(np.abs(gram - np.eye(total + 1))) < 1e-12
 
@@ -507,94 +516,56 @@ class TestBeamSplitterBlocks:
         # about 1.5 (checked against 40-digit mpmath), so the independent
         # reference stays at |theta| <= 1; larger angles follow from the
         # composition property tested above.
-        blocks = fock._bs_blocks(theta, 31)
-        for total in range(31):
+        blocks = itertools.islice(fock._blocks(theta, 31), 31)
+        for total, block in enumerate(blocks):
             expected = scipy.linalg.expm(theta * hopping_generator(total))
-            np.testing.assert_allclose(blocks[total], expected, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(block, expected, rtol=0, atol=1e-13)
+        assert total == 30
 
-    def test_blocks_built_once_per_angle(self, cold_blocks, monkeypatch):
-        built = []
-        next_block = fock._next_block
-
-        def counted(prev, c, s):
-            built.append(prev.shape[0])
-            return next_block(prev, c, s)
-
-        monkeypatch.setattr(fock, "_next_block", counted)
+    def test_blocks_built_once_per_angle(self, built):
         reg = fock.tensor(fock.make_coherent(0.5, 14), fock.make_coherent(1.0, 17))
-        n_totals = 17 + 14 - 1
-        angles = [0.1 + 0.07 * k for k in range(20)]
+        count = 17 + 14 - 1
+        angles = [0.1 + 0.07 * k for k in range(5)]
         first = [fock.apply_beam_splitter(reg, 0, 1, theta).amplitudes for theta in angles]
-        # B_0 = [[1]] needs no step; each angle builds B_1 .. B_29 once
-        assert built == list(range(1, n_totals)) * 20
-        # calls in a row at the last angle build nothing more
-        for _ in range(3):
-            fock.apply_beam_splitter(reg, 0, 1, angles[-1])
-        assert len(built) == 20 * (n_totals - 1)
-        # a larger register at that angle only extends its list
-        wide = fock.tensor(fock.make_coherent(1.0, 17), fock.make_coherent(0.5, 20))
-        fock.apply_beam_splitter(wide, 0, 1, angles[-1])
-        assert built[20 * (n_totals - 1) :] == list(range(n_totals, 17 + 20 - 1))
-        # an earlier angle is built again from B_1, to the same bits
+        # B_0 = [[1]] needs no step; each call builds B_1 .. B_29 from B_0
+        assert built == list(range(1, count)) * len(angles)
+        # a call at the same angle builds them all again, to the same bits
         del built[:]
-        again = fock.apply_beam_splitter(reg, 0, 1, angles[3]).amplitudes
-        assert built == list(range(1, n_totals))
-        assert np.array_equal(again, first[3])
+        for _ in range(3):
+            again = fock.apply_beam_splitter(reg, 0, 1, angles[-1]).amplitudes
+            assert np.array_equal(again, first[-1])
+        assert built == list(range(1, count)) * 3
+        # so does a call at an earlier angle, after other angles
+        del built[:]
+        assert np.array_equal(fock.apply_beam_splitter(reg, 0, 1, angles[1]).amplitudes, first[1])
+        assert built == list(range(1, count))
 
-    def test_block_entries_within_budget(self, cold_blocks, monkeypatch):
+    def test_block_entries_within_budget(self, built, monkeypatch):
         # cutoffs (20, 20) need blocks up to N = 38: 39 * 40 * 79 / 6 = 20,540 entries
         reg = fock.tensor(fock.make_coherent(1.0, 20), fock.make_coherent(1.0, 20))
         monkeypatch.setattr(fock, "DEFAULT_AMPLITUDE_BUDGET", 1000)
         with pytest.raises(RegisterBudgetError, match="20540 entries"):
             fock.apply_beam_splitter(reg, 0, 1, 0.3)
         # rejected before any block is built
-        assert fock._LAST_BLOCKS == (None, ())
+        assert built == []
 
-    def test_cache_never_exceeds_budget(self, cold_blocks, monkeypatch):
-        # cutoffs (8, 10) need 17 blocks, 1785 entries: one angle's fit in 2000
-        monkeypatch.setattr(fock, "DEFAULT_AMPLITUDE_BUDGET", 2000)
-        reg = fock.tensor(fock.make_coherent(0.3, 8), fock.make_coherent(0.3, 10))
-        angles = [0.1 * k for k in range(1, 8)]
-        first = fock.apply_beam_splitter(reg, 0, 1, angles[0]).amplitudes
-        for theta in angles[1:]:
-            fock.apply_beam_splitter(reg, 0, 1, theta)
-            # only the last angle's blocks are held
-            assert fock._LAST_BLOCKS[0] == theta
-            assert held_entries() == 1785
-        # a dropped angle is rebuilt to the same bits
-        assert np.array_equal(fock.apply_beam_splitter(reg, 0, 1, angles[0]).amplitudes, first)
-        # a larger register's blocks (21 blocks, 3311 entries) are rejected
-        # before any is built, and the held blocks stay as they were
-        wide = fock.tensor(fock.make_coherent(0.3, 10), fock.make_coherent(0.3, 12))
-        with pytest.raises(RegisterBudgetError, match="3311 entries"):
-            fock.apply_beam_splitter(wide, 0, 1, angles[-1])
-        assert fock._LAST_BLOCKS[0] == angles[0]
-        assert held_entries() == 1785
-
-    def test_non_unitary_block_raises(self, cold_blocks, monkeypatch):
+    def test_non_unitary_block_raises(self, monkeypatch):
         next_block = fock._next_block
 
-        def perturbed(prev, c, s):
-            block = next_block(prev, c, s)
+        def perturbed(prev, roots):
+            block = next_block(prev, roots)
             if block.shape[0] == 13:
                 block[3, 5] += 1e-9
             return block
 
         monkeypatch.setattr(fock, "_next_block", perturbed)
+        reg = fock.tensor(fock.make_coherent(0.3, 8), fock.make_coherent(0.3, 13))
         with pytest.raises(BlockUnitarityError, match="N=12"):
-            fock._bs_blocks(0.4, 20)
-        # the checked blocks B_0 .. B_11 are kept, and nothing from B_12 on
-        assert fock._LAST_BLOCKS[0] == 0.4
-        assert [block.shape[0] for block in fock._LAST_BLOCKS[1]] == list(range(1, 13))
-        monkeypatch.setattr(fock, "_next_block", next_block)
-        extended = fock._bs_blocks(0.4, 20)
-        monkeypatch.setattr(fock, "_LAST_BLOCKS", (None, ()))
-        cold = fock._bs_blocks(0.4, 20)
-        assert all(np.array_equal(a, b) for a, b in zip(extended, cold, strict=True))
+            fock.apply_beam_splitter(reg, 0, 1, 0.4)
 
-    def test_threads_alternating_angles_get_serial_bits(self, cold_blocks):
-        # each call at the other angle drops the held blocks and rebuilds
-        # B_1 .. B_46, while the other threads read and replace them
+    def test_threads_alternating_angles_get_serial_bits(self):
+        # each call builds its own blocks B_1 .. B_46, so threads that
+        # alternate angles share no state and get the serial bits
         reg = random_register(np.random.default_rng(5), (24, 24, 2), max_level=11)
         angles = (0.3, -1.1)
         serial = [fock.apply_beam_splitter(reg, 0, 1, theta).amplitudes for theta in angles]

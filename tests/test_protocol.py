@@ -227,7 +227,6 @@ class TestOpticsCache:
         ids=["cli", "eta-outermost", "delta-innermost"],
     )
     def test_build_counts_independent_of_grid_order(self, monkeypatch, order):
-        monkeypatch.setattr(fock, "_LAST_BLOCKS", (None, ()))
         counts = {"apply_beam_splitter": 0, "_next_block": 0}
         for name in counts:
 
@@ -243,13 +242,10 @@ class TestOpticsCache:
             grid.append(InterferometerParams(**point, phi_plus=2.0 * phi_bar, phi_minus=0.0))
         rows = sweep_validity(grid)
         assert [row.params for row in rows] == grid
-        # 36 registers (eta pairs share one) over 3 angles, whose largest
-        # register, alpha 1 at cutoffs (17, 17, 17), needs B_1 .. B_32
-        assert counts == {"apply_beam_splitter": 36, "_next_block": 3 * 32}
-        # only the last angle's blocks are held: the largest theta in key order
-        theta, blocks = fock._LAST_BLOCKS
-        assert theta == max(p.theta for p in grid)
-        assert len(blocks) == 33
+        # 36 registers (eta pairs share one), each rotated once with its own
+        # blocks: 12 per alpha, whose arm cutoffs 12, 14 and 17 need
+        # B_1 .. B_22, B_1 .. B_26 and B_1 .. B_32, 960 steps in all
+        assert counts == {"apply_beam_splitter": 36, "_next_block": 12 * (22 + 26 + 32)}
         # the reversed grid gives the same rows, reversed
         reversed_rows = sweep_validity(grid[::-1])[::-1]
         assert [repr(row) for row in reversed_rows] == [repr(row) for row in rows]

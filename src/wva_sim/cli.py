@@ -16,8 +16,9 @@ result bit-exactly:
 Exit codes: 0 success, 1 config error, 2 tolerance, estimation or fit
 failure (an oracle point in the valid regime that raises among them, one
 over the amplitude budget too, which is rejected before any mode is built),
-or a usage error that click rejects (a missing --seed, a flag value of the
-wrong type).  A config error is an errors.FieldError naming the rejected
+or a usage error that the argument parser rejects (an unknown command or
+option, a missing --seed, a flag value of the wrong type; options are never
+abbreviated).  A config error is an errors.FieldError naming the rejected
 field: a frozen record's own rejection, reported under the config path it
 was parsed from, a config file that cannot be read, is not UTF-8, is not
 JSON or nests deeper than the recursion limit (at <config>), a number too
@@ -39,6 +40,7 @@ appears in output and never changes it.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import inspect
 import itertools
@@ -48,8 +50,6 @@ import os
 import random
 import sys
 from pathlib import Path
-
-import click
 
 from . import __version__, presets
 from .errors import DegenerateFitError, FieldError, InsufficientDataError, InvalidRegimeError, require
@@ -188,7 +188,7 @@ def _parse(make, raw, path: str):
 
 
 def _fail(code: int, what: str, exc: Exception) -> None:
-    click.echo(f"{what}: {exc}", err=True)
+    print(f"{what}: {exc}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -232,7 +232,8 @@ def _header_lines(command: str, config: dict, seed: int | None) -> list[str]:
 def _write_text(out: str | None, text: str) -> None:
     """Write ``text`` to the file ``out``, or stdout; a failed write is a config error."""
     if out is None:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
+        sys.stdout.flush()  # ahead of the summary on stderr, where both share a stream
         return
     try:
         Path(out).write_text(text, encoding="utf-8")
@@ -339,67 +340,95 @@ def _campaign(command, config, seed, out_path, fit_name, fit, columns, cells) ->
     if noisy:
         if sidecar is not None:
             _write_text(sidecar, json.dumps(fit_json, sort_keys=True, indent=2) + "\n")
-        click.echo(
+        print(
             f"{command}: {fit_name} = {fit_json[f'{fit_name}_urad']:.4g} "
             f"+/- {fit_json['stderr_urad']:.4g} urad",
-            err=True,
+            file=sys.stderr,
         )
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="wva-sim")
-def main() -> None:
-    """Simulation harness for post-selected cross-phase interferometry."""
+# name -> (body, defaults, options) of each subcommand, in registration order
+_COMMANDS: dict = {}
+
+_COMMON_OPTIONS = (
+    ("--config", {"dest": "config_path", "metavar": "PATH", "help": "JSON config file."}),
+    ("--out", {"dest": "out_path", "metavar": "PATH", "help": "Output path (default stdout)."}),
+)
 
 
 def _command(name: str, defaults: dict, *options):
     """Register ``body(config, out_path, seed)`` as the subcommand ``name``.
 
-    The command takes ``--config``, ``--out`` and ``options``.  Before the
-    body runs it probes ``--out``, requires ``--workers`` (where given) to be
-    at least 1 and drops it, checks ``--seed`` (where given) as an unsigned
-    64-bit integer, and merges ``defaults``, the config file and every other
-    option, keyed by its dest, which names the config field it overrides.
-    The body's rejections map onto the exit codes of the module docstring.
+    The command takes ``--config``, ``--out`` and ``options``, each a flag
+    and its ``add_argument`` keywords; ``main`` runs the body.
     """
 
     def register(body):
-        def run(config_path, out_path, seed, workers=1, **overrides):
-            try:
-                _check_out(out_path)
-                require(workers >= 1, "workers", ">= 1")
-                require(seed is None or 0 <= seed < 2**64, "seed", "an unsigned 64-bit integer")
-                body(_merged_config(defaults, config_path, overrides), out_path, seed)
-            except FieldError as exc:
-                _fail(1, "config error", exc)
-            except InsufficientDataError as exc:
-                _fail(2, "estimation failure", exc)
-            except DegenerateFitError as exc:
-                _fail(2, "fit failure", exc)
-
-        common = (
-            click.option("--config", "config_path", type=click.Path(), help="JSON config file."),
-            click.option("--out", "out_path", type=click.Path(), help="Output path (default stdout)."),
-        )
-        for option in reversed((*common, *options)):
-            run = option(run)
-        return main.command(name, help=body.__doc__)(run)
+        _COMMANDS[name] = body, defaults, options
+        return body
 
     return register
 
 
+def _run(body, defaults: dict, config_path, out_path, seed, workers=1, **overrides) -> None:
+    """Run ``body`` after the checks of the module docstring, in its order.
+
+    Probes ``--out``, requires ``--workers`` (where given) to be at least 1
+    and drops it, checks ``--seed`` (where given) as an unsigned 64-bit
+    integer, and merges ``defaults``, the config file and every other option,
+    keyed by its dest, which names the config field it overrides.  The
+    body's rejections map onto the exit codes of the module docstring.
+    """
+    try:
+        _check_out(out_path)
+        require(workers >= 1, "workers", ">= 1")
+        require(seed is None or 0 <= seed < 2**64, "seed", "an unsigned 64-bit integer")
+        body(_merged_config(defaults, config_path, overrides), out_path, seed)
+    except FieldError as exc:
+        _fail(1, "config error", exc)
+    except InsufficientDataError as exc:
+        _fail(2, "estimation failure", exc)
+    except DegenerateFitError as exc:
+        _fail(2, "fit failure", exc)
+
+
+def main(args: list[str] | None = None, prog_name: str = "wva-sim") -> None:
+    """Parse ``args`` (default ``sys.argv[1:]``) and run the subcommand they name.
+
+    Help, ``--version`` and usage errors exit through SystemExit, with codes
+    0, 0 and 2; a failed run exits with its code from the module docstring.
+    """
+    parser = argparse.ArgumentParser(
+        prog=prog_name,
+        description="Simulation harness for post-selected cross-phase interferometry.",
+        allow_abbrev=False,
+    )
+    parser.add_argument("--version", action="version", version=f"wva-sim, version {__version__}")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (body, _, options) in _COMMANDS.items():
+        command = commands.add_parser(name, help=body.__doc__, description=body.__doc__, allow_abbrev=False)
+        for flag, keywords in (*_COMMON_OPTIONS, *options):
+            command.add_argument(flag, **keywords)
+    parsed = vars(parser.parse_args(args))
+    body, defaults, _ = _COMMANDS[parsed.pop("command")]
+    _run(body, defaults, **parsed)
+
+
+# bench/tracer.py runs a command as main.main(args=..., prog_name=...)
+main.main = main
+
 _MONTE_CARLO_OPTIONS = (
-    click.option("--seed", type=int, required=True, help="Master seed (required; no silent entropy)."),
-    click.option("--trials-scale", type=float, help="Scale on each point's trial count."),
-    click.option("--workers", type=int, default=1, help="Accepted, at least 1; never changes the output."),
+    ("--seed", {"type": int, "required": True, "help": "Master seed (required; no silent entropy)."}),
+    ("--trials-scale", {"type": float, "help": "Scale on each point's trial count."}),
+    ("--workers", {"type": int, "default": 1, "help": "Accepted, at least 1; never changes the output."}),
 )
 
 
 @_command(
     "oracle-validate",
     ORACLE_DEFAULTS,
-    click.option("--seed", type=int, help="Echoed for provenance; this command is deterministic."),
-    click.option("--tolerance", type=float, help="Override the relative-error gate."),
+    ("--seed", {"type": int, "help": "Echoed for provenance; this command is deterministic."}),
+    ("--tolerance", {"type": float, "help": "Override the relative-error gate."}),
 )
 def oracle_validate(config, out_path, seed) -> None:
     """Sweep the exact pipeline against the closed forms; gate valid rows."""
@@ -458,10 +487,10 @@ def oracle_validate(config, out_path, seed) -> None:
             )
         )
     _write_text(out_path, "\n".join(lines) + "\n")
-    click.echo(
+    print(
         f"oracle-validate: {len(rows)} points, {valid_rows} valid, "
         f"{failures} above tolerance {gate:.4g}",
-        err=True,
+        file=sys.stderr,
     )
     if failures:
         sys.exit(2)
@@ -533,10 +562,7 @@ def snr(config, out_path, seed) -> None:
         "ratio": ratio,
     }
     _write_text(out_path, json.dumps(report, sort_keys=True, indent=2) + "\n")
-    click.echo(
-        f"snr: wva {snr_wva:.4g}, direct {snr_direct:.4g}, ratio {ratio:.4g}",
-        err=True,
-    )
+    print(f"snr: wva {snr_wva:.4g}, direct {snr_direct:.4g}, ratio {ratio:.4g}", file=sys.stderr)
 
 
 if __name__ == "__main__":

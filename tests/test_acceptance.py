@@ -11,7 +11,6 @@ import math
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from wva_sim import fock
 from wva_sim.cli import _simulate_points, main as cli_main
@@ -230,9 +229,8 @@ def test_criterion_6_unitarity_suite():
     assert ok
 
 
-def test_criterion_7_determinism_across_workers(tmp_path):
+def test_criterion_7_determinism_across_workers(runner, tmp_path):
     """fig4 twice with the same seed, different worker counts: identical bytes."""
-    runner = CliRunner()
     outputs = []
     for workers, name in ((1, "w1"), (3, "w3")):
         csv_path = tmp_path / f"{name}.csv"

@@ -7,15 +7,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from wva_sim import cli
+from wva_sim import __version__, cli
 from wva_sim.cli import SNR_DEFAULTS, _csv_row, main
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 def parse_csv(text):
@@ -39,6 +33,38 @@ def test_csv_row_writes_floats_at_full_precision():
     assert _csv_row(0.1, math.nan, math.inf, -math.inf) == "0.10000000000000001,nan,inf,-inf"
     assert _csv_row(7, 0, "valid (note)") == "7,0,valid (note)"
     assert _csv_row('a, "b"', "c\nd") == '"a, ""b""","c\nd"'
+
+
+def test_option_prefix_is_usage_error(runner):
+    # --trials is a prefix of --trials-scale, which is never taken for it
+    result = runner.invoke(main, ["fig3", "--trials", "0.1", "--seed", "1"])
+    assert result.exit_code == 2, result.output
+
+
+@pytest.mark.parametrize("args", [["nope"], []], ids=["unknown", "missing"])
+def test_command_unknown_or_missing_is_usage_error(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+
+
+def test_version(runner):
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == f"wva-sim, version {__version__}\n"
+
+
+COMMAND_OPTIONS = {
+    "oracle-validate": ["--config", "--out", "--seed", "--tolerance"],
+    **dict.fromkeys(["fig3", "fig4", "snr"], ["--config", "--out", "--seed", "--trials-scale", "--workers"]),
+}
+
+
+@pytest.mark.parametrize("command,options", COMMAND_OPTIONS.items(), ids=list(COMMAND_OPTIONS))
+def test_help_names_every_option(runner, command, options):
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0, result.output
+    for option in options:
+        assert option in result.stdout
 
 
 SMALL_ORACLE = {
@@ -355,7 +381,7 @@ class TestFig4:
 
     def test_missing_seed_is_usage_error(self, runner):
         result = runner.invoke(main, ["fig4"])
-        assert result.exit_code == 2  # click usage error
+        assert result.exit_code == 2  # usage error
         assert "--seed" in result.output
 
     @pytest.mark.parametrize(
@@ -364,8 +390,8 @@ class TestFig4:
     )
     def test_flag_of_wrong_type_is_usage_error(self, runner, command, flag):
         result = runner.invoke(main, [command, "--seed", "1", flag, "abc"])
-        assert result.exit_code == 2  # click usage error
-        assert f"Invalid value for '{flag}'" in result.output
+        assert result.exit_code == 2  # usage error
+        assert f"argument {flag}: invalid" in result.output
 
     def test_negative_seed_rejected(self, runner):
         result = runner.invoke(main, ["fig4", "--seed", "-1"])

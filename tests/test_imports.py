@@ -1,4 +1,4 @@
-"""The import graph: nothing loads scipy or the thread pool, only the
+"""The import graph: nothing loads scipy, click or the thread pool, only the
 oracle executes numpy, and BLAS starts no threads.
 
 Each case runs in a fresh interpreter, since this process has long since
@@ -37,6 +37,9 @@ except SystemExit as exc:
     code = exc.code
 """
 RUN_CLI = CALL_CLI + REPORT
+
+# the command line is parsed by argparse; click is not a runtime dependency
+CLICK = 'print(json.dumps({"code": code, "click": "click" in sys.modules}))'
 
 # numpy counts as executed once any of its submodules is loaded: importing
 # wva_sim binds a lazy numpy module that executes on its first attribute access
@@ -93,6 +96,14 @@ def test_import_leaves_scipy_unloaded(module):
 
 def test_help_leaves_scipy_unloaded():
     assert run_fresh(RUN_CLI, "fig3", "--help") == {"code": 0, "scipy": False}
+
+
+def test_import_leaves_click_unloaded():
+    assert run_fresh(f"import json, sys, wva_sim.cli; code = 0; {CLICK}") == {"code": 0, "click": False}
+
+
+def test_help_leaves_click_unloaded():
+    assert run_fresh(CALL_CLI + CLICK, "fig3", "--help") == {"code": 0, "click": False}
 
 
 def oracle_args(tmp_path):

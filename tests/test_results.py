@@ -17,7 +17,6 @@ import re
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from wva_sim.cli import main
 
@@ -43,9 +42,9 @@ def assert_current(fresh: str, committed: str, name: str) -> None:
 @pytest.mark.parametrize(
     "command,stem", [("fig3", "phase_scan"), ("fig4", "differential_scan")]
 )
-def test_committed_monte_carlo_results_are_current(tmp_path, command, stem):
+def test_committed_monte_carlo_results_are_current(runner, tmp_path, command, stem):
     out = tmp_path / f"{stem}.csv"
-    result = CliRunner().invoke(
+    result = runner.invoke(
         main,
         [command, "--seed", "20260808", "--trials-scale", "1", "--workers", "2", "--out", str(out)],
     )
@@ -59,9 +58,9 @@ def oracle_rows(text: str) -> list[dict]:
     return list(csv.DictReader(line for line in text.splitlines() if not line.startswith("#")))
 
 
-def test_committed_oracle_results_are_current(tmp_path):
+def test_committed_oracle_results_are_current(runner, tmp_path):
     out = tmp_path / "oracle_validation.csv"
-    result = CliRunner().invoke(main, ["oracle-validate", "--out", str(out)])
+    result = runner.invoke(main, ["oracle-validate", "--out", str(out)])
     assert result.exit_code == 0, result.output
     fresh = oracle_rows(out.read_text())
     committed = oracle_rows((RESULTS / "oracle_validation.csv").read_text())

@@ -551,6 +551,10 @@ FIG4_POINT = {"n_bar": 95, "delta": 0.1, "eta": 0.2, "n_total": 1000, "backgroun
         ("fig3", '{"phase_sigma": 1' + "0" * 5000 + "}", ["--seed", "1"], "<config>"),
         ("fig3", b"\xff{}", ["--seed", "1"], "<config>"),
         ("fig3", "[" * 100_000, ["--seed", "1"], "<config>"),
+        ("oracle-validate", dict(SMALL_ORACLE, alpha=0.3), [], "alpha"),
+        ("oracle-validate", dict(SMALL_ORACLE, alpha=[]), [], "alpha"),
+        ("fig3", {"points": 5}, ["--seed", "1"], "points"),
+        ("snr", {"wva": 5}, ["--seed", "1"], "wva"),
     ],
     ids=[
         "missing-file", "directory", "invalid-json", "array-oracle", "array-snr",
@@ -563,7 +567,8 @@ FIG4_POINT = {"n_bar": 95, "delta": 0.1, "eta": 0.2, "n_total": 1000, "backgroun
         "fig4-negative-phase_sigma", "snr-negative-phase_sigma", "points-empty",
         "fig3-phase_sigma-int-past-float", "fig3-n_total-int-past-float",
         "oracle-alpha-int-past-float", "snr-n_trials-int-past-float",
-        "int-past-str-digits-limit", "not-utf-8", "too-deep",
+        "int-past-str-digits-limit", "not-utf-8", "too-deep", "oracle-alpha-not-list",
+        "oracle-alpha-empty", "fig3-points-not-list", "snr-scheme-not-object",
     ],
 )
 def test_config_errors_exit_one_and_name_field(runner, tmp_path, command, config, flags, field):

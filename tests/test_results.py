@@ -3,12 +3,12 @@
 Each figure is run again in-process with the README's arguments and compared
 with its committed CSV and ``.fit.json``, line by line: every number written
 with a decimal point or an exponent (a float) must agree with the committed
-one to 1e-12 relative, as the oracle results are held to in CI, and all other
-text, integers included, must match exactly.  The oracle's default grid is
-compared with ``oracle_validation.csv`` row by row under CI's rules for it:
-``p_click_exact`` and ``diff_exact`` to 1e-12 relative, ``rel_error`` to
-1e-12 absolute (NaN equal to NaN), every other cell exactly.  So a change
-that moves the bytes of either fails here until ``results/`` is regenerated.
+one to 1e-12 relative, and all other text, integers included, must match
+exactly.  The oracle's default grid is compared with ``oracle_validation.csv``
+row by row: ``p_click_exact`` and ``diff_exact`` to 1e-12 relative,
+``rel_error`` to 1e-12 absolute (NaN equal to NaN), every other cell exactly.
+So a change that moves the bytes of either fails here until ``results/`` is
+regenerated.
 """
 
 import csv

@@ -24,11 +24,11 @@ cross-Kerr phases, the recombiner) does not involve eta; it reduces the
 register to the truncation deficit, the dark-port distribution P(d) and the
 P(d)-weighted probe mean field at each d with P(d) > 0.  The detector stage
 weighs those per-d results with the POVM.  The optics stage is cached with
-one entry, keyed on the register a point needs (``_register_key``: theta,
-the cutoffs, alpha, beta, phi_plus, phi_minus); the entry holds the three
+one entry, keyed on the point with eta set to 1; the entry holds the three
 O(cutoff) results, never the register.  ``sweep_validity`` runs its points
-sorted on that key and returns the rows in grid order, so it builds each
-register once in any grid order.
+in grid order, so points that differ only in eta share one optics stage
+when they are adjacent, as in ``oracle-validate``'s grid, where eta varies
+fastest.
 
 Everything here is deterministic; sweeps are embarrassingly parallel.
 """
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable
 
@@ -94,47 +94,33 @@ def default_cutoffs(params: InterferometerParams) -> tuple[int, int, int]:
     return arm, arm, probe
 
 
-def _register_key(p: InterferometerParams) -> tuple:
-    """Which register point ``p`` needs: the arguments of ``_optics_stage``.
-
-    Sorting points by this key runs each register's points back to back, so
-    points that differ only in eta share one optics stage.
-    """
-    return (p.theta, default_cutoffs(p), p.alpha, p.beta, p.phi_plus, p.phi_minus)
-
-
 @lru_cache(maxsize=1)
-def _optics_stage(
-    theta: float,
-    cutoffs: tuple[int, int, int],
-    alpha: float,
-    beta: float,
-    phi_plus: float,
-    phi_minus: float,
-) -> tuple[float, np.ndarray, np.ndarray]:
+def _optics_stage(optics: InterferometerParams) -> tuple[float, np.ndarray, np.ndarray]:
     """The eta-independent stage: prepare, phase and recombine the register.
 
-    Returns the truncation deficit, the dark-port distribution P(d) and the
-    P(d)-weighted probe field at every d with P(d) > 0, the arrays read-only.
-    The cutoffs follow from alpha and beta (``default_cutoffs``).  The one
-    entry keeps these O(cutoff) results, never the register.  A register
-    over the amplitude budget raises RegisterBudgetError before any mode is
-    built, since a mode's cutoff grows as its amplitude squared.
+    ``optics`` is a point with eta set to 1, so points that differ only in
+    eta share its one cache entry.  Returns the truncation deficit, the
+    dark-port distribution P(d) and the P(d)-weighted probe field at every d
+    with P(d) > 0, the arrays read-only.  The entry keeps these O(cutoff)
+    results, never the register.  A register over the amplitude budget
+    raises RegisterBudgetError before any mode is built, since a mode's
+    cutoff grows as its amplitude squared.
     """
+    cutoffs = default_cutoffs(optics)
     fock.check_register_size(math.prod(cutoffs))
     arm1_cut, arm2_cut, probe_cut = cutoffs
     root2 = math.sqrt(2.0)
     reg = fock.tensor(
         fock.tensor(
-            fock.make_coherent(alpha / root2, arm2_cut),
-            fock.make_coherent(alpha / root2, arm1_cut),
+            fock.make_coherent(optics.alpha / root2, arm2_cut),
+            fock.make_coherent(optics.alpha / root2, arm1_cut),
         ),
-        fock.make_coherent(beta, probe_cut),
+        fock.make_coherent(optics.beta, probe_cut),
     )
     # modes: 0 arm2, 1 arm1, 2 probe
-    reg = fock.apply_cross_kerr(reg, 1, 2, phi_plus)
-    reg = fock.apply_cross_kerr(reg, 0, 2, phi_minus)
-    reg = fock.apply_beam_splitter(reg, 1, 0, theta)
+    reg = fock.apply_cross_kerr(reg, 1, 2, optics.phi_plus)
+    reg = fock.apply_cross_kerr(reg, 0, 2, optics.phi_minus)
+    reg = fock.apply_beam_splitter(reg, 1, 0, optics.theta)
     # modes: 0 dark port, 1 bright port, 2 probe; with the dark port first,
     # each projection onto a dark-port count is a contiguous slice
 
@@ -154,19 +140,20 @@ def run_protocol(params: InterferometerParams) -> ProtocolResult:
     Modes are truncated at ``default_cutoffs(params)``.  The optics stage
     (preparation, both cross-Kerr phases, the recombiner) does not depend on
     eta; it yields the dark-port distribution P(d) and the P(d)-weighted
-    probe mean field at each fixed d.  Its last result is cached under
-    ``_register_key(params)``, so a call that differs from the previous one
+    probe mean field at each fixed d.  Its last result is cached under the
+    point with eta set to 1, so a call that differs from the previous one
     only in eta skips it.  A point that raises is not cached and raises
     again.  The detector stage then acts on d with the binomial
     weights w0 = (1-eta)^d (no click) and w1 = d eta (1-eta)^(d-1) (one
     click), by one rule for both branches: the probability is the sum of
     w_k(d) P(d), and the phase is the argument of the w_k(d)-weighted sum
     of the P(d)-weighted fields (the undetected d - k photons are
-    orthogonal across d), or nan below ``DEGENERATE_NORM2``.  ``p_multi``
+    orthogonal across d), or nan below ``DEGENERATE_NORM2`` or where that
+    sum is exactly 0 (a vacuum probe, beta = 0, has no phase).  ``p_multi``
     is what the two branches leave of P(d): its sum less both branch
     probabilities, floored at 0.
     """
-    deficit, dark, fields = _optics_stage(*_register_key(params))
+    deficit, dark, fields = _optics_stage(replace(params, eta=1.0))
     d = np.arange(dark.size)
     w_noclick = (1.0 - params.eta) ** d
     # the factor d makes w1(0) exactly 0, also where 0**0 = 1 at eta = 1
@@ -174,7 +161,8 @@ def run_protocol(params: InterferometerParams) -> ProtocolResult:
     # beta >= 0 is real, so the unperturbed probe field has phase exactly 0
     branches = [(float(w @ dark), complex(w @ fields)) for w in (w_noclick, w_click)]
     (p_noclick, phase_noclick), (p_click, phase_click) = (
-        (p, math.nan if p < DEGENERATE_NORM2 else cmath.phase(field)) for p, field in branches
+        (p, math.nan if p < DEGENERATE_NORM2 or field == 0 else cmath.phase(field))
+        for p, field in branches
     )
     return ProtocolResult(
         p_click=p_click,
@@ -203,7 +191,7 @@ def _sweep_row(params: InterferometerParams) -> SweepRow:
         result = run_protocol(params)
     except Exception as exc:  # recorded in-row by contract
         return SweepRow(params, prediction, None, math.nan, verdict, note=f"error: {exc}")
-    # a branch below DEGENERATE_NORM2 has a nan phase
+    # a degenerate branch (below DEGENERATE_NORM2, or a zero field) has a nan phase
     note = "degenerate branch" if math.isnan(result.differential_exact) else ""
     rel = math.nan if note else differential_rel_error(result, prediction)
     return SweepRow(params, prediction, result, rel, verdict, note=note)
@@ -214,13 +202,10 @@ def sweep_validity(params_grid: Iterable[InterferometerParams]) -> list[SweepRow
 
     One row per point, in grid order; per-point failures (truncation,
     degenerate branches) are recorded in the row note and never abort the
-    sweep.  The points run in ``_register_key`` order, a stable sort, so
-    each register is built once whatever the grid's order, and the rows are
-    independent of it.
+    sweep.  Each row depends on its point alone, never on the grid's order;
+    adjacent points that differ only in eta build one register.
     """
-    grid = list(params_grid)
-    if not grid:
+    rows = [_sweep_row(p) for p in params_grid]
+    if not rows:
         raise ValueError("parameter grid is empty")
-    order = sorted(range(len(grid)), key=lambda i: _register_key(grid[i]))
-    rows = {i: _sweep_row(grid[i]) for i in order}
-    return [rows[i] for i in range(len(grid))]
+    return rows

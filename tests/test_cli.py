@@ -191,6 +191,23 @@ class TestOracleValidate:
         )
         assert f"1 points, {summary} tolerance" in result.stderr
 
+    def test_vacuum_probe_row_is_degenerate_and_not_gated(self, runner, tmp_path):
+        # beta = 0: the valid-regime point's conditioned probe fields are
+        # exactly 0, so it has no differential to compare
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps(
+            {"alpha": [0.3], "delta": [0.1], "beta": [0.0], "eta": [1.0], "phi_bar_urad": [1000.0]}
+        ))
+        out = tmp_path / "oracle.csv"
+        result = runner.invoke(
+            main, ["oracle-validate", "--config", str(config), "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        _, _, (row,) = parse_csv(out.read_text())
+        assert row["verdict"] == "valid (degenerate branch)"
+        assert row["diff_exact"] == row["rel_error"] == "nan"
+        assert "1 points, 0 valid, 0 above tolerance" in result.stderr
+
     def test_malformed_config_names_field(self, runner, tmp_path):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps(dict(SMALL_ORACLE, delta="not-a-list")))
@@ -319,7 +336,9 @@ class TestFig3:
 
 class TestFig4:
     @pytest.mark.parametrize(
-        "command,scale", [("fig4", "3e-4"), ("snr", "0.2")], ids=["fig4", "snr"]
+        "command,scale",
+        [("fig3", "3e-4"), ("fig4", "3e-4"), ("snr", "0.2")],
+        ids=["fig3", "fig4", "snr"],
     )
     def test_byte_identical_across_worker_counts(self, runner, tmp_path, command, scale):
         outs = []
@@ -331,7 +350,9 @@ class TestFig4:
                  "--trials-scale", scale, "--workers", str(workers)],
             )
             assert result.exit_code == 0, result.output
-            outs.append(out.read_bytes())
+            # fig3 and fig4 also write their fit to a sidecar
+            files = [out] if command == "snr" else [out, out.with_suffix(".fit.json")]
+            outs.append([path.read_bytes() for path in files])
         assert outs[0] == outs[1]
 
     def test_fit_json_sidecar(self, runner, tmp_path):

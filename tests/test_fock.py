@@ -503,9 +503,19 @@ def built(monkeypatch):
 
 
 class TestBeamSplitterBlocks:
-    @pytest.mark.parametrize("total", [100, 200, 400])
-    @pytest.mark.parametrize("theta", [0.813, -2.1, math.pi / 2])
-    def test_unitary_at_large_n(self, total, theta):
+    @pytest.mark.parametrize(
+        "theta,total",
+        [
+            *itertools.product([0.813, -2.1, math.pi / 2], [100, 200, 400]),
+            # the recombiner angles -(pi/4 + atan(delta)) at delta = 0.1 and 1;
+            # the campaign's n_bar = 95 point at a small probe builds blocks
+            # up to N = 326 at each, and every block up to N = 400 is checked
+            # as it is built
+            (-(math.pi / 4 + math.atan(0.1)), 400),
+            (-math.pi / 2, 400),
+        ],
+    )
+    def test_unitary_at_large_n(self, theta, total):
         (block,) = itertools.islice(fock._blocks(theta, total + 1), total, None)
         gram = block @ block.T
         assert np.max(np.abs(gram - np.eye(total + 1))) < 1e-12

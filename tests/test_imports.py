@@ -80,7 +80,8 @@ simulate_trials(params, NoiseModel(), 1_000_000, 1, workers=4)
 check("simulate_trials")
 """
 
-# the scale of CI's Monte Carlo runs of the console script
+# the default --trials-scale, so the bytes compared are what a run without
+# the flag writes
 MONTE_CARLO_BYTES = f"""
 for command in {MONTE_CARLO_COMMANDS}:
     cli(command, command, "--seed", "1", "--trials-scale", "0.01", "--out", command + ".out")

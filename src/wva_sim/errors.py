@@ -31,7 +31,7 @@ class BlockUnitarityError(RuntimeError):
 
 
 class TruncationWarning(UserWarning):
-    """State has non-negligible weight on the last retained Fock level."""
+    """An operation leaked norm past the mode cutoffs, below the failure tolerance."""
 
 
 class DegenerateStateError(ValueError):

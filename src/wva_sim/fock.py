@@ -48,9 +48,9 @@ np = lazy_numpy()
 # the entries of the beam-splitter blocks one rotation builds.
 DEFAULT_AMPLITUDE_BUDGET = 64_000_000
 
-# Beam-splitter leakage handling: warn when the last retained level of an
-# affected mode carries more weight than WARN_TOL, fail when the realized
-# leaked norm^2 exceeds FAIL_TOL.
+# Beam-splitter leakage handling: the norm^2 one rotation loses past the
+# cutoffs, as measured from its input and output, warns past WARN_TOL and
+# fails past FAIL_TOL.
 LEAK_WARN_TOL = 1e-9
 LEAK_FAIL_TOL = 1e-6
 
@@ -92,11 +92,6 @@ def norm_squared(state: FockRegister) -> float:
     return float(np.vdot(state.amplitudes, state.amplitudes).real)
 
 
-def truncation_deficit(state: FockRegister) -> float:
-    """Norm^2 missing relative to a unit-norm preparation (clipped at 0)."""
-    return max(0.0, 1.0 - norm_squared(state))
-
-
 def suggested_cutoff(amplitude: complex) -> int:
     """Cutoff keeping the Poisson tail of a coherent state below ~1e-9."""
     a = abs(amplitude)
@@ -109,9 +104,8 @@ def make_coherent(amplitude: complex, cutoff: int) -> FockRegister:
     |c_n| is built in log space, -|a|^2/2 + n ln|a| - lgamma(n+1)/2 with
     :func:`math.lgamma` (the C library's), and its phase is n arg(a): a
     recursion from c_0 = exp(-|a|^2/2) starts subnormal past |a|^2 of
-    about 1416 and loses the whole state.  The truncation deficit
-    1 - sum |c_n|^2 is recoverable from the returned register via
-    :func:`truncation_deficit`.
+    about 1416 and loses the whole state.  The truncation deficit is
+    1 - sum |c_n|^2, one minus the returned register's ``norm_squared``.
     """
     if not (np.isfinite(np.real(amplitude)) and np.isfinite(np.imag(amplitude))):
         raise ValueError(f"coherent amplitude must be finite, got {amplitude!r}")
@@ -229,11 +223,10 @@ def apply_beam_splitter(
     unitary block (``_blocks``), built when the rotation reaches it and
     dropped after use.  Blocks whose entries would exceed the amplitude
     budget raise RegisterBudgetError before any is built.
-    Multiplets that do not fit inside the cutoffs lose their clipped part;
-    the lost norm^2 is raised as a truncation error past LEAK_FAIL_TOL.
-    A truncation warning is raised when the weight on the last retained
-    level of either mode (the union of the two edges, so their shared
-    corner counts once) exceeds LEAK_WARN_TOL.
+    Multiplets that do not fit inside the cutoffs lose their clipped part.
+    That loss is the measured leak, the input's norm^2 less the output's:
+    warned past LEAK_WARN_TOL (a TruncationWarning naming the caller's
+    line), raised past LEAK_FAIL_TOL (a TruncationError).
 
     Each multiplet is rotated where it lies: the levels (m, N - m) of the
     two modes that fit inside the cutoffs are gathered for all other modes
@@ -256,16 +249,6 @@ def apply_beam_splitter(
             f"budget is {DEFAULT_AMPLITUDE_BUDGET}"
         )
     source = np.moveaxis(state.amplitudes, (mode_a, mode_b), (0, 1))
-
-    # the last level of either mode, their shared corner counted once
-    edge = sum(float(np.vdot(x, x).real) for x in (source[-1], source[:-1, -1]))
-    if edge > LEAK_WARN_TOL:
-        warnings.warn(
-            f"beam splitter input has weight {edge:.3e} on the last Fock level",
-            TruncationWarning,
-            stacklevel=2,
-        )
-
     out = np.empty(state.cutoffs, dtype=np.complex128)
     target = np.moveaxis(out, (mode_a, mode_b), (0, 1))
     for total, block in enumerate(_blocks(float(theta), count)):
@@ -284,6 +267,13 @@ def apply_beam_splitter(
         raise TruncationError(
             f"beam splitter leaked norm^2 {leaked:.3e} past the cutoffs "
             f"(tolerance {LEAK_FAIL_TOL:.1e})"
+        )
+    if leaked > LEAK_WARN_TOL:
+        warnings.warn(
+            f"beam splitter leaked norm^2 {leaked:.3e} past the cutoffs "
+            f"(tolerance {LEAK_WARN_TOL:.1e})",
+            TruncationWarning,
+            stacklevel=2,
         )
     return FockRegister(out)
 

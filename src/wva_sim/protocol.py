@@ -21,14 +21,15 @@ reference run.  Outcomes with two or more detected photons are tallied into
 
 ``run_protocol`` runs in two stages.  The optics stage (preparation, both
 cross-Kerr phases, the recombiner) does not involve eta; it reduces the
-register to the truncation deficit, the dark-port distribution P(d) and the
-P(d)-weighted probe mean field at each d with P(d) > 0.  The detector stage
-weighs those per-d results with the POVM.  The optics stage is cached with
-one entry, keyed on the point with eta set to 1; the entry holds the three
-O(cutoff) results, never the register.  ``sweep_validity`` runs its points
-in grid order, so points that differ only in eta share one optics stage
-when they are adjacent, as in ``oracle-validate``'s grid, where eta varies
-fastest.
+register to the dark-port distribution P(d) and the P(d)-weighted probe
+mean field at each d with P(d) > 0.  The sum of P(d) is the register's
+norm^2, so its shortfall from 1 is the truncation deficit.  The detector
+stage weighs the per-d results with the POVM.  The optics stage is cached
+with one entry, keyed on the point with eta set to 1; the entry holds the
+two O(cutoff) arrays, never the register.  ``sweep_validity`` runs its
+points in grid order, so points that differ only in eta share one optics
+stage when they are adjacent, as in ``oracle-validate``'s grid, where eta
+varies fastest.
 
 Everything here is deterministic; sweeps are embarrassingly parallel.
 """
@@ -95,14 +96,14 @@ def default_cutoffs(params: InterferometerParams) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=1)
-def _optics_stage(optics: InterferometerParams) -> tuple[float, np.ndarray, np.ndarray]:
+def _optics_stage(optics: InterferometerParams) -> tuple[np.ndarray, np.ndarray]:
     """The eta-independent stage: prepare, phase and recombine the register.
 
     ``optics`` is a point with eta set to 1, so points that differ only in
-    eta share its one cache entry.  Returns the truncation deficit, the
-    dark-port distribution P(d) and the P(d)-weighted probe field at every d
-    with P(d) > 0, the arrays read-only.  The entry keeps these O(cutoff)
-    results, never the register.  A register over the amplitude budget
+    eta share its one cache entry.  Returns the dark-port distribution P(d),
+    whose sum is the register's norm^2, and the P(d)-weighted probe field at
+    every d with P(d) > 0, both read-only.  The entry keeps these O(cutoff)
+    arrays, never the register.  A register over the amplitude budget
     raises RegisterBudgetError before any mode is built, since a mode's
     cutoff grows as its amplitude squared.
     """
@@ -124,14 +125,13 @@ def _optics_stage(optics: InterferometerParams) -> tuple[float, np.ndarray, np.n
     # modes: 0 dark port, 1 bright port, 2 probe; with the dark port first,
     # each projection onto a dark-port count is a contiguous slice
 
-    deficit = fock.truncation_deficit(reg)
     dark = fock.fock_distribution(reg, 0)
     fields = np.zeros(dark.size, dtype=np.complex128)
     for n in np.flatnonzero(dark > 0.0):
         fields[n] = dark[n] * fock.mean_field(fock.project_fock(reg, 0, int(n)), 1)
     dark.setflags(write=False)
     fields.setflags(write=False)
-    return deficit, dark, fields
+    return dark, fields
 
 
 def run_protocol(params: InterferometerParams) -> ProtocolResult:
@@ -149,11 +149,12 @@ def run_protocol(params: InterferometerParams) -> ProtocolResult:
     w_k(d) P(d), and the phase is the argument of the w_k(d)-weighted sum
     of the P(d)-weighted fields (the undetected d - k photons are
     orthogonal across d), or nan below ``DEGENERATE_NORM2`` or where that
-    sum is exactly 0 (a vacuum probe, beta = 0, has no phase).  ``p_multi``
-    is what the two branches leave of P(d): its sum less both branch
-    probabilities, floored at 0.
+    sum is exactly 0 (a vacuum probe, beta = 0, has no phase).  The sum of
+    P(d) is the register's norm^2: its shortfall from 1, floored at 0, is
+    the truncation deficit, and ``p_multi`` is what the two branches leave
+    of that sum, the sum less both branch probabilities, floored at 0.
     """
-    deficit, dark, fields = _optics_stage(replace(params, eta=1.0))
+    dark, fields = _optics_stage(replace(params, eta=1.0))
     d = np.arange(dark.size)
     w_noclick = (1.0 - params.eta) ** d
     # the factor d makes w1(0) exactly 0, also where 0**0 = 1 at eta = 1
@@ -164,13 +165,14 @@ def run_protocol(params: InterferometerParams) -> ProtocolResult:
         (p, math.nan if p < DEGENERATE_NORM2 or field == 0 else cmath.phase(field))
         for p, field in branches
     )
+    total = float(dark.sum())
     return ProtocolResult(
         p_click=p_click,
         p_noclick=p_noclick,
-        p_multi=max(0.0, float(dark.sum()) - p_noclick - p_click),
+        p_multi=max(0.0, total - p_noclick - p_click),
         phase_click_exact=phase_click,
         phase_noclick_exact=phase_noclick,
-        truncation_deficit=deficit,
+        truncation_deficit=max(0.0, 1.0 - total),
     )
 
 

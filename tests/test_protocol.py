@@ -92,6 +92,21 @@ class TestRunProtocol:
         assert total == pytest.approx(1.0 - r.truncation_deficit, abs=1e-10)
         assert r.truncation_deficit < 1e-8
 
+    @pytest.mark.parametrize(
+        "alpha,beta,delta,eta",
+        [
+            *itertools.product((0.5, 2.0), (0.5, 2.0), (0.1, 0.3, 1.0), (0.2, 1.0)),
+            (1.0, 44.72, 0.2, 1.0),  # the campaign probe
+        ],
+    )
+    def test_deficit_is_dense_register_shortfall(self, alpha, beta, delta, eta):
+        # the deficit comes from the sum of P(d), which is the recombined
+        # register's norm^2 summed in another order
+        params = make_params(alpha=alpha, beta=beta, delta=delta, eta=eta)
+        reg = recombined_register(params)
+        deficit = run_protocol(params).truncation_deficit
+        assert deficit == pytest.approx(1.0 - fock.norm_squared(reg), rel=0, abs=1e-12)
+
     def test_campaign_point_dense_register(self):
         # n_bar = 10, delta = 0.32, eta = 0.2 with the campaign probe
         # beta = 44.72: a 39 x 39 x 2279 register, about 0.35 s and 150 MB
@@ -187,7 +202,7 @@ class TestRunProtocol:
         # at eta = 1 the no-click branch is d = 0 and the click branch d = 1
         dark = np.array(dark)
         fields = dark * np.exp(1j * np.array([0.1, 0.2, 0.3]))
-        monkeypatch.setattr(protocol, "_optics_stage", lambda *args: (0.0, dark, fields))
+        monkeypatch.setattr(protocol, "_optics_stage", lambda *args: (dark, fields))
         r = run_protocol(make_params(eta=1.0))
         assert (r.p_noclick, r.p_click) == (dark[0], dark[1])
         assert math.isnan(getattr(r, nan_phase))
@@ -256,9 +271,8 @@ class TestOpticsCache:
         p = make_params(alpha=0.8, eta=0.5)
         run_protocol(p)
         # keyed on the point with eta set to 1, as run_protocol keys it
-        deficit, dark, fields = protocol._optics_stage(dataclasses.replace(p, eta=1.0))
+        dark, fields = protocol._optics_stage(dataclasses.replace(p, eta=1.0))
         assert protocol._optics_stage.cache_info().hits == 1
-        assert deficit == run_protocol(p).truncation_deficit
         for array in (dark, fields):
             assert array.shape == (default_cutoffs(p)[1],)
             assert not array.flags.writeable

@@ -316,6 +316,39 @@ class TestBeamSplitter:
             fock.apply_beam_splitter(reg, 1, 1, 0.1)
 
     @pytest.mark.parametrize(
+        "level,weight,warns",
+        [((2, 3), 1e-9, False), ((2, 0), 0.5, False), ((1, 3), 1e-8, True),
+         ((2, 3), 1e-8, True)],
+        ids=["corner-below-tol", "first-mode-edge", "second-mode-edge", "corner-above-tol"],
+    )
+    @pytest.mark.parametrize("modes", [(0, 1), (1, 0)], ids=["small-first", "large-first"])
+    def test_edge_weight_counts_corner_once(self, level, weight, warns, modes):
+        # the only last-level weight sits at ``level`` of a (3, 4) register;
+        # the corner (2, 3) is on both modes' last level but is one amplitude,
+        # so it leaks once: what its multiplet's rotation carries past the
+        # cutoffs. (2, 0) is on a last level, but its multiplet N = 2 fits
+        # whole, so even half the norm there leaks nothing
+        amps = np.zeros((3, 4), dtype=np.complex128)
+        amps[0, 0] = math.sqrt(1.0 - weight)
+        amps[level] = math.sqrt(weight)
+        total = sum(level)
+        column = scipy.linalg.expm(0.2 * hopping_generator(total))[:, level[0]]
+        clipped = [m >= 3 or total - m >= 4 for m in range(total + 1)]
+        expected = weight * float(np.sum(np.abs(column[clipped]) ** 2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = fock.apply_beam_splitter(fock.FockRegister(amps), *modes, 0.2)
+        raised = [w for w in caught if issubclass(w.category, TruncationWarning)]
+        leaked = 1.0 - fock.norm_squared(out)
+        assert leaked == pytest.approx(expected, rel=0, abs=1e-15)
+        assert (expected > fock.LEAK_WARN_TOL) == warns
+        if not warns:
+            assert raised == []
+        else:
+            assert len(raised) == 1 and f"norm^2 {leaked:.3e} past" in str(raised[0].message)
+            assert raised[0].filename == __file__
+
+    @pytest.mark.parametrize(
         "levels,theta,warns",
         [((3, 3), 0.005, True), ((3, 3), 0.001, False), ((4, 0), 0.3, False)],
         ids=["leak-above-warn-tol", "leak-below-warn-tol", "lossless-last-level"],
@@ -476,6 +509,13 @@ class TestHelpers:
         with pytest.raises(ValueError):
             fock.make_fock(3, 3)
         assert fock.make_fock(2, 3).amplitudes[2] == 1.0
+
+    def test_beam_splitter_block_unitarity_large_n(self):
+        blocks = list(itertools.islice(fock._blocks(0.813, 56), 56))
+        for total in (10, 25, 40, 55):
+            block = blocks[total]
+            gram = block.T @ block
+            assert np.max(np.abs(gram - np.eye(total + 1))) < 1e-12
 
 
 def hopping_generator(total):

@@ -32,10 +32,13 @@ internals run in radians.
 Monte Carlo commands require an explicit --seed (no silent entropy).
 The probe amplitude beta is an oracle parameter: the Monte Carlo reads no
 beta, and its campaign value is presets.PROBE_AMPLITUDE.
-Every command checks, in this order and before any work: --out, --workers
-(at least 1), --seed (an unsigned 64-bit integer) and then the merged
-config.  --workers is checked there and read nowhere else, so it never
-appears in output and never changes it.
+Every command checks, in this order: --out, --workers (at least 1), --seed
+(an unsigned 64-bit integer) and then the merged config, all before any
+work but two checks of the Monte Carlo commands: a point's trial count and
+click probability are checked as that point is drawn.  Every point is
+drawn before any is estimated or written, so these config errors still
+come before every estimation or fit failure.  --workers is checked there
+and read nowhere else, so it never appears in output and never changes it.
 """
 
 from __future__ import annotations
@@ -274,14 +277,15 @@ def _simulate_points(points, phase_sigma, scale, seed) -> list:
 
     Entry ``i`` of ``points`` is ``(field, CampaignPoint, phi_bar_urad,
     span_urad)``; it runs ``max(2, round(point.n_total * scale))`` trials on
-    ``_point_seed(seed, i)``, and is reduced to its EstimatorResult as it is
-    simulated, in constant memory.  A point whose ``n_total * scale``
-    reaches 2^63, more than the count draws take, is a config error at
-    ``trials_scale``; one whose signal click probability is not in [0, 1)
-    is a config error at ``field``.  Returns ``(point, trials,
+    ``_point_seed(seed, i)`` into its TrialStats, in constant memory.  A
+    point whose ``n_total * scale`` reaches 2^63, more than the count draws
+    take, is a config error at ``trials_scale``; one whose signal click
+    probability is not in [0, 1) is a config error at ``field``.  Every
+    point is drawn before any is estimated, so these config errors come
+    before any estimation failure.  Returns ``(point, trials,
     EstimatorResult)`` for each entry.
     """
-    results = []
+    drawn = []
     for i, (field, point, phi_bar_urad, span_urad) in enumerate(points):
         params = presets.point_params(point, phi_bar_urad, span_urad)
         noise = NoiseModel(phase_sigma, point.background)
@@ -292,8 +296,8 @@ def _simulate_points(points, phase_sigma, scale, seed) -> list:
             stats = simulate_trials(params, noise, trials, _point_seed(seed, i), p_signal=point.p_signal)
         except InvalidRegimeError as exc:
             raise FieldError(field, str(exc)) from exc
-        results.append((point, trials, estimate_phases(stats)))
-    return results
+        drawn.append((point, trials, stats))
+    return [(point, trials, estimate_phases(stats)) for point, trials, stats in drawn]
 
 
 def _campaign(command, config, seed, out_path, fit_name, fit, columns, cells) -> None:
@@ -428,7 +432,6 @@ _MONTE_CARLO_OPTIONS = (
     "oracle-validate",
     ORACLE_DEFAULTS,
     ("--seed", {"type": int, "help": "Echoed for provenance; this command is deterministic."}),
-    ("--tolerance", {"type": float, "help": "Override the relative-error gate."}),
 )
 def oracle_validate(config, out_path, seed) -> None:
     """Sweep the exact pipeline against the closed forms; gate valid rows."""

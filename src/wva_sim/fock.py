@@ -144,12 +144,13 @@ def tensor(a: FockRegister, b: FockRegister) -> FockRegister:
     return FockRegister(np.multiply.outer(a.amplitudes, b.amplitudes))
 
 
-def _check_mode(state: FockRegister, mode: int) -> int:
-    if not 0 <= mode < state.amplitudes.ndim:
-        raise ValueError(
-            f"mode index {mode} outside register of {state.amplitudes.ndim} modes"
-        )
-    return mode
+def _check_modes(state: FockRegister, *modes: int) -> None:
+    """Raise ValueError unless ``modes`` are distinct axes of ``state``."""
+    for mode in modes:
+        if not 0 <= mode < state.amplitudes.ndim:
+            raise ValueError(f"mode index {mode} outside register of {state.amplitudes.ndim} modes")
+    if len(set(modes)) < len(modes):
+        raise ValueError(f"two-mode operation needs distinct modes, got {modes}")
 
 
 def _block_entries(count: int) -> int:
@@ -234,10 +235,7 @@ def apply_beam_splitter(
     and scattered into the result.  The block index m is always mode_a's
     level, so the blocks are built at the caller's own angle.
     """
-    mode_a = _check_mode(state, mode_a)
-    mode_b = _check_mode(state, mode_b)
-    if mode_a == mode_b:
-        raise ValueError("beam splitter needs two distinct modes")
+    _check_modes(state, mode_a, mode_b)
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
     cut_a, cut_b = state.cutoffs[mode_a], state.cutoffs[mode_b]
@@ -282,10 +280,7 @@ def apply_cross_kerr(
     state: FockRegister, mode_s: int, mode_pr: int, phi: float
 ) -> FockRegister:
     """Diagonal phase exp(i phi n_s n_pr); magnitudes are untouched."""
-    mode_s = _check_mode(state, mode_s)
-    mode_pr = _check_mode(state, mode_pr)
-    if mode_s == mode_pr:
-        raise ValueError("cross-Kerr coupling needs two distinct modes")
+    _check_modes(state, mode_s, mode_pr)
     if not math.isfinite(phi):
         raise ValueError("phi must be finite")
     # level grids, one per axis, so the phase table broadcasts over the rest
@@ -310,7 +305,7 @@ def project_fock(state: FockRegister, mode: int, n: int) -> FockRegister:
     Its ``norm_squared`` is the outcome probability.  Its amplitudes are a
     read-only view into the parent's, not a copy.
     """
-    mode = _check_mode(state, mode)
+    _check_modes(state, mode)
     if not 0 <= n < state.cutoffs[mode]:
         raise ValueError(f"Fock level {n} outside mode cutoff {state.cutoffs[mode]}")
     return FockRegister(state.amplitudes[(slice(None),) * mode + (n,)])
@@ -318,13 +313,13 @@ def project_fock(state: FockRegister, mode: int, n: int) -> FockRegister:
 
 def fock_distribution(state: FockRegister, mode: int) -> np.ndarray:
     """Occupation probabilities P(n) for one mode; they sum to norm_squared."""
-    mode = _check_mode(state, mode)
+    _check_modes(state, mode)
     return np.square(np.abs(_levels(state.amplitudes, mode))).sum(axis=(0, 2))
 
 
 def mean_field(state: FockRegister, mode: int) -> complex:
     """Conditional mean field <a> = <psi|a|psi> / <psi|psi> for one mode."""
-    mode = _check_mode(state, mode)
+    _check_modes(state, mode)
     n2 = norm_squared(state)
     if n2 <= 0.0:
         raise DegenerateStateError("mean field of a zero-norm state is undefined")

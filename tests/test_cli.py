@@ -54,7 +54,7 @@ def test_version(runner):
 
 
 COMMAND_OPTIONS = {
-    "oracle-validate": ["--config", "--out", "--seed", "--tolerance"],
+    "oracle-validate": ["--config", "--out", "--seed"],
     **dict.fromkeys(["fig3", "fig4", "snr"], ["--config", "--out", "--seed", "--trials-scale", "--workers"]),
 }
 
@@ -111,13 +111,11 @@ class TestOracleValidate:
         _, _, rows = parse_csv(out.read_text())
         assert all(row["verdict"] == "invalid" for row in rows)
 
-    def test_tolerance_flag_gates_exit_code(self, runner, tmp_path):
+    def test_tolerance_gates_exit_code(self, runner, tmp_path):
         config = tmp_path / "grid.json"
-        config.write_text(json.dumps(SMALL_ORACLE))
+        config.write_text(json.dumps(dict(SMALL_ORACLE, tolerance=1e-9)))
         result = runner.invoke(
-            main,
-            ["oracle-validate", "--config", str(config), "--out",
-             str(tmp_path / "o.csv"), "--tolerance", "1e-9"],
+            main, ["oracle-validate", "--config", str(config), "--out", str(tmp_path / "o.csv")]
         )
         assert result.exit_code == 2
 
@@ -337,8 +335,8 @@ class TestFig3:
 class TestFig4:
     @pytest.mark.parametrize(
         "command,scale",
-        [("fig3", "3e-4"), ("fig4", "3e-4"), ("snr", "0.2")],
-        ids=["fig3", "fig4", "snr"],
+        [("fig3", "3e-4"), ("snr", "0.2")],
+        ids=["fig3", "snr"],
     )
     def test_byte_identical_across_worker_counts(self, runner, tmp_path, command, scale):
         outs = []
@@ -407,7 +405,7 @@ class TestFig4:
 
     @pytest.mark.parametrize(
         "command,flag",
-        [("fig3", "--workers"), ("fig4", "--trials-scale"), ("oracle-validate", "--tolerance")],
+        [("fig3", "--workers"), ("fig4", "--trials-scale")],
     )
     def test_flag_of_wrong_type_is_usage_error(self, runner, command, flag):
         result = runner.invoke(main, [command, "--seed", "1", flag, "abc"])
@@ -539,7 +537,7 @@ FIG4_POINT = {"n_bar": 95, "delta": 0.1, "eta": 0.2, "n_total": 1000, "backgroun
         ("snr", [], ["--seed", "1"], "<config>"),
         ("oracle-validate", dict(SMALL_ORACLE, alpha=[-1.0]), [], "alpha"),
         ("oracle-validate", dict(SMALL_ORACLE, span_over_phi_bar=-1), [], "span_over_phi_bar"),
-        ("oracle-validate", SMALL_ORACLE, ["--tolerance", "-1"], "tolerance"),
+        ("oracle-validate", dict(SMALL_ORACLE, tolerance=-1), [], "tolerance"),
         ("oracle-validate", SMALL_ORACLE, ["--seed", "-1"], "seed"),
         ("oracle-validate", SMALL_ORACLE, ["--seed", str(2**64)], "seed"),
         ("snr", {"n_trials": 2000000.5}, ["--seed", "1"], "n_trials"),
@@ -637,6 +635,32 @@ def test_overflowed_stderr_is_estimation_failure(runner, tmp_path, command, scal
     assert "estimation failure" in result.output
 
 
+# two trials leave too few clicks to estimate, so this point fails estimation
+STARVED_POINT = dict(FIG4_POINT, n_total=2)
+# eta delta^2 n_bar = 1.2: a signal click probability past 1
+OVERFULL = {"n_bar": 40, "delta": 1.0, "eta": 0.03}
+
+
+@pytest.mark.parametrize(
+    "command,config,field",
+    [
+        ("fig3", {"points": [STARVED_POINT, dict(FIG4_POINT, **OVERFULL)]}, "points[1]"),
+        ("fig3", {"points": [STARVED_POINT, dict(FIG4_POINT, **OVERFULL, n_total=1e300)]},
+         "trials_scale"),
+        ("snr", {"n_trials": 2, "direct": dict(SNR_DEFAULTS["direct"], **OVERFULL)}, "direct"),
+    ],
+    ids=["click-probability", "trials-over-2-63", "snr-direct"],
+)
+def test_config_error_beats_earlier_estimation_failure(runner, tmp_path, command, config, field):
+    # every point is drawn before any is estimated, so a later point's config
+    # error is reported ahead of an earlier point's estimation failure
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    result = runner.invoke(main, [command, "--config", str(path), "--seed", "1"])
+    assert result.exit_code == 1, result.output
+    assert f"field '{field}'" in result.output
+
+
 def echoed_config(command, output):
     if command == "snr":
         return json.loads(output)["config"]
@@ -694,28 +718,6 @@ def test_echoed_config_alone_reproduces_output(runner, tmp_path, command, flags)
 
 
 @pytest.mark.parametrize(
-    "command,flags",
-    [
-        ("oracle-validate", []),
-        ("fig3", ["--seed", "1", "--trials-scale", "1e-3"]),
-        ("snr", ["--seed", "1", "--trials-scale", "0.01"]),
-    ],
-    ids=["oracle-validate", "fig3", "snr"],
-)
-def test_unwritable_out_is_config_error(runner, tmp_path, command, flags):
-    if command == "oracle-validate":
-        small = tmp_path / "small.json"
-        small.write_text(json.dumps(SMALL_ORACLE))
-        flags = ["--config", str(small)]
-    result = runner.invoke(main, [command, *flags, "--out", str(tmp_path / "missing" / "x.csv")])
-    assert result.exit_code == 1, result.output
-    assert "config error" in result.output
-    assert "field 'out'" in result.output
-    assert isinstance(result.exception, SystemExit)
-    assert "Traceback" not in result.output
-
-
-@pytest.mark.parametrize(
     "command,flags,engine",
     [
         ("oracle-validate", [], "sweep_validity"),
@@ -730,8 +732,10 @@ def test_unwritable_out_rejected_before_any_run(runner, tmp_path, monkeypatch, c
     monkeypatch.setattr(cli, engine, lambda *args, **kwargs: calls.append(args))
     result = runner.invoke(main, [command, *flags, "--out", str(tmp_path / "missing" / "x.csv")])
     assert result.exit_code == 1, result.output
+    assert "config error" in result.output
     assert "field 'out'" in result.output
     assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
     assert calls == []
 
 
@@ -753,9 +757,9 @@ def test_out_probe_leaves_files_as_they_were(runner, tmp_path):
     kept.write_text("earlier result\n")
     link.symlink_to(tmp_path / "target.csv")
     for out in (fresh, kept, link):
-        result = runner.invoke(main, ["oracle-validate", "--tolerance", "-1", "--out", str(out)])
+        result = runner.invoke(main, ["oracle-validate", "--seed", "-1", "--out", str(out)])
         assert result.exit_code == 1, result.output
-        assert "field 'tolerance'" in result.output
+        assert "field 'seed'" in result.output
     assert not fresh.exists()
     assert kept.read_text() == "earlier result\n"
     assert link.is_symlink() and os.readlink(link) == str(tmp_path / "target.csv")

@@ -312,7 +312,7 @@ class TestBeamSplitter:
 
     def test_same_mode_rejected(self):
         reg = fock.tensor(fock.make_fock(0, 3), fock.make_fock(0, 3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="distinct modes"):
             fock.apply_beam_splitter(reg, 1, 1, 0.1)
 
     @pytest.mark.parametrize(
@@ -510,13 +510,6 @@ class TestHelpers:
             fock.make_fock(3, 3)
         assert fock.make_fock(2, 3).amplitudes[2] == 1.0
 
-    def test_beam_splitter_block_unitarity_large_n(self):
-        blocks = list(itertools.islice(fock._blocks(0.813, 56), 56))
-        for total in (10, 25, 40, 55):
-            block = blocks[total]
-            gram = block.T @ block
-            assert np.max(np.abs(gram - np.eye(total + 1))) < 1e-12
-
 
 def hopping_generator(total):
     """K_N = a2+ a1 - a1+ a2 on the N-photon multiplet, rows indexed by output m."""
@@ -543,7 +536,9 @@ class TestBeamSplitterBlocks:
     @pytest.mark.parametrize(
         "theta,total",
         [
-            *itertools.product([0.813, -2.1, math.pi / 2], [100, 200, 400]),
+            # _blocks checks every block it yields, so each N = 400 case also
+            # covers the blocks below it at its angle
+            *itertools.product([0.813, -2.1, math.pi / 2], [400]),
             # the recombiner angles -(pi/4 + atan(delta)) at delta = 0.1 and 1;
             # the campaign's n_bar = 95 point at a small probe builds blocks
             # up to N = 326 at each, and every block up to N = 400 is checked
@@ -655,6 +650,10 @@ class TestRegisterInvariants:
             fock.project_fock(reg, -1, 0)
         with pytest.raises(ValueError, match="mode index 2"):
             fock.apply_cross_kerr(reg, 2, 0, 0.1)
+        with pytest.raises(ValueError, match="mode index 2"):
+            fock.fock_distribution(reg, 2)
+        with pytest.raises(ValueError, match="mode index -1"):
+            fock.mean_field(reg, -1)
 
     @pytest.mark.parametrize(
         "values,dtype",

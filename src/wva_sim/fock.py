@@ -24,6 +24,10 @@ share between threads or processes.  A projected register keeps its norm
 below one: its squared norm is the outcome probability.  Renormalizing,
 dividing the amplitudes by sqrt(norm_squared), is left to the caller
 because post-selection probabilities are data.
+
+Each function that uses numpy imports it when called, so importing this
+module does not load numpy; the ``np.ndarray`` annotations are never
+evaluated.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
-from . import lazy_numpy
 from .errors import (
     BlockUnitarityError,
     DegenerateStateError,
@@ -41,8 +44,6 @@ from .errors import (
     TruncationError,
     TruncationWarning,
 )
-
-np = lazy_numpy()
 
 # Amplitude-count ceiling for tensor products (~1 GiB of complex128) and for
 # the entries of the beam-splitter blocks one rotation builds.
@@ -72,6 +73,7 @@ class FockRegister:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
         if 0 in self.amplitudes.shape:
             raise ValueError(
                 f"amplitude tensor shape {self.amplitudes.shape} has a zero-length axis"
@@ -89,6 +91,7 @@ class FockRegister:
 
 
 def norm_squared(state: FockRegister) -> float:
+    import numpy as np
     return float(np.vdot(state.amplitudes, state.amplitudes).real)
 
 
@@ -107,6 +110,7 @@ def make_coherent(amplitude: complex, cutoff: int) -> FockRegister:
     about 1416 and loses the whole state.  The truncation deficit is
     1 - sum |c_n|^2, one minus the returned register's ``norm_squared``.
     """
+    import numpy as np
     if not (np.isfinite(np.real(amplitude)) and np.isfinite(np.imag(amplitude))):
         raise ValueError(f"coherent amplitude must be finite, got {amplitude!r}")
     n = np.arange(int(cutoff))
@@ -122,6 +126,7 @@ def make_coherent(amplitude: complex, cutoff: int) -> FockRegister:
 
 def make_fock(n: int, cutoff: int) -> FockRegister:
     """Single-mode number state |n>."""
+    import numpy as np
     cutoff = int(cutoff)
     if not 0 <= n < cutoff:
         raise ValueError(f"Fock level {n} outside [0, {cutoff - 1}]")
@@ -140,6 +145,7 @@ def check_register_size(size: int) -> None:
 
 def tensor(a: FockRegister, b: FockRegister) -> FockRegister:
     """Tensor product; mode axes concatenate and norms multiply."""
+    import numpy as np
     check_register_size(a.amplitudes.size * b.amplitudes.size)
     return FockRegister(np.multiply.outer(a.amplitudes, b.amplitudes))
 
@@ -168,6 +174,7 @@ def _next_block(prev: np.ndarray, roots: np.ndarray) -> np.ndarray:
     The rows of ``roots`` are sqrt(m), c sqrt(m) and s sqrt(m) for m = 1 .. N
     or beyond; each step reads their first N columns.
     """
+    import numpy as np
     total = prev.shape[0]
     up, c_up, s_up = roots[:, :total]  # sqrt(m) times 1, c and s; m = 1 .. N
     raised = prev * up  # columns m = 1 .. N
@@ -196,6 +203,7 @@ def _blocks(theta: float, count: int) -> Iterator[np.ndarray]:
     yielded: a departure from unitarity past BLOCK_UNITARITY_TOL raises
     BlockUnitarityError and ends the blocks there.
     """
+    import numpy as np
     factors = np.array([[1.0], [math.cos(theta)], [math.sin(theta)]])
     roots = factors * np.sqrt(np.arange(1.0, count))  # m = 1 .. count - 1
     block = np.ones((1, 1))
@@ -235,6 +243,7 @@ def apply_beam_splitter(
     and scattered into the result.  The block index m is always mode_a's
     level, so the blocks are built at the caller's own angle.
     """
+    import numpy as np
     _check_modes(state, mode_a, mode_b)
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
@@ -280,6 +289,7 @@ def apply_cross_kerr(
     state: FockRegister, mode_s: int, mode_pr: int, phi: float
 ) -> FockRegister:
     """Diagonal phase exp(i phi n_s n_pr); magnitudes are untouched."""
+    import numpy as np
     _check_modes(state, mode_s, mode_pr)
     if not math.isfinite(phi):
         raise ValueError("phi must be finite")
@@ -313,12 +323,14 @@ def project_fock(state: FockRegister, mode: int, n: int) -> FockRegister:
 
 def fock_distribution(state: FockRegister, mode: int) -> np.ndarray:
     """Occupation probabilities P(n) for one mode; they sum to norm_squared."""
+    import numpy as np
     _check_modes(state, mode)
     return np.square(np.abs(_levels(state.amplitudes, mode))).sum(axis=(0, 2))
 
 
 def mean_field(state: FockRegister, mode: int) -> complex:
     """Conditional mean field <a> = <psi|a|psi> / <psi|psi> for one mode."""
+    import numpy as np
     _check_modes(state, mode)
     n2 = norm_squared(state)
     if n2 <= 0.0:

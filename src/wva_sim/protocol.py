@@ -32,6 +32,9 @@ stage when they are adjacent, as in ``oracle-validate``'s grid, where eta
 varies fastest.
 
 Everything here is deterministic; sweeps are embarrassingly parallel.
+numpy is imported by each function that uses it, when called, so it
+loads on the first call; several threads may make that call together,
+since the import system's module lock loads numpy once for all of them.
 """
 
 from __future__ import annotations
@@ -42,10 +45,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable
 
-from . import fock, lazy_numpy
+from . import fock
 from .model import InterferometerParams, PhasePrediction, check_validity, predict_phases
-
-np = lazy_numpy()
 
 # A branch below this squared norm is degenerate: its phase is nan.
 DEGENERATE_NORM2 = 1e-30
@@ -107,6 +108,7 @@ def _optics_stage(optics: InterferometerParams) -> tuple[np.ndarray, np.ndarray]
     raises RegisterBudgetError before any mode is built, since a mode's
     cutoff grows as its amplitude squared.
     """
+    import numpy as np
     cutoffs = default_cutoffs(optics)
     fock.check_register_size(math.prod(cutoffs))
     arm1_cut, arm2_cut, probe_cut = cutoffs
@@ -154,6 +156,7 @@ def run_protocol(params: InterferometerParams) -> ProtocolResult:
     the truncation deficit, and ``p_multi`` is what the two branches leave
     of that sum, the sum less both branch probabilities, floored at 0.
     """
+    import numpy as np
     dark, fields = _optics_stage(replace(params, eta=1.0))
     d = np.arange(dark.size)
     w_noclick = (1.0 - params.eta) ** d

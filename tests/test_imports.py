@@ -25,9 +25,10 @@ SRC = str(Path(wva_sim.__file__).resolve().parents[1])
 # ``check(step)`` records, after a step: its exit code; whether scipy, click,
 # concurrent.futures (which imports logging; together they cost several
 # milliseconds) or logging is loaded; whether numpy executed, which counts
-# once any of its submodules is loaded, since importing wva_sim binds a lazy
-# numpy module that executes on its first attribute access; the OS thread
-# count; and whether os.environ is as the interpreter started with it.
+# once any of its submodules is loaded, so that a None entry blocking the
+# import is not numpy (only the oracle's functions import numpy, each when
+# it is called); the OS thread count; and whether os.environ is as the
+# interpreter started with it.
 PRELUDE = """
 import json, os, sys
 before = dict(os.environ)
@@ -87,7 +88,29 @@ for command in {MONTE_CARLO_COMMANDS}:
     cli(command, command, "--seed", "1", "--trials-scale", "0.01", "--out", command + ".out")
 """
 
+# numpy's first load, raced by four threads that call the oracle at once;
+# each records the exception it raised, if any
 ORACLE = """
+import threading
+from wva_sim import fock
+barrier = threading.Barrier(4)
+errors = []
+
+
+def first_call():
+    barrier.wait()
+    try:
+        fock.make_coherent(0.5, 5)
+    except Exception as exc:
+        errors.append(repr(exc))
+
+
+threads = [threading.Thread(target=first_call) for _ in range(4)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+facts["threaded first call"] = {"errors": errors}
 cli("oracle-validate", "oracle-validate", "--config", "one.json", "--out", "oracle.csv")
 """
 
@@ -158,6 +181,12 @@ def numpy_modes(workdir):
         name: run_fresh(setup + MONTE_CARLO_BYTES, workdir / name)
         for name, setup in (("blocked", BLOCK_NUMPY), ("loaded", LOAD_NUMPY))
     }
+
+
+def test_threaded_first_call_raises_nothing(oracle):
+    # the threads may not all have left the task list just after join, so
+    # the thread count is checked at the next step
+    assert oracle["threaded first call"] == {"errors": []}
 
 
 @pytest.mark.parametrize("module", ["wva_sim", "wva_sim.cli"])

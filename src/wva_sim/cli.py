@@ -14,12 +14,14 @@ result bit-exactly:
                    Carlo loop, on the seed that fig3 / fig4 point i uses
 
 Exit codes: 0 success, 1 config error, 2 tolerance, estimation or fit
-failure (an oracle point in the valid regime that raises among them, one
-over the amplitude budget too, which is rejected before any mode is built),
-or a usage error that the argument parser rejects (an unknown command or
-option, a missing --seed, a flag value of the wrong type; options are never
-abbreviated).  A config error is an errors.FieldError naming the rejected
-field: a frozen record's own rejection, reported under the config path it
+failure (among them an oracle point in the valid regime whose engine fails:
+over the amplitude budget, which is rejected before any mode is built, a
+truncation leak past its tolerance or a non-unitary block; any other
+exception, such as a missing numpy, propagates before any output is
+written), or a usage error that the argument parser rejects (an unknown
+command or option, a missing --seed, a flag value of the wrong type;
+options are never abbreviated).  A config error is an errors.FieldError
+naming the rejected field: a frozen record's own rejection, reported under the config path it
 was parsed from, a config file that cannot be read, is not UTF-8, is not
 JSON or nests deeper than the recursion limit (at <config>), a number too
 large for a float, an --out or fit sidecar that cannot be written (found
@@ -127,14 +129,8 @@ def _merged_config(defaults: dict, path: str | None, overrides: dict) -> dict:
         try:
             # JSON text is UTF-8 (RFC 8259), whatever the locale's encoding
             loaded = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise FieldError("<config>", f"cannot read {path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise FieldError("<config>", f"{path} is not UTF-8: {exc}") from exc
-        except ValueError as exc:  # a JSONDecodeError, or an integer past int_max_str_digits
-            raise FieldError("<config>", f"{path} is not valid JSON: {exc}") from exc
-        except RecursionError as exc:  # arrays or objects nested past the recursion limit
-            raise FieldError("<config>", f"{path} is nested too deeply: {exc}") from exc
+        except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
+            raise FieldError("<config>", f"cannot read {path} as JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise FieldError("<config>", "top level must be a JSON object")
         for key, value in loaded.items():

@@ -46,7 +46,8 @@ from .errors import (
 )
 
 # Amplitude-count ceiling for tensor products (~1 GiB of complex128) and for
-# the entries of the beam-splitter blocks one rotation builds.
+# the entries of the beam-splitter blocks one rotation builds, i.e. work, not
+# memory: a rotation holds two blocks at a time.
 DEFAULT_AMPLITUDE_BUDGET = 64_000_000
 
 # Beam-splitter leakage handling: the norm^2 one rotation loses past the

@@ -189,12 +189,14 @@ def differential_rel_error(result: ProtocolResult, prediction: PhasePrediction) 
 
 
 def _sweep_row(params: InterferometerParams) -> SweepRow:
-    """One point's row; a point that raises is recorded in the row's note."""
+    """One point's row.  A point whose engine fails (over the amplitude
+    budget, a truncation leak past its tolerance, a non-unitary block) is
+    recorded in the row's note; any other exception propagates."""
     prediction = predict_phases(params)
     verdict = check_validity(params).verdict
     try:
         result = run_protocol(params)
-    except Exception as exc:  # recorded in-row by contract
+    except (MemoryError, RuntimeError, ValueError) as exc:  # the bases of the engine's own errors
         return SweepRow(params, prediction, None, math.nan, verdict, note=f"error: {exc}")
     # a degenerate branch (below DEGENERATE_NORM2, or a zero field) has a nan phase
     note = "degenerate branch" if math.isnan(result.differential_exact) else ""
@@ -205,9 +207,11 @@ def _sweep_row(params: InterferometerParams) -> SweepRow:
 def sweep_validity(params_grid: Iterable[InterferometerParams]) -> list[SweepRow]:
     """Oracle-versus-analytic comparison over a parameter grid.
 
-    One row per point, in grid order; per-point failures (truncation,
-    degenerate branches) are recorded in the row note and never abort the
-    sweep.  Each row depends on its point alone, never on the grid's order;
+    One row per point, in grid order; a point's engine failure (over the
+    amplitude budget, truncation, a non-unitary block) or degenerate branch
+    is recorded in the row note and never aborts the sweep, and any other
+    exception, such as a missing numpy, propagates before any row is
+    returned.  Each row depends on its point alone, never on the grid's order;
     adjacent points that differ only in eta build one register.
     """
     rows = [_sweep_row(p) for p in params_grid]

@@ -4,7 +4,8 @@ oracle executes numpy, and BLAS starts no threads.
 Each environment runs in a fresh interpreter, since this process has long
 since imported numpy and scipy.  The interpreter takes its steps in order,
 running the CLI as the console script does, through ``main`` with
-``SystemExit`` caught, and after each step records every fact below; a
+``SystemExit`` caught (any other exception is recorded by its type's
+name), and after each step records every fact below; a
 module once loaded stays loaded, so a fact that holds at a step held at
 every step before it.  The last line of standard output reports the facts
 of every step.
@@ -22,7 +23,8 @@ import wva_sim
 
 SRC = str(Path(wva_sim.__file__).resolve().parents[1])
 
-# ``check(step)`` records, after a step: its exit code; whether scipy, click,
+# ``check(step)`` records, after a step: its exit code, or the type name of
+# the exception other than SystemExit that it raised; whether scipy, click,
 # concurrent.futures (which imports logging; together they cost several
 # milliseconds) or logging is loaded; whether numpy executed, which counts
 # once any of its submodules is loaded, so that a None entry blocking the
@@ -56,6 +58,8 @@ def cli(step, *args):
         code = 0
     except SystemExit as exc:
         code = exc.code
+    except Exception as exc:
+        code = type(exc).__name__
     check(step, code)
 """
 REPORT = "print(json.dumps(facts))\n"
@@ -111,6 +115,10 @@ for thread in threads:
 for thread in threads:
     thread.join()
 facts["threaded first call"] = {"errors": errors}
+"""
+
+# the one-point sweep of ONE_POINT, read from one.json in the working directory
+ORACLE_VALIDATE = """
 cli("oracle-validate", "oracle-validate", "--config", "one.json", "--out", "oracle.csv")
 """
 
@@ -133,6 +141,13 @@ ONE_POINT = {
     "span_over_phi_bar": 2.0,
     "tolerance": 0.05,
 }
+
+
+def with_one_point(cwd):
+    """``cwd``, made and holding ONE_POINT as one.json."""
+    cwd.mkdir()
+    (cwd / "one.json").write_text(json.dumps(ONE_POINT))
+    return cwd
 
 
 def run_fresh(steps, cwd, **env_vars):
@@ -169,17 +184,18 @@ def monte_carlo(workdir):
 
 @pytest.fixture(scope="module")
 def oracle(workdir):
-    (workdir / "oracle").mkdir()
-    (workdir / "oracle" / "one.json").write_text(json.dumps(ONE_POINT))
-    return run_fresh(ORACLE, workdir / "oracle", **UNSET)
+    return run_fresh(ORACLE + ORACLE_VALIDATE, with_one_point(workdir / "oracle"), **UNSET)
 
 
 @pytest.fixture(scope="module")
 def numpy_modes(workdir):
-    # the import blocked, against a run that has numpy loaded first
+    # the import blocked, against a run that has numpy loaded first; the
+    # blocked run then tries the oracle
     return {
-        name: run_fresh(setup + MONTE_CARLO_BYTES, workdir / name)
-        for name, setup in (("blocked", BLOCK_NUMPY), ("loaded", LOAD_NUMPY))
+        "blocked": run_fresh(
+            BLOCK_NUMPY + MONTE_CARLO_BYTES + ORACLE_VALIDATE, with_one_point(workdir / "blocked")
+        ),
+        "loaded": run_fresh(LOAD_NUMPY + MONTE_CARLO_BYTES, workdir / "loaded"),
     }
 
 
@@ -286,3 +302,9 @@ def test_monte_carlo_bytes_without_numpy(numpy_modes, workdir, command):
         assert facts(report, command, "scipy") == {"code": 0, "scipy": False}
         outputs[name] = [(workdir / name / file).read_bytes() for file in files]
     assert outputs["blocked"] == outputs["loaded"]
+
+
+def test_oracle_validate_without_numpy_raises(numpy_modes, workdir):
+    # a missing dependency is raised, not written as a row per point
+    assert facts(numpy_modes["blocked"], "oracle-validate") == {"code": "ModuleNotFoundError"}
+    assert not (workdir / "blocked" / "oracle.csv").exists()

@@ -8,7 +8,7 @@ import pytest
 
 from wva_sim import fock, protocol
 from wva_sim.cli import ORACLE_DEFAULTS
-from wva_sim.errors import RegisterBudgetError
+from wva_sim.errors import BlockUnitarityError, RegisterBudgetError, TruncationError
 from wva_sim.model import InterferometerParams, predict_phases
 from wva_sim.presets import CAMPAIGN, point_params
 from wva_sim.protocol import (
@@ -338,6 +338,33 @@ class TestSweep:
         assert rows[0].result is None
         assert "error" in rows[0].note
         assert "budget" in rows[0].note
+
+    @pytest.mark.parametrize(
+        "error", [TruncationError("leaked norm^2"), BlockUnitarityError("drifted")],
+        ids=["truncation", "block-unitarity"],
+    )
+    def test_engine_failure_captured_in_row(self, monkeypatch, error):
+        def fail(optics):
+            raise error
+
+        monkeypatch.setattr(protocol, "_optics_stage", fail)
+        rows = sweep_validity([make_params()])
+        assert rows[0].result is None
+        assert rows[0].note == f"error: {error}"
+
+    @pytest.mark.parametrize(
+        "error", [ModuleNotFoundError("No module named 'numpy'"), TypeError("a defect")],
+        ids=["missing-numpy", "type-error"],
+    )
+    def test_other_exception_propagates(self, monkeypatch, error):
+        # only the engine's own failures become rows; a missing dependency
+        # or a defect is not a point's physics
+        def fail(optics):
+            raise error
+
+        monkeypatch.setattr(protocol, "_optics_stage", fail)
+        with pytest.raises(type(error)):
+            sweep_validity([make_params()])
 
     def test_empty_interaction_sentinel(self):
         rows = sweep_validity([make_params(phi_plus=0.0, phi_minus=0.0)])

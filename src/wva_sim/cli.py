@@ -347,27 +347,10 @@ def _campaign(command, config, seed, out_path, fit_name, fit, columns, cells) ->
         )
 
 
-# name -> (body, defaults, options) of each subcommand, in registration order
-_COMMANDS: dict = {}
-
 _COMMON_OPTIONS = (
     ("--config", {"dest": "config_path", "metavar": "PATH", "help": "JSON config file."}),
     ("--out", {"dest": "out_path", "metavar": "PATH", "help": "Output path (default stdout)."}),
 )
-
-
-def _command(name: str, defaults: dict, *options):
-    """Register ``body(config, out_path, seed)`` as the subcommand ``name``.
-
-    The command takes ``--config``, ``--out`` and ``options``, each a flag
-    and its ``add_argument`` keywords; ``main`` runs the body.
-    """
-
-    def register(body):
-        _COMMANDS[name] = body, defaults, options
-        return body
-
-    return register
 
 
 def _run(body, defaults: dict, config_path, out_path, seed, workers=1, **overrides) -> None:
@@ -424,11 +407,6 @@ _MONTE_CARLO_OPTIONS = (
 )
 
 
-@_command(
-    "oracle-validate",
-    ORACLE_DEFAULTS,
-    ("--seed", {"type": int, "help": "Echoed for provenance; this command is deterministic."}),
-)
 def oracle_validate(config, out_path, seed) -> None:
     """Sweep the exact pipeline against the closed forms; gate valid rows."""
     alphas, deltas, betas, etas, phi_bars = (
@@ -495,7 +473,6 @@ def oracle_validate(config, out_path, seed) -> None:
         sys.exit(2)
 
 
-@_command("fig3", FIG3_DEFAULTS, *_MONTE_CARLO_OPTIONS)
 def fig3(config, out_path, seed) -> None:
     """Click / no-click phase scan with the per-photon-phase fit."""
 
@@ -510,7 +487,6 @@ def fig3(config, out_path, seed) -> None:
     _campaign("fig3", config, seed, out_path, "phi0", fit, columns, cells)
 
 
-@_command("fig4", FIG4_DEFAULTS, *_MONTE_CARLO_OPTIONS)
 def fig4(config, out_path, seed) -> None:
     """Differential phase versus overlap, with the amplified-split fit."""
     phi_bar_fixed = _number(config["phi_bar_fixed_urad"], "phi_bar_fixed_urad") * URAD
@@ -533,7 +509,6 @@ def fig4(config, out_path, seed) -> None:
     _campaign("fig4", config, seed, out_path, "span", fit, columns, cells)
 
 
-@_command("snr", SNR_DEFAULTS, *_MONTE_CARLO_OPTIONS)
 def snr(config, out_path, seed) -> None:
     """Compare the amplified and direct schemes at equal trial budgets."""
     phase_sigma, n_trials = (_number(config[k], k) for k in ("phase_sigma", "n_trials"))
@@ -564,5 +539,16 @@ def snr(config, out_path, seed) -> None:
     print(f"snr: wva {snr_wva:.4g}, direct {snr_direct:.4g}, ratio {ratio:.4g}", file=sys.stderr)
 
 
-if __name__ == "__main__":
-    main()
+# name -> (body, defaults, options) of each subcommand: a body runs as
+# body(config, out_path, seed), and options are the flags it takes after
+# --config and --out, each with its add_argument keywords
+_COMMANDS = {
+    "oracle-validate": (
+        oracle_validate,
+        ORACLE_DEFAULTS,
+        (("--seed", {"type": int, "help": "Echoed for provenance; this command is deterministic."}),),
+    ),
+    "fig3": (fig3, FIG3_DEFAULTS, _MONTE_CARLO_OPTIONS),
+    "fig4": (fig4, FIG4_DEFAULTS, _MONTE_CARLO_OPTIONS),
+    "snr": (snr, SNR_DEFAULTS, _MONTE_CARLO_OPTIONS),
+}

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import math
 import os
@@ -778,6 +779,32 @@ def test_unwritable_sidecar_rejected_before_any_run(runner, tmp_path, monkeypatc
     assert "field 'out'" in result.output
     assert "side.fit.json" in result.output
     assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,flags",
+    [("oracle-validate", ["--config", "one.json"]), ("fig3", ["--seed", "1", "--trials-scale", "1e-3"])],
+    ids=["oracle-validate", "fig3"],
+)
+def test_late_write_failure_is_config_error(runner, tmp_path, monkeypatch, command, flags):
+    # the --out probe passes, then the final write fails, as on a disk that
+    # fills during the run
+    (tmp_path / "one.json").write_text(json.dumps(dict(SMALL_ORACLE, delta=[0.1])))
+    out = tmp_path / "late.csv"
+    real = Path.write_text
+
+    def full_disk(path, *args, **kwargs):
+        if path == out:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real(path, *args, **kwargs)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    result = runner.invoke(main, [command, *flags, "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith(f"config error: field 'out': cannot write {out}: [Errno 28] ")
+    assert "Traceback" not in result.output
     assert not out.exists()
 
 

@@ -21,6 +21,8 @@ GOOD = {
         (InterferometerParams, "alpha", 1e200, ">= 0 with a finite square"),
         (InterferometerParams, "beta", -1.0, ">= 0 with a finite square"),
         (InterferometerParams, "delta", 0.0, "in (0, 1]"),
+        (InterferometerParams, "delta", 1.5, "in (0, 1]"),
+        (InterferometerParams, "eta", -0.2, "in [0, 1]"),
         (InterferometerParams, "eta", 1.2, "in [0, 1]"),
         (InterferometerParams, "phi_plus", math.nan, "finite"),
         (InterferometerParams, "phi_minus", -math.inf, "finite"),

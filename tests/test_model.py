@@ -22,22 +22,6 @@ def make_params(**kwargs):
 
 
 class TestParams:
-    @pytest.mark.parametrize(
-        "field,value",
-        [
-            ("alpha", -0.1),
-            ("beta", -1.0),
-            ("delta", 0.0),
-            ("delta", 1.5),
-            ("eta", -0.2),
-            ("eta", 1.2),
-            ("phi_plus", float("nan")),
-        ],
-    )
-    def test_domain_validation(self, field, value):
-        with pytest.raises(ValueError):
-            make_params(**{field: value})
-
     def test_derived_quantities(self):
         p = make_params(alpha=2.0, phi_plus=3e-6, phi_minus=1e-6)
         assert p.n_bar == 4.0

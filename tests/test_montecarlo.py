@@ -90,9 +90,6 @@ def per_trial_reference(params, noise, n_trials, seed, p_signal=None):
 
 
 class TestSimulateTrials:
-    def test_design_click_probability(self):
-        assert predict_phases(row1_params()).p_click == pytest.approx(0.19)
-
     def test_zero_noise_click_group_is_exact(self):
         params = row1_params()
         stats = simulate_trials(params, NoiseModel(0.0, 0.0), 50_000, seed=9)
@@ -626,12 +623,6 @@ class TestFits:
 
 
 class TestNoiseModel:
-    def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            NoiseModel(phase_sigma=-0.1)
-        with pytest.raises(ValueError):
-            NoiseModel(background_click_rate=1.0)
-
     def test_defaults_match_campaign(self):
         noise = NoiseModel()
         assert noise.phase_sigma == 0.100

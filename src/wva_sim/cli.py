@@ -15,11 +15,12 @@ result bit-exactly:
 
 Exit codes: 0 success, 1 config error, 2 tolerance, estimation or fit
 failure (among them an oracle point in the valid regime whose engine fails:
-over the amplitude budget, which is rejected before any mode is built, a
-truncation leak past its tolerance or a non-unitary block; any other
-exception, such as a missing numpy, propagates before any output is
-written), or a usage error that the argument parser rejects (an unknown
-command or option, a missing --seed, a flag value of the wrong type;
+a register or beam-splitter blocks over the amplitude budget, both
+rejected before any mode is built, a truncation leak past its tolerance
+or a non-unitary block; any other exception, such as a missing numpy,
+propagates before any output is written), or a usage error that the
+argument parser rejects (an unknown command or option, a missing --seed,
+a flag value of the wrong type;
 options are never abbreviated).  A config error is an errors.FieldError
 naming the rejected field: a frozen record's own rejection, reported under the config path it
 was parsed from, a config file that cannot be read, is not UTF-8, is not

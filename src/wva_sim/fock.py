@@ -144,6 +144,17 @@ def check_register_size(size: int) -> None:
         )
 
 
+def check_rotation_size(cut_a: int, cut_b: int) -> None:
+    """Raise RegisterBudgetError if the beam-splitter blocks of two modes with
+    these cutoffs have more entries than DEFAULT_AMPLITUDE_BUDGET."""
+    entries = _block_entries(cut_a + cut_b - 1)
+    if entries > DEFAULT_AMPLITUDE_BUDGET:
+        raise RegisterBudgetError(
+            f"beam-splitter blocks for cutoffs ({cut_a}, {cut_b}) need {entries} entries, "
+            f"budget is {DEFAULT_AMPLITUDE_BUDGET}"
+        )
+
+
 def tensor(a: FockRegister, b: FockRegister) -> FockRegister:
     """Tensor product; mode axes concatenate and norms multiply."""
     import numpy as np
@@ -232,7 +243,8 @@ def apply_beam_splitter(
     Exactly number-conserving: every total-photon multiplet is rotated by a
     unitary block (``_blocks``), built when the rotation reaches it and
     dropped after use.  Blocks whose entries would exceed the amplitude
-    budget raise RegisterBudgetError before any is built.
+    budget raise RegisterBudgetError (``check_rotation_size``) before any is
+    built.
     Multiplets that do not fit inside the cutoffs lose their clipped part.
     That loss is the measured leak, the input's norm^2 less the output's:
     warned past LEAK_WARN_TOL (a TruncationWarning naming the caller's
@@ -249,13 +261,8 @@ def apply_beam_splitter(
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
     cut_a, cut_b = state.cutoffs[mode_a], state.cutoffs[mode_b]
+    check_rotation_size(cut_a, cut_b)
     count = cut_a + cut_b - 1  # blocks N = 0 .. cut_a + cut_b - 2
-    entries = _block_entries(count)
-    if entries > DEFAULT_AMPLITUDE_BUDGET:
-        raise RegisterBudgetError(
-            f"beam-splitter blocks for cutoffs ({cut_a}, {cut_b}) need {entries} entries, "
-            f"budget is {DEFAULT_AMPLITUDE_BUDGET}"
-        )
     source = np.moveaxis(state.amplitudes, (mode_a, mode_b), (0, 1))
     out = np.empty(state.cutoffs, dtype=np.complex128)
     target = np.moveaxis(out, (mode_a, mode_b), (0, 1))

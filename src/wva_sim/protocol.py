@@ -104,7 +104,8 @@ def _optics_stage(optics: InterferometerParams) -> tuple[np.ndarray, np.ndarray]
     eta share its one cache entry.  Returns the dark-port distribution P(d),
     whose sum is the register's norm^2, and the P(d)-weighted probe field at
     every d with P(d) > 0, both read-only.  The entry keeps these O(cutoff)
-    arrays, never the register.  A register over the amplitude budget
+    arrays, never the register.  A register over the amplitude budget, or
+    a recombiner whose beam-splitter blocks have more entries than it,
     raises RegisterBudgetError before any mode is built, since a mode's
     cutoff grows as its amplitude squared.
     """
@@ -112,6 +113,7 @@ def _optics_stage(optics: InterferometerParams) -> tuple[np.ndarray, np.ndarray]
     cutoffs = default_cutoffs(optics)
     fock.check_register_size(math.prod(cutoffs))
     arm1_cut, arm2_cut, probe_cut = cutoffs
+    fock.check_rotation_size(arm1_cut, arm2_cut)
     root2 = math.sqrt(2.0)
     reg = fock.tensor(
         fock.tensor(

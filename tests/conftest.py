@@ -30,7 +30,6 @@ class Result:
     stdout: str
     stderr: str
     output: str  # stdout and stderr interleaved as written
-    exception: SystemExit | None  # the SystemExit of a nonzero exit
 
 
 class Runner:
@@ -40,14 +39,13 @@ class Runner:
     def invoke(self, entry, args):
         both = io.StringIO()
         stdout, stderr = _Capture(both), _Capture(both)
-        code, exception = 0, None
+        code = 0
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
                 entry(args, prog_name="wva-sim")
             except SystemExit as exc:
                 code = exc.code if isinstance(exc.code, int) else (0 if exc.code is None else 1)
-                exception = exc if code else None
-        return Result(code, stdout.getvalue(), stderr.getvalue(), both.getvalue(), exception)
+        return Result(code, stdout.getvalue(), stderr.getvalue(), both.getvalue())
 
 
 @pytest.fixture

@@ -287,15 +287,25 @@ class TestOpticsCache:
         info = protocol._optics_stage.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
 
-    def test_over_budget_point_raises_before_any_mode_is_built(self, monkeypatch):
-        # alpha 2.5 needs a (32, 32, 16) register, past this budget; a probe
-        # mode's cutoff grows as beta^2, so building modes first can itself
-        # exhaust memory
+    @pytest.mark.parametrize(
+        "alpha,message",
+        [
+            # a (32, 32, 16) register, past this budget
+            (2.5, r"tensor product needs 16384 amplitudes"),
+            # a (17, 17, 16) register of 4624 amplitudes, inside it, whose
+            # recombiner's blocks are past it
+            (1.0, r"beam-splitter blocks for cutoffs \(17, 17\) need 12529 entries"),
+        ],
+        ids=["register", "blocks"],
+    )
+    def test_over_budget_point_raises_before_any_mode_is_built(self, monkeypatch, alpha, message):
+        # a probe mode's cutoff grows as beta^2, so building modes first can
+        # itself exhaust memory
         calls = []
         monkeypatch.setattr(fock, "DEFAULT_AMPLITUDE_BUDGET", 5000)
         monkeypatch.setattr(fock, "make_coherent", lambda *args: calls.append(args))
-        with pytest.raises(RegisterBudgetError, match="tensor product needs 16384 amplitudes"):
-            run_protocol(make_params(alpha=2.5, beta=0.8))
+        with pytest.raises(RegisterBudgetError, match=message):
+            run_protocol(make_params(alpha=alpha, beta=0.8))
         assert calls == []
 
 

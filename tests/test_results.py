@@ -8,19 +8,24 @@ exactly.  The oracle's default grid is compared with ``oracle_validation.csv``
 row by row: ``p_click_exact`` and ``diff_exact`` to 1e-12 relative,
 ``rel_error`` to 1e-12 absolute (NaN equal to NaN), every other cell exactly.
 So a change that moves the bytes of either fails here until ``results/`` is
-regenerated.
+regenerated.  The README's Python blocks are run as written, each in a fresh
+interpreter.
 """
 
 import csv
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from wva_sim.cli import main
 
-RESULTS = Path(__file__).resolve().parent.parent / "results"
+ROOT = Path(__file__).resolve().parent.parent
+RESULTS = ROOT / "results"
 NUMBER = re.compile(r"(-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
@@ -79,3 +84,19 @@ def test_committed_oracle_results_are_current(runner, tmp_path):
                 assert math.isnan(x) and math.isnan(y), where
             else:
                 assert x == y or abs(x - y) <= max(rel * abs(x), abs_), where
+
+
+def test_readme_python_blocks_run_as_written():
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.S | re.M)
+    assert len(blocks) == 2
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    outputs = []
+    for block in blocks:
+        run = subprocess.run(
+            [sys.executable, "-c", block], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert run.returncode == 0, block + run.stderr
+        outputs.append(run.stdout)
+    # the fock block's first print, which its comment states
+    assert outputs[1].splitlines()[0] == "(12, 3)"

@@ -12,24 +12,11 @@ settings.register_profile(
 settings.load_profile("default")
 
 
-class _Capture(io.StringIO):
-    """One standard stream, each write also copied to ``both``."""
-
-    def __init__(self, both):
-        super().__init__()
-        self.both = both
-
-    def write(self, text):
-        self.both.write(text)
-        return super().write(text)
-
-
 @dataclass
 class Result:
     exit_code: int
     stdout: str
     stderr: str
-    output: str  # stdout and stderr interleaved as written
 
 
 class Runner:
@@ -37,15 +24,14 @@ class Runner:
     standard streams captured; any exception but SystemExit propagates."""
 
     def invoke(self, entry, args):
-        both = io.StringIO()
-        stdout, stderr = _Capture(both), _Capture(both)
+        stdout, stderr = io.StringIO(), io.StringIO()
         code = 0
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
                 entry(args, prog_name="wva-sim")
             except SystemExit as exc:
                 code = exc.code if isinstance(exc.code, int) else (0 if exc.code is None else 1)
-        return Result(code, stdout.getvalue(), stderr.getvalue(), both.getvalue())
+        return Result(code, stdout.getvalue(), stderr.getvalue())
 
 
 @pytest.fixture

@@ -239,7 +239,7 @@ def test_criterion_7_determinism_across_workers(runner, tmp_path):
             ["fig4", "--seed", "555", "--trials-scale", "1e-3",
              "--out", str(csv_path), "--workers", str(workers)],
         )
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == 0, result.stderr
         outputs.append(csv_path.read_bytes() + (tmp_path / f"{name}.fit.json").read_bytes())
     ok = report(
         7,

@@ -39,18 +39,18 @@ def test_csv_row_writes_floats_at_full_precision():
 def test_option_prefix_is_usage_error(runner):
     # --trials is a prefix of --trials-scale, which is never taken for it
     result = runner.invoke(main, ["fig3", "--trials", "0.1", "--seed", "1"])
-    assert result.exit_code == 2, result.output
+    assert result.exit_code == 2, result.stderr
 
 
 @pytest.mark.parametrize("args", [["nope"], []], ids=["unknown", "missing"])
 def test_command_unknown_or_missing_is_usage_error(runner, args):
     result = runner.invoke(main, args)
-    assert result.exit_code == 2, result.output
+    assert result.exit_code == 2, result.stderr
 
 
 def test_version(runner):
     result = runner.invoke(main, ["--version"])
-    assert result.exit_code == 0, result.output
+    assert result.exit_code == 0, result.stderr
     assert result.stdout == f"wva-sim, version {__version__}\n"
 
 
@@ -63,7 +63,7 @@ COMMAND_OPTIONS = {
 @pytest.mark.parametrize("command,options", COMMAND_OPTIONS.items(), ids=list(COMMAND_OPTIONS))
 def test_help_names_every_option(runner, command, options):
     result = runner.invoke(main, [command, "--help"])
-    assert result.exit_code == 0, result.output
+    assert result.exit_code == 0, result.stderr
     for option in options:
         assert option in result.stdout
 
@@ -87,7 +87,7 @@ class TestOracleValidate:
         result = runner.invoke(
             main, ["oracle-validate", "--config", str(config), "--out", str(out)]
         )
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == 0, result.stderr
         header, columns, rows = parse_csv(out.read_text())
         assert columns == [
             "alpha", "beta", "delta", "eta", "phi_plus", "phi_minus",
@@ -108,7 +108,7 @@ class TestOracleValidate:
         result = runner.invoke(
             main, ["oracle-validate", "--config", str(config), "--out", str(out)]
         )
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == 0, result.stderr
         _, _, rows = parse_csv(out.read_text())
         assert all(row["verdict"] == "invalid" for row in rows)
 
@@ -129,21 +129,9 @@ class TestOracleValidate:
             ["oracle-validate", "--config", str(config), "--out", str(out),
              "--seed", str(2**64 - 1)],
         )
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == 0, result.stderr
         header, _, _ = parse_csv(out.read_text())
         assert header["seed"] == str(2**64 - 1)
-
-    def test_csv_goes_to_stdout_without_out(self, runner, tmp_path):
-        config = tmp_path / "grid.json"
-        config.write_text(json.dumps(SMALL_ORACLE))
-        out = tmp_path / "oracle.csv"
-        command = ["oracle-validate", "--config", str(config)]
-        to_file = runner.invoke(main, [*command, "--out", str(out)])
-        to_stdout = runner.invoke(main, command)
-        assert to_file.exit_code == to_stdout.exit_code == 0, to_stdout.output
-        assert to_file.stdout == ""
-        assert to_stdout.stdout == out.read_text()
-        assert to_stdout.stderr == to_file.stderr
 
     def test_failing_point_becomes_error_row(self, runner, tmp_path, monkeypatch):
         # alpha 2.5 needs a (32, 32, 16) register, past this budget; alpha 0.3
@@ -158,7 +146,7 @@ class TestOracleValidate:
         result = runner.invoke(
             main, ["oracle-validate", "--config", str(config), "--out", str(out)]
         )
-        assert result.exit_code == 2, result.output
+        assert result.exit_code == 2, result.stderr
         _, _, rows = parse_csv(out.read_text())
         assert [row["alpha"] for row in rows] == ["2.5", "0.29999999999999999"]
         failed, computed = rows
@@ -182,7 +170,7 @@ class TestOracleValidate:
         result = runner.invoke(
             main, ["oracle-validate", "--config", str(config), "--out", str(out)]
         )
-        assert result.exit_code == code, result.output
+        assert result.exit_code == code, result.stderr
         _, columns, (row,) = parse_csv(out.read_text())
         assert len(columns) == 12
         assert row["verdict"].endswith(
@@ -201,7 +189,7 @@ class TestOracleValidate:
         result = runner.invoke(
             main, ["oracle-validate", "--config", str(config), "--out", str(out)]
         )
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == 0, result.stderr
         _, _, (row,) = parse_csv(out.read_text())
         assert row["verdict"] == "valid (degenerate branch)"
         assert row["diff_exact"] == row["rel_error"] == "nan"
@@ -212,14 +200,14 @@ class TestOracleValidate:
         config.write_text(json.dumps(dict(SMALL_ORACLE, delta="not-a-list")))
         result = runner.invoke(main, ["oracle-validate", "--config", str(config)])
         assert result.exit_code == 1
-        assert "delta" in result.output
+        assert "delta" in result.stderr
 
     def test_unknown_field_rejected(self, runner, tmp_path):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps(dict(SMALL_ORACLE, detla=[0.1])))
         result = runner.invoke(main, ["oracle-validate", "--config", str(config)])
         assert result.exit_code == 1
-        assert "detla" in result.output
+        assert "detla" in result.stderr
 
 
 class TestFig3:
@@ -240,7 +228,7 @@ class TestFig3:
             ["fig3", "--config", str(config), "--out", str(out),
              "--seed", "7", "--trials-scale", "2e-4"],
         )
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == 0, result.stderr
         header, _, rows = parse_csv(out.read_text())
         assert "fit_phi0" in header  # skipped note for the zero-noise run
         assert "skipped" in header["fit_phi0"]
@@ -258,7 +246,7 @@ class TestFig3:
         result = runner.invoke(
             main, ["fig3", "--out", str(out), "--seed", "7", "--trials-scale", "1e-4"]
         )
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == 0, result.stderr
         header, _, rows = parse_csv(out.read_text())
         config = json.loads(header["config"])
         assert [p["n_bar"] for p in config["points"]] == [95.0, 45.0, 20.0, 10.0, 40.0]
@@ -272,7 +260,7 @@ class TestFig3:
         result = runner.invoke(
             main, ["fig3", "--out", str(out), "--seed", "1", "--trials-scale", str(scale)]
         )
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == 0, result.stderr
         header, _, rows = parse_csv(out.read_text())
         n_totals = [p["n_total"] for p in json.loads(header["config"])["points"]]
         trials = [int(row["trials"]) for row in rows]
@@ -285,7 +273,7 @@ class TestFig3:
             main, ["fig3", "--seed", "7", "--trials-scale", "1e-8"]
         )
         assert result.exit_code == 2
-        assert "estimation failure" in result.output
+        assert "estimation failure" in result.stderr
 
     def test_underflowed_stderr_is_fit_failure(self, runner, tmp_path):
         # sigma^2 underflows, so a no-click stderr is exactly 0
@@ -294,8 +282,8 @@ class TestFig3:
         result = runner.invoke(
             main, ["fig3", "--config", str(config), "--seed", "1", "--trials-scale", "1e-4"]
         )
-        assert result.exit_code == 2, result.output
-        assert "fit failure" in result.output
+        assert result.exit_code == 2, result.stderr
+        assert "fit failure" in result.stderr
 
     def test_huge_stderrs_still_fit(self, runner, tmp_path):
         # stderrs near 1e136: 1/sigma^2 would underflow without the fit's
@@ -308,7 +296,7 @@ class TestFig3:
             ["fig3", "--config", str(config), "--seed", "1", "--trials-scale", "1e-4",
              "--out", str(out)],
         )
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == 0, result.stderr
         fit = json.loads((tmp_path / "fig3.fit.json").read_text())
         assert 1e140 < fit["stderr_urad"] < 1e145
         assert math.isfinite(fit["phi0_urad"]) and fit["chi_squared"] > 0.0
@@ -319,15 +307,15 @@ class TestFig3:
             main, ["fig3", "--seed", "7", "--trials-scale", "1e-4", flag, value]
         )
         assert result.exit_code == 1
-        assert "config error" in result.output
-        assert flag.lstrip("-").replace("-", "_") in result.output
+        assert "config error" in result.stderr
+        assert flag.lstrip("-").replace("-", "_") in result.stderr
 
     def test_fit_written_with_noise(self, runner, tmp_path):
         out = tmp_path / "fig3.csv"
         result = runner.invoke(
             main, ["fig3", "--out", str(out), "--seed", "7", "--trials-scale", "1e-3"]
         )
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == 0, result.stderr
         fit = json.loads((tmp_path / "fig3.fit.json").read_text())
         assert {"phi0_urad", "stderr_urad", "chi_squared", "dof"} <= set(fit)
         assert fit["dof"] == 3
@@ -348,7 +336,7 @@ class TestFig4:
                 [command, "--out", str(out), "--seed", "123",
                  "--trials-scale", scale, "--workers", str(workers)],
             )
-            assert result.exit_code == 0, result.output
+            assert result.exit_code == 0, result.stderr
             # fig3 and fig4 also write their fit to a sidecar
             files = [out] if command == "snr" else [out, out.with_suffix(".fit.json")]
             outs.append([path.read_bytes() for path in files])
@@ -359,7 +347,7 @@ class TestFig4:
         result = runner.invoke(
             main, ["fig4", "--out", str(out), "--seed", "9", "--trials-scale", "1e-3"]
         )
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == 0, result.stderr
         fit = json.loads((tmp_path / "fig4.fit.json").read_text())
         assert fit["dof"] == 3  # delta = 1 control excluded by default
         header, _, rows = parse_csv(out.read_text())
@@ -374,7 +362,7 @@ class TestFig4:
             main, ["fig4", "--config", str(config), "--seed", "1", "--trials-scale", "1e-4",
                    "--out", str(out)],
         )
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == 0, result.stderr
         _, _, rows = parse_csv(out.read_text())
         assert [row["amplification"] for row in rows] == ["nan"] * 5
         fit = json.loads((tmp_path / "fig4.fit.json").read_text())
@@ -397,12 +385,12 @@ class TestFig4:
                    "--trials-scale", "0.1"],
         )
         assert result.exit_code == 2
-        assert "fit failure" in result.output
+        assert "fit failure" in result.stderr
 
     def test_missing_seed_is_usage_error(self, runner):
         result = runner.invoke(main, ["fig4"])
         assert result.exit_code == 2  # usage error
-        assert "--seed" in result.output
+        assert "--seed" in result.stderr
 
     @pytest.mark.parametrize(
         "command,flag",
@@ -411,12 +399,12 @@ class TestFig4:
     def test_flag_of_wrong_type_is_usage_error(self, runner, command, flag):
         result = runner.invoke(main, [command, "--seed", "1", flag, "abc"])
         assert result.exit_code == 2  # usage error
-        assert f"argument {flag}: invalid" in result.output
+        assert f"argument {flag}: invalid" in result.stderr
 
     def test_negative_seed_rejected(self, runner):
         result = runner.invoke(main, ["fig4", "--seed", "-1"])
         assert result.exit_code == 1
-        assert "seed" in result.output
+        assert "seed" in result.stderr
 
     @pytest.mark.parametrize(
         "bad,field",
@@ -443,7 +431,7 @@ class TestFig4:
             main, ["fig4", "--config", str(config), "--seed", "1"]
         )
         assert result.exit_code == 1
-        assert field in result.output
+        assert field in result.stderr
 
 
 SNR_WVA = {
@@ -464,7 +452,7 @@ class TestSnr:
         result = runner.invoke(
             main, ["snr", "--config", str(config), "--seed", "5", "--out", str(out)]
         )
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == 0, result.stderr
         report = json.loads(out.read_text())
         assert report["ratio"] == pytest.approx(1.0, abs=0.35)
 
@@ -473,7 +461,7 @@ class TestSnr:
         result = runner.invoke(
             main, ["snr", "--out", str(out), "--seed", "31", "--trials-scale", "0.25"]
         )
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == 0, result.stderr
         report = json.loads(out.read_text())
         assert report["seed"] == 31
         assert report["n_trials"] == 500_000
@@ -495,7 +483,7 @@ class TestSnr:
         result = runner.invoke(
             main, ["snr", "--config", str(config), "--seed", "23", "--out", str(out)]
         )
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == 0, result.stderr
         report = json.loads(out.read_text())
         assert report["snr_wva"] == report["snr_direct"] == 1e9
         assert report["ratio"] == 1.0
@@ -504,7 +492,7 @@ class TestSnr:
         # two trials per scheme: no click group to estimate from
         result = runner.invoke(main, ["snr", "--seed", "1", "--trials-scale", "1e-6"])
         assert result.exit_code == 2
-        assert "estimation failure" in result.output
+        assert "estimation failure" in result.stderr
 
     def test_no_noclick_population_is_config_error(self, runner, tmp_path):
         # same rejection, same exit code as fig3 / fig4
@@ -514,15 +502,15 @@ class TestSnr:
         config.write_text(json.dumps({"wva": dict(SNR_WVA, **control)}))
         result = runner.invoke(main, ["snr", "--config", str(config), "--seed", "1"])
         assert result.exit_code == 1
-        assert "config error" in result.output
-        assert "field 'wva'" in result.output
+        assert "config error" in result.stderr
+        assert "field 'wva'" in result.stderr
 
     def test_bad_scheme_field_named(self, runner, tmp_path):
         config = tmp_path / "snr.json"
         config.write_text(json.dumps({"wva": dict(SNR_WVA, background=1.5)}))
         result = runner.invoke(main, ["snr", "--config", str(config), "--seed", "1"])
         assert result.exit_code == 1
-        assert "wva.background" in result.output
+        assert "wva.background" in result.stderr
 
 
 FIG4_POINT = {"n_bar": 95, "delta": 0.1, "eta": 0.2, "n_total": 1000, "background": 0.06}
@@ -602,9 +590,9 @@ def test_config_errors_exit_one_and_name_field(runner, tmp_path, command, config
     elif config is not None:
         path.write_text(json.dumps(config))
     result = runner.invoke(main, [command, "--config", str(path), *flags])
-    assert result.exit_code == 1, result.output
-    assert f"field '{field}'" in result.output
-    assert "0" * 400 not in result.output
+    assert result.exit_code == 1, result.stderr
+    assert f"field '{field}'" in result.stderr
+    assert "0" * 400 not in result.stdout + result.stderr
 
 
 def test_config_is_read_as_utf8_in_any_locale(tmp_path):
@@ -631,8 +619,8 @@ def test_overflowed_stderr_is_estimation_failure(runner, tmp_path, command, scal
     result = runner.invoke(
         main, [command, "--config", str(config), "--seed", "1", "--trials-scale", scale]
     )
-    assert result.exit_code == 2, result.output
-    assert "estimation failure" in result.output
+    assert result.exit_code == 2, result.stderr
+    assert "estimation failure" in result.stderr
 
 
 # two trials leave too few clicks to estimate, so this point fails estimation
@@ -657,8 +645,8 @@ def test_config_error_beats_earlier_estimation_failure(runner, tmp_path, command
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     result = runner.invoke(main, [command, "--config", str(path), "--seed", "1"])
-    assert result.exit_code == 1, result.output
-    assert f"field '{field}'" in result.output
+    assert result.exit_code == 1, result.stderr
+    assert f"field '{field}'" in result.stderr
 
 
 def echoed_config(command, output):
@@ -687,11 +675,11 @@ def test_echoed_config_reproduces_output(runner, tmp_path, command, flags):
         first_flags = []
     first, second = tmp_path / "first.out", tmp_path / "second.out"
     result = runner.invoke(main, [command, *first_flags, *flags, "--out", str(first)])
-    assert result.exit_code == 0, result.output
+    assert result.exit_code == 0, result.stderr
     echo = tmp_path / "echo.json"
     echo.write_text(json.dumps(echoed_config(command, first.read_text())))
     result = runner.invoke(main, [command, "--config", str(echo), *flags, "--out", str(second)])
-    assert result.exit_code == 0, result.output
+    assert result.exit_code == 0, result.stderr
     assert second.read_bytes() == first.read_bytes()
 
 
@@ -708,13 +696,57 @@ def test_echoed_config_alone_reproduces_output(runner, tmp_path, command, flags)
     """Re-run from the echo with the seed but no --trials-scale: the same bytes."""
     first, second = tmp_path / "first.out", tmp_path / "second.out"
     result = runner.invoke(main, [command, "--seed", "5", *flags, "--out", str(first)])
-    assert result.exit_code == 0, result.output
+    assert result.exit_code == 0, result.stderr
     echo = tmp_path / "echo.json"
     echo.write_text(json.dumps(echoed_config(command, first.read_text())))
     rerun = [command, "--seed", "5", "--config", str(echo), "--out", str(second)]
     result = runner.invoke(main, rerun)
-    assert result.exit_code == 0, result.output
+    assert result.exit_code == 0, result.stderr
     assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ("oracle-validate", ["--config", "small.json"]),
+        ("fig3", ["--seed", "7", "--trials-scale", "2e-4"]),
+        ("fig4", ["--seed", "9", "--trials-scale", "2e-4"]),
+        ("snr", ["--seed", "5", "--trials-scale", "0.05"]),
+    ],
+    ids=["oracle-validate", "fig3", "fig4", "snr"],
+)
+def test_output_goes_to_stdout_without_out(runner, tmp_path, monkeypatch, command, flags):
+    # without --out the bytes --out would hold go to stdout, no file is
+    # written (so no fit sidecar either), and stderr has the same summary
+    (tmp_path / "small.json").write_text(json.dumps(SMALL_ORACLE))
+    monkeypatch.chdir(tmp_path)
+    to_stdout = runner.invoke(main, [command, *flags])
+    assert to_stdout.exit_code == 0, to_stdout.stderr
+    assert [path.name for path in tmp_path.iterdir()] == ["small.json"]
+    out = tmp_path / "result.out"
+    to_file = runner.invoke(main, [command, *flags, "--out", str(out)])
+    assert to_file.exit_code == 0, to_file.stderr
+    assert to_file.stdout == ""
+    assert to_stdout.stdout == out.read_text()
+    assert to_stdout.stderr == to_file.stderr
+
+
+def test_data_precedes_summary_on_a_shared_stream():
+    # with stderr merged into a piped stdout, the CSV is flushed before the
+    # fit summary is printed; an unbuffered child keeps that order without
+    # the flush, so the child runs buffered
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", "from wva_sim.cli import main; main()",
+         "fig3", "--seed", "1", "--trials-scale", "1e-3"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stdout
+    *data, summary = run.stdout.splitlines()
+    assert summary.startswith("fig3: phi0 = "), run.stdout
+    _, _, rows = parse_csv("\n".join(data))
+    assert len(rows) == 5
 
 
 @pytest.mark.parametrize(
@@ -731,10 +763,10 @@ def test_unwritable_out_rejected_before_any_run(runner, tmp_path, monkeypatch, c
     calls = []
     monkeypatch.setattr(cli, engine, lambda *args, **kwargs: calls.append(args))
     result = runner.invoke(main, [command, *flags, "--out", str(tmp_path / "missing" / "x.csv")])
-    assert result.exit_code == 1, result.output
-    assert "config error" in result.output
-    assert "field 'out'" in result.output
-    assert "Traceback" not in result.output
+    assert result.exit_code == 1, result.stderr
+    assert "config error" in result.stderr
+    assert "field 'out'" in result.stderr
+    assert "Traceback" not in result.stdout + result.stderr
     assert calls == []
 
 
@@ -743,8 +775,8 @@ def test_zero_workers_rejected_before_any_run(runner, monkeypatch, command):
     calls = []
     monkeypatch.setattr(cli, "simulate_trials", lambda *args, **kwargs: calls.append(args))
     result = runner.invoke(main, [command, "--seed", "1", "--trials-scale", "1e-3", "--workers", "0"])
-    assert result.exit_code == 1, result.output
-    assert "field 'workers'" in result.output
+    assert result.exit_code == 1, result.stderr
+    assert "field 'workers'" in result.stderr
     assert calls == []
 
 
@@ -756,8 +788,8 @@ def test_out_probe_leaves_files_as_they_were(runner, tmp_path):
     link.symlink_to(tmp_path / "target.csv")
     for out in (fresh, kept, link):
         result = runner.invoke(main, ["oracle-validate", "--seed", "-1", "--out", str(out)])
-        assert result.exit_code == 1, result.output
-        assert "field 'seed'" in result.output
+        assert result.exit_code == 1, result.stderr
+        assert "field 'seed'" in result.stderr
     assert not fresh.exists()
     assert kept.read_text() == "earlier result\n"
     assert link.is_symlink() and os.readlink(link) == str(tmp_path / "target.csv")
@@ -772,9 +804,9 @@ def test_unwritable_sidecar_rejected_before_any_run(runner, tmp_path, monkeypatc
     monkeypatch.setattr(cli, "simulate_trials", lambda *args, **kwargs: calls.append(args))
     out = tmp_path / "side.csv"
     result = runner.invoke(main, ["fig3", "--seed", "1", "--trials-scale", "1e-3", "--out", str(out)])
-    assert result.exit_code == 1, result.output
-    assert "field 'out'" in result.output
-    assert "side.fit.json" in result.output
+    assert result.exit_code == 1, result.stderr
+    assert "field 'out'" in result.stderr
+    assert "side.fit.json" in result.stderr
     assert calls == []
     assert not out.exists()
 
@@ -799,9 +831,9 @@ def test_late_write_failure_is_config_error(runner, tmp_path, monkeypatch, comma
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(Path, "write_text", full_disk)
     result = runner.invoke(main, [command, *flags, "--out", str(out)])
-    assert result.exit_code == 1, result.output
+    assert result.exit_code == 1, result.stderr
     assert result.stderr.startswith(f"config error: field 'out': cannot write {out}: [Errno 28] ")
-    assert "Traceback" not in result.output
+    assert "Traceback" not in result.stdout + result.stderr
     assert not out.exists()
 
 
@@ -827,7 +859,7 @@ def test_snr_scheme_runs_as_the_campaign_point(runner, tmp_path, monkeypatch):
         path = tmp_path / f"{command}.json"
         path.write_text(json.dumps(config))
         result = runner.invoke(main, [command, "--config", str(path), "--seed", "17"])
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == 0, result.stderr
     snr_calls, fig4_calls = calls[:2], calls[2:]
     assert snr_calls == fig4_calls
     assert [call[2] for call in snr_calls] == [10000, 10000]

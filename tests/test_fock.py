@@ -564,7 +564,7 @@ class TestBeamSplitterBlocks:
             np.testing.assert_allclose(block, expected, rtol=0, atol=1e-13)
         assert total == 30
 
-    def test_blocks_built_once_per_angle(self, built):
+    def test_every_call_rebuilds_its_blocks(self, built):
         reg = fock.tensor(fock.make_coherent(0.5, 14), fock.make_coherent(1.0, 17))
         count = 17 + 14 - 1
         angles = [0.1 + 0.07 * k for k in range(5)]

@@ -53,7 +53,7 @@ def test_committed_monte_carlo_results_are_current(runner, tmp_path, command, st
         main,
         [command, "--seed", "20260808", "--trials-scale", "1", "--workers", "2", "--out", str(out)],
     )
-    assert result.exit_code == 0, result.output
+    assert result.exit_code == 0, result.stderr
     for suffix in (".csv", ".fit.json"):
         name = stem + suffix
         assert_current((tmp_path / name).read_text(), (RESULTS / name).read_text(), name)
@@ -66,7 +66,7 @@ def oracle_rows(text: str) -> list[dict]:
 def test_committed_oracle_results_are_current(runner, tmp_path):
     out = tmp_path / "oracle_validation.csv"
     result = runner.invoke(main, ["oracle-validate", "--out", str(out)])
-    assert result.exit_code == 0, result.output
+    assert result.exit_code == 0, result.stderr
     fresh = oracle_rows(out.read_text())
     committed = oracle_rows((RESULTS / "oracle_validation.csv").read_text())
     assert len(fresh) == len(committed)

@@ -1,8 +1,9 @@
 """Batch command-line surface.
 
-Four subcommands, all emitting machine-readable output with a ``#``
-header block (full config echo, version, seed) sufficient to re-run a
-result bit-exactly:
+Four subcommands, all emitting machine-readable output whose provenance
+(version, command, full config echo, seed) suffices to re-run a result
+bit-exactly: a ``#`` header block in the CSV commands, and the
+``generator``, ``command``, ``config`` and ``seed`` keys of snr's JSON:
 
   oracle-validate  exact-pipeline sweep against the closed forms (CSV)
   fig3             click / no-click phase scan over the campaign points,

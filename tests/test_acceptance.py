@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from wva_sim import fock
-from wva_sim.cli import _simulate_points, main as cli_main
+from wva_sim.cli import _simulate_points
 from wva_sim.model import (
     InterferometerParams,
     check_validity,
@@ -229,15 +229,14 @@ def test_criterion_6_unitarity_suite():
     assert ok
 
 
-def test_criterion_7_determinism_across_workers(runner, tmp_path):
+def test_criterion_7_determinism_across_workers(run_cli, tmp_path):
     """fig4 twice with the same seed, different worker counts: identical bytes."""
     outputs = []
     for workers, name in ((1, "w1"), (3, "w3")):
         csv_path = tmp_path / f"{name}.csv"
-        result = runner.invoke(
-            cli_main,
+        result = run_cli(
             ["fig4", "--seed", "555", "--trials-scale", "1e-3",
-             "--out", str(csv_path), "--workers", str(workers)],
+             "--out", str(csv_path), "--workers", str(workers)]
         )
         assert result.exit_code == 0, result.stderr
         outputs.append(csv_path.read_bytes() + (tmp_path / f"{name}.fit.json").read_bytes())

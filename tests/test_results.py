@@ -1,12 +1,14 @@
 """The committed results are what the README's commands write now.
 
-Each figure is run again in-process with the README's arguments and compared
-with its committed CSV and ``.fit.json``, line by line: every number written
-with a decimal point or an exponent (a float) must agree with the committed
-one to 1e-12 relative, and all other text, integers included, must match
-exactly.  The oracle's default grid is compared with ``oracle_validation.csv``
-row by row: ``p_click_exact`` and ``diff_exact`` to 1e-12 relative,
-``rel_error`` to 1e-12 absolute (NaN equal to NaN), every other cell exactly.
+Each ``wva-sim ... --out results/<file>`` line of the README's ``sh`` blocks
+is run again in-process as written, but writing to a temporary directory.
+A figure's CSV and ``.fit.json`` are compared with the committed ones line
+by line: every number written with a decimal point or an exponent (a float)
+must agree with the committed one to 1e-12 relative, and all other text,
+integers included, must match exactly.  The oracle's ``#`` header must match
+``oracle_validation.csv``'s exactly, and its rows are compared row by row:
+``p_click_exact`` and ``diff_exact`` to 1e-12 relative, ``rel_error`` to
+1e-12 absolute (NaN equal to NaN), every other cell exactly.
 So a change that moves the bytes of either fails here until ``results/`` is
 regenerated.  The README's Python blocks are run as written, each in a fresh
 interpreter.
@@ -16,17 +18,24 @@ import csv
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from wva_sim.cli import main
-
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "results"
 NUMBER = re.compile(r"(-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def readme_args(name: str, out_dir: Path) -> list[str]:
+    """The arguments of the README's ``wva-sim ... --out results/<name>`` line,
+    with the output moved to ``out_dir``."""
+    sh = "".join(re.findall(r"^```sh\n(.*?)^```$", (ROOT / "README.md").read_text(), re.S | re.M))
+    (args,) = re.findall(rf"^wva-sim (.*) --out results/{re.escape(name)}$", sh, re.M)
+    return [*shlex.split(args), "--out", str(out_dir / name)]
 
 
 def assert_current(fresh: str, committed: str, name: str) -> None:
@@ -47,28 +56,28 @@ def assert_current(fresh: str, committed: str, name: str) -> None:
 @pytest.mark.parametrize(
     "command,stem", [("fig3", "phase_scan"), ("fig4", "differential_scan")]
 )
-def test_committed_monte_carlo_results_are_current(runner, tmp_path, command, stem):
-    out = tmp_path / f"{stem}.csv"
-    result = runner.invoke(
-        main,
-        [command, "--seed", "20260808", "--trials-scale", "1", "--workers", "2", "--out", str(out)],
-    )
+def test_committed_monte_carlo_results_are_current(run_cli, tmp_path, command, stem):
+    args = readme_args(f"{stem}.csv", tmp_path)
+    assert args[0] == command
+    result = run_cli(args)
     assert result.exit_code == 0, result.stderr
     for suffix in (".csv", ".fit.json"):
         name = stem + suffix
         assert_current((tmp_path / name).read_text(), (RESULTS / name).read_text(), name)
 
 
-def oracle_rows(text: str) -> list[dict]:
-    return list(csv.DictReader(line for line in text.splitlines() if not line.startswith("#")))
+def oracle_header_and_rows(text: str) -> tuple[list[str], list[dict]]:
+    lines = text.splitlines()
+    header = [line for line in lines if line.startswith("#")]
+    return header, list(csv.DictReader(line for line in lines if not line.startswith("#")))
 
 
-def test_committed_oracle_results_are_current(runner, tmp_path):
-    out = tmp_path / "oracle_validation.csv"
-    result = runner.invoke(main, ["oracle-validate", "--out", str(out)])
+def test_committed_oracle_results_are_current(run_cli, tmp_path):
+    result = run_cli(readme_args("oracle_validation.csv", tmp_path))
     assert result.exit_code == 0, result.stderr
-    fresh = oracle_rows(out.read_text())
-    committed = oracle_rows((RESULTS / "oracle_validation.csv").read_text())
+    fresh_header, fresh = oracle_header_and_rows((tmp_path / "oracle_validation.csv").read_text())
+    header, committed = oracle_header_and_rows((RESULTS / "oracle_validation.csv").read_text())
+    assert fresh_header == header
     assert len(fresh) == len(committed)
     tolerances = {"p_click_exact": (1e-12, 0.0), "diff_exact": (1e-12, 0.0), "rel_error": (0.0, 1e-12)}
     for i, (new, old) in enumerate(zip(fresh, committed)):

@@ -1,9 +1,10 @@
 """End-to-end acceptance checks.
 
 Each test prints one ``[criterion N] PASS/FAIL`` line (run with ``-s`` to
-see them live) and then asserts.  Criteria 4, 5 and 7 exercise the Monte
-Carlo harness at one percent of the campaign trial counts; the whole
-module runs in about two seconds.
+see them live) and then asserts.  Criteria 4 and 5 exercise the Monte
+Carlo harness at one percent of the campaign trial counts, and criterion 7
+at 0.1% (``fig4 --trials-scale 1e-3``); the whole module runs in about one
+second, most of it criterion 6.
 """
 
 import json

@@ -3,8 +3,6 @@ import errno
 import json
 import math
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -201,17 +199,19 @@ class TestFig3:
              "n_total": p.n_total, "background": 0.0, "p_signal": p.p_signal}
             for p in CAMPAIGN
         ]
+        # phases other than the presets', so a run that ignored them would differ
+        phases = {"phi_bar_urad": 3.0, "span_urad": 12.0}
         out = tmp_path / "fig3.csv"
         result = run_cli(
             ["fig3", "--out", str(out), "--seed", "7", "--trials-scale", "2e-4"],
-            config={"phase_sigma": 0.0, "points": points},
+            config={"phase_sigma": 0.0, "points": points, **phases},
         )
         assert result.exit_code == 0, result.stderr
         header, _, rows = parse_csv(out.read_text())
         assert "fit_phi0" in header  # skipped note for the zero-noise run
         assert "skipped" in header["fit_phi0"]
         for point, row in zip(CAMPAIGN, rows):
-            pred = predict_phases(point_params(point))
+            pred = predict_phases(point_params(point, **phases))
             assert float(row["phi_click"]) * 1e-6 == pytest.approx(
                 pred.phase_click, rel=1e-12
             )
@@ -283,36 +283,26 @@ class TestFig3:
 
 
 class TestFig4:
-    @pytest.mark.parametrize(
-        "command,scale",
-        [("fig3", "3e-4"), ("snr", "0.2")],
-        ids=["fig3", "snr"],
-    )
-    def test_byte_identical_across_worker_counts(self, run_cli, tmp_path, command, scale):
-        outs = []
-        for workers, name in ((1, "a.out"), (4, "b.out")):
-            out = tmp_path / name
+    def test_fit_json_sidecar(self, run_cli, tmp_path):
+        # the delta = 1 control, the last point, is excluded by default
+        for include, dof in ((False, 3), (True, 4)):
+            out = tmp_path / f"fig4-{include}.csv"
             result = run_cli(
-                [command, "--out", str(out), "--seed", "123",
-                 "--trials-scale", scale, "--workers", str(workers)]
+                ["fig4", "--out", str(out), "--seed", "9", "--trials-scale", "1e-3"],
+                config={"include_delta_one": True} if include else None,
             )
             assert result.exit_code == 0, result.stderr
-            # fig3 and fig4 also write their fit to a sidecar
-            files = [out] if command == "snr" else [out, out.with_suffix(".fit.json")]
-            outs.append([path.read_bytes() for path in files])
-        assert outs[0] == outs[1]
-
-    def test_fit_json_sidecar(self, run_cli, tmp_path):
-        out = tmp_path / "fig4.csv"
-        result = run_cli(["fig4", "--out", str(out), "--seed", "9", "--trials-scale", "1e-3"])
-        assert result.exit_code == 0, result.stderr
-        fit = json.loads((tmp_path / "fig4.fit.json").read_text())
-        assert fit["dof"] == 3  # delta = 1 control excluded by default
-        header, _, rows = parse_csv(out.read_text())
-        assert [row["in_fit"] for row in rows] == ["1", "1", "1", "1", "0"]
+            fit = json.loads(out.with_suffix(".fit.json").read_text())
+            assert fit["dof"] == dof
+            assert fit["include_delta_one"] is include
+            header, _, rows = parse_csv(out.read_text())
+            assert [row["in_fit"] for row in rows] == ["1", "1", "1", "1", str(int(include))]
 
     def test_zero_phi_bar_writes_nan_amplification(self, run_cli, tmp_path):
-        # the span fit is defined at phi_bar = 0; only the amplification is not
+        # the span fit is defined at phi_bar = 0, and is the fit of the
+        # written rows there; only the amplification is not defined
+        from wva_sim.montecarlo import fit_differential
+
         out = tmp_path / "fig4.csv"
         result = run_cli(
             ["fig4", "--seed", "1", "--trials-scale", "1e-4", "--out", str(out)],
@@ -323,6 +313,12 @@ class TestFig4:
         assert [row["amplification"] for row in rows] == ["nan"] * 5
         fit = json.loads((tmp_path / "fig4.fit.json").read_text())
         assert fit["phi_bar_fixed_urad"] == 0.0 and math.isfinite(fit["span_urad"])
+        points = [
+            (float(row["delta"]), float(row["diff"]) * 1e-6, float(row["diff_stderr"]) * 1e-6)
+            for row in rows
+        ]
+        span = fit_differential(points, 0.0).parameter * 1e6
+        assert fit["span_urad"] == pytest.approx(span, rel=1e-12)
 
     def test_single_delta_config_exits_two(self, run_cli):
         result = run_cli(
@@ -331,25 +327,6 @@ class TestFig4:
         )
         assert result.exit_code == 2
         assert "fit failure" in result.stderr
-
-    def test_missing_seed_is_usage_error(self, run_cli):
-        result = run_cli(["fig4"])
-        assert result.exit_code == 2  # usage error
-        assert "--seed" in result.stderr
-
-    @pytest.mark.parametrize(
-        "command,flag",
-        [("fig3", "--workers"), ("fig4", "--trials-scale")],
-    )
-    def test_flag_of_wrong_type_is_usage_error(self, run_cli, command, flag):
-        result = run_cli([command, "--seed", "1", flag, "abc"])
-        assert result.exit_code == 2  # usage error
-        assert f"argument {flag}: invalid" in result.stderr
-
-    def test_negative_seed_rejected(self, run_cli):
-        result = run_cli(["fig4", "--seed", "-1"])
-        assert result.exit_code == 1
-        assert "seed" in result.stderr
 
     @pytest.mark.parametrize(
         "bad,field",
@@ -510,15 +487,13 @@ def test_config_errors_exit_one_and_name_field(run_cli, tmp_path, command, confi
     assert "0" * 400 not in result.stdout + result.stderr
 
 
-def test_config_is_read_as_utf8_in_any_locale(tmp_path):
+def test_config_is_read_as_utf8_in_any_locale(run_python, tmp_path):
     # the C locale's default text encoding is ASCII, and JSON text is UTF-8
     config = tmp_path / "config.json"
     config.write_text('{"\u00b5": 1}', encoding="utf-8")
-    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    run = subprocess.run(
-        [sys.executable, "-c", "from wva_sim.cli import main; main()",
-         "fig3", "--seed", "1", "--config", str(config)],
-        env=env, capture_output=True, timeout=60,
+    run = run_python(
+        "-c", "from wva_sim.cli import main; main()", "fig3", "--seed", "1", "--config", str(config),
+        env={"LC_ALL": "C", "PYTHONUTF8": "0"},
     )
     assert run.returncode == 1, run.stderr
     assert b"unknown config field" in run.stderr
@@ -635,18 +610,16 @@ def test_output_goes_to_stdout_without_out(run_cli, tmp_path, monkeypatch, comma
     assert to_stdout.stderr == to_file.stderr
 
 
-def test_data_precedes_summary_on_a_shared_stream():
-    # with stderr merged into a piped stdout, the CSV is flushed before the
-    # fit summary is printed; an unbuffered child keeps that order without
-    # the flush, so the child runs buffered
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
-    run = subprocess.run(
-        [sys.executable, "-c", "from wva_sim.cli import main; main()",
-         "fig3", "--seed", "1", "--trials-scale", "1e-3"],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, timeout=60,
+def test_data_precedes_summary_on_a_shared_stream(run_python):
+    # with stderr merged into a piped stdout (the child's 2>&1), the CSV is
+    # flushed before the fit summary is printed; an unbuffered child keeps
+    # that order without the flush, so the child runs buffered
+    run = run_python(
+        "-c", "import os; os.dup2(1, 2); from wva_sim.cli import main; main()",
+        "fig3", "--seed", "1", "--trials-scale", "1e-3", env={"PYTHONUNBUFFERED": None}, text=True,
     )
     assert run.returncode == 0, run.stdout
+    assert run.stderr == ""
     *data, summary = run.stdout.splitlines()
     assert summary.startswith("fig3: phi0 = "), run.stdout
     _, _, rows = parse_csv("\n".join(data))
@@ -700,6 +673,48 @@ def test_first_error_in_check_order_is_reported(run_cli, tmp_path, monkeypatch, 
     result = run_cli(["fig3", *flags], config=config)
     assert result.exit_code == 1, result.stderr
     assert result.stderr.startswith(f"config error: field '{field}'"), result.stderr
+
+
+@pytest.mark.parametrize(
+    "command,scale",
+    [("fig3", "3e-4"), ("snr", "0.2")],
+    ids=["fig3", "snr"],
+)
+def test_byte_identical_across_worker_counts(run_cli, tmp_path, command, scale):
+    outs = []
+    for workers, name in ((1, "a.out"), (4, "b.out")):
+        out = tmp_path / name
+        result = run_cli(
+            [command, "--out", str(out), "--seed", "123",
+             "--trials-scale", scale, "--workers", str(workers)]
+        )
+        assert result.exit_code == 0, result.stderr
+        # fig3 and fig4 also write their fit to a sidecar
+        files = [out] if command == "snr" else [out, out.with_suffix(".fit.json")]
+        outs.append([path.read_bytes() for path in files])
+    assert outs[0] == outs[1]
+
+
+def test_missing_seed_is_usage_error(run_cli):
+    result = run_cli(["fig4"])
+    assert result.exit_code == 2  # usage error
+    assert "--seed" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [("fig3", "--workers"), ("fig4", "--trials-scale")],
+)
+def test_flag_of_wrong_type_is_usage_error(run_cli, command, flag):
+    result = run_cli([command, "--seed", "1", flag, "abc"])
+    assert result.exit_code == 2  # usage error
+    assert f"argument {flag}: invalid" in result.stderr
+
+
+def test_negative_seed_rejected(run_cli):
+    result = run_cli(["fig4", "--seed", "-1"])
+    assert result.exit_code == 1
+    assert "seed" in result.stderr
 
 
 def test_out_probe_leaves_files_as_they_were(run_cli, tmp_path):

@@ -5,23 +5,29 @@ Each environment runs in a fresh interpreter, since this process has long
 since imported numpy and scipy.  The interpreter takes its steps in order,
 running the CLI as the console script does, through ``main`` with
 ``SystemExit`` caught (any other exception is recorded by its type's
-name), and after each step records every fact below; a
-module once loaded stays loaded, so a fact that holds at a step held at
-every step before it.  The last line of standard output reports the facts
-of every step.
+name), and after each step records every fact of PRELUDE.  There are three
+environments:
+
+- ``runtime`` imports the package and its CLI, asks each command for
+  ``--help``, runs the Monte Carlo commands and ``simulate_trials`` with
+  four workers, then has four threads race on numpy's first load through
+  the oracle, and last runs ``oracle-validate``.  No step before the race
+  executes numpy, so the race is numpy's first load;
+- ``blocked`` runs the Monte Carlo commands at the default trials scale with
+  numpy's import blocked, then tries ``oracle-validate``;
+- ``loaded`` imports numpy first, as a caller may, and runs the same Monte
+  Carlo commands, whose bytes must equal ``blocked``'s.
+
+Three more interpreters each import the package under a caller's setting of
+one BLAS thread variable.  EXPECTED names every step of each interpreter
+and the facts asserted there.  The last line of standard output reports
+the facts of every step and the race's exceptions.
 """
 
 import json
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
-
-import wva_sim
-
-SRC = str(Path(wva_sim.__file__).resolve().parents[1])
 
 # ``check(step)`` records, after a step: its exit code, or the type name of
 # the exception other than SystemExit that it raised; whether scipy, click,
@@ -29,12 +35,13 @@ SRC = str(Path(wva_sim.__file__).resolve().parents[1])
 # milliseconds) or logging is loaded; whether numpy executed, which counts
 # once any of its submodules is loaded, so that a None entry blocking the
 # import is not numpy (only the oracle's functions import numpy, each when
-# it is called); the OS thread count; and whether os.environ is as the
-# interpreter started with it.
+# it is called); the OS thread count, None where /proc/self/task does not
+# list it; and whether os.environ is as the interpreter started with it.
 PRELUDE = """
 import json, os, sys
 before = dict(os.environ)
 facts = {}
+race_errors = []
 
 
 def check(step, code=0):
@@ -62,7 +69,7 @@ def cli(step, *args):
         code = type(exc).__name__
     check(step, code)
 """
-REPORT = "print(json.dumps(facts))\n"
+REPORT = 'print(json.dumps({"steps": facts, "race_errors": race_errors}))\n'
 
 BLOCK_NUMPY = 'sys.modules["numpy"] = None\n'
 LOAD_NUMPY = "import numpy\n"
@@ -92,13 +99,13 @@ for command in {MONTE_CARLO_COMMANDS}:
     cli(command, command, "--seed", "1", "--trials-scale", "0.01", "--out", command + ".out")
 """
 
-# numpy's first load, raced by four threads that call the oracle at once;
-# each records the exception it raised, if any
-ORACLE = """
+# four threads call the oracle at once; each records the exception it
+# raised, if any.  The threads may not all have left the task list just
+# after join, so this is no step: the thread count is checked at the next
+RACE = """
 import threading
 from wva_sim import fock
 barrier = threading.Barrier(4)
-errors = []
 
 
 def first_call():
@@ -106,7 +113,7 @@ def first_call():
     try:
         fock.make_coherent(0.5, 5)
     except Exception as exc:
-        errors.append(repr(exc))
+        race_errors.append(repr(exc))
 
 
 threads = [threading.Thread(target=first_call) for _ in range(4)]
@@ -114,7 +121,6 @@ for thread in threads:
     thread.start()
 for thread in threads:
     thread.join()
-facts["threaded first call"] = {"errors": errors}
 """
 
 # the one-point sweep of ONE_POINT, read from one.json in the working directory
@@ -122,15 +128,10 @@ ORACLE_VALIDATE = """
 cli("oracle-validate", "oracle-validate", "--config", "one.json", "--out", "oracle.csv")
 """
 
-NO_POOL = {"code": 0, "pool": False, "logging": False}
-ONE_THREAD = {"code": 0, "scipy": False, "threads": 1}
+IMPORT = 'import wva_sim\ncheck("import wva_sim")\n'
 
 BLAS_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 UNSET = dict.fromkeys(BLAS_VARIABLES)  # a caller that sets none of them
-
-needs_task_list = pytest.mark.skipif(
-    not os.path.isdir("/proc/self/task"), reason="counts threads through /proc/self/task"
-)
 
 ONE_POINT = {
     "alpha": [0.3],
@@ -142,169 +143,102 @@ ONE_POINT = {
     "tolerance": 0.05,
 }
 
+UNLOADED = {"scipy": False, "click": False, "pool": False, "logging": False}
+ONE_THREAD = {"threads": 1 if os.path.isdir("/proc/self/task") else None}
+RUNTIME = {"code": 0, "numpy": False, **UNLOADED, **ONE_THREAD}
 
-def with_one_point(cwd):
-    """``cwd``, made and holding ONE_POINT as one.json."""
+# interpreter -> every step it records, in order -> the facts asserted there.
+# loaded keeps the BLAS pool that numpy, imported first, starts.
+EXPECTED = {
+    "runtime": {
+        **dict.fromkeys(
+            ["import wva_sim", "import wva_sim.cli", *(f"{command} --help" for command in COMMANDS),
+             *MONTE_CARLO_COMMANDS, "simulate_trials"],
+            RUNTIME,
+        ),
+        "oracle-validate": dict(RUNTIME, numpy=True),
+    },
+    "blocked": dict.fromkeys([*MONTE_CARLO_COMMANDS, "oracle-validate"], {**UNLOADED, **ONE_THREAD}),
+    "loaded": dict.fromkeys(MONTE_CARLO_COMMANDS, UNLOADED),
+    **{f"{variable}=2": {"import wva_sim": UNLOADED} for variable in BLAS_VARIABLES},
+}
+
+
+def run_fresh(run_python, steps, cwd, **env):
+    """Run the prelude, then ``steps``, in a new interpreter working in
+    ``cwd``, which is made holding ONE_POINT as one.json, and return its
+    report; ``env`` updates this process's environment, and a value of
+    None removes a variable."""
     cwd.mkdir()
     (cwd / "one.json").write_text(json.dumps(ONE_POINT))
-    return cwd
-
-
-def run_fresh(steps, cwd, **env_vars):
-    """Run the prelude, then ``steps``, in a new interpreter working in
-    ``cwd``, and return the facts of each step; ``env_vars`` replace
-    variables of this process's environment, and a value of None removes one."""
-    env = dict(os.environ, **env_vars)
-    env = {name: value for name, value in env.items() if value is not None}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    cwd.mkdir(exist_ok=True)
-    proc = subprocess.run(
-        [sys.executable, "-c", PRELUDE + steps + REPORT],
-        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
-    )
+    proc = run_python("-c", PRELUDE + steps + REPORT, env=env, cwd=cwd, text=True)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
 def facts(report, step, *names):
     """The exit code and the named facts of ``report`` at ``step``."""
-    return {name: report[step][name] for name in ("code", *names)}
+    return {name: report["steps"][step][name] for name in ("code", *names)}
 
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
-    """The working directory of each environment is named after it here."""
+    """The working directory of each interpreter is named after it here."""
     return tmp_path_factory.mktemp("environments")
 
 
 @pytest.fixture(scope="module")
-def monte_carlo(workdir):
-    return run_fresh(MONTE_CARLO, workdir / "monte_carlo", **UNSET)
-
-
-@pytest.fixture(scope="module")
-def oracle(workdir):
-    return run_fresh(ORACLE + ORACLE_VALIDATE, with_one_point(workdir / "oracle"), **UNSET)
-
-
-@pytest.fixture(scope="module")
-def numpy_modes(workdir):
-    # the import blocked, against a run that has numpy loaded first; the
-    # blocked run then tries the oracle
+def reports(run_python, workdir):
+    """The report of each interpreter of EXPECTED."""
+    steps = {
+        "runtime": (MONTE_CARLO + RACE + ORACLE_VALIDATE, UNSET),
+        "blocked": (BLOCK_NUMPY + MONTE_CARLO_BYTES + ORACLE_VALIDATE, {}),
+        "loaded": (LOAD_NUMPY + MONTE_CARLO_BYTES, {}),
+        **{f"{variable}=2": (IMPORT, dict(UNSET, **{variable: "2"})) for variable in BLAS_VARIABLES},
+    }
     return {
-        "blocked": run_fresh(
-            BLOCK_NUMPY + MONTE_CARLO_BYTES + ORACLE_VALIDATE, with_one_point(workdir / "blocked")
-        ),
-        "loaded": run_fresh(LOAD_NUMPY + MONTE_CARLO_BYTES, workdir / "loaded"),
+        name: run_fresh(run_python, script, workdir / name, **env) for name, (script, env) in steps.items()
     }
 
 
-def test_threaded_first_call_raises_nothing(oracle):
-    # the threads may not all have left the task list just after join, so
-    # the thread count is checked at the next step
-    assert oracle["threaded first call"] == {"errors": []}
+@pytest.mark.parametrize("name", EXPECTED)
+def test_facts_at_every_step(reports, name):
+    recorded = reports[name]["steps"]
+    assert list(recorded) == list(EXPECTED[name])
+    assert {
+        step: {fact: recorded[step][fact] for fact in expected} for step, expected in EXPECTED[name].items()
+    } == EXPECTED[name]
 
 
-@pytest.mark.parametrize("module", ["wva_sim", "wva_sim.cli"])
-def test_import_leaves_scipy_unloaded(monte_carlo, module):
-    assert facts(monte_carlo, f"import {module}", "scipy") == {"code": 0, "scipy": False}
-
-
-def test_help_leaves_scipy_unloaded(monte_carlo):
-    assert facts(monte_carlo, "fig3 --help", "scipy") == {"code": 0, "scipy": False}
-
-
-def test_import_leaves_click_unloaded(monte_carlo):
-    assert facts(monte_carlo, "import wva_sim.cli", "click") == {"code": 0, "click": False}
-
-
-def test_help_leaves_click_unloaded(monte_carlo):
-    assert facts(monte_carlo, "fig3 --help", "click") == {"code": 0, "click": False}
-
-
-def test_oracle_validate_leaves_scipy_unloaded(oracle, workdir):
-    assert facts(oracle, "oracle-validate", "scipy") == {"code": 0, "scipy": False}
-    lines = (workdir / "oracle" / "oracle.csv").read_text().splitlines()
+def test_runtime_writes_every_output(reports, workdir):
+    for command in MONTE_CARLO_COMMANDS:
+        assert (workdir / "runtime" / f"{command}.out").is_file()
+    lines = (workdir / "runtime" / "oracle.csv").read_text().splitlines()
     assert len([line for line in lines if line[0].isdigit()]) == 1
 
 
-@pytest.mark.parametrize("module", ["wva_sim", "wva_sim.cli"])
-def test_import_leaves_thread_pool_unloaded(monte_carlo, module):
-    assert facts(monte_carlo, f"import {module}", "pool", "logging") == NO_POOL
-
-
-def test_help_leaves_thread_pool_unloaded(monte_carlo):
-    assert facts(monte_carlo, "fig3 --help", "pool", "logging") == NO_POOL
-
-
-def test_oracle_validate_leaves_thread_pool_unloaded(oracle):
-    assert facts(oracle, "oracle-validate", "pool", "logging") == NO_POOL
-
-
-def test_simulate_trials_leaves_scipy_unloaded(monte_carlo):
-    assert facts(monte_carlo, "simulate_trials", "scipy") == {"code": 0, "scipy": False}
-
-
-def test_simulate_trials_with_workers_leaves_thread_pool_unloaded(monte_carlo):
-    assert facts(monte_carlo, "simulate_trials", "pool", "logging") == NO_POOL
-
-
-@needs_task_list
-def test_one_thread_after_import(monte_carlo):
-    assert facts(monte_carlo, "import wva_sim.cli", "scipy", "threads") == ONE_THREAD
-
-
-@needs_task_list
-def test_one_thread_after_oracle_validate(oracle):
-    assert facts(oracle, "oracle-validate", "scipy", "threads") == ONE_THREAD
-
-
-@needs_task_list
-def test_one_thread_after_simulate_trials(monte_carlo):
-    assert facts(monte_carlo, "simulate_trials", "scipy", "threads") == ONE_THREAD
-
-
-@needs_task_list
-def test_one_thread_after_fig3_leaves_scipy_unloaded(monte_carlo, workdir):
-    assert facts(monte_carlo, "fig3", "scipy", "threads") == ONE_THREAD
-    assert (workdir / "monte_carlo" / "fig3.out").is_file()
+def test_threaded_first_call_raises_nothing(reports):
+    assert reports["runtime"]["race_errors"] == []
 
 
 @pytest.mark.parametrize("variable", BLAS_VARIABLES)
-def test_caller_blas_threads_kept(tmp_path, variable):
-    steps = 'import wva_sim\ncheck("import wva_sim")\n'
-    report = run_fresh(steps, tmp_path, **dict(UNSET, **{variable: "2"}))
+def test_caller_blas_threads_kept(reports, variable):
     expected = {"code": 0, "environ_unchanged": True}
-    assert facts(report, "import wva_sim", "environ_unchanged") == expected
-
-
-@pytest.mark.parametrize("command", COMMANDS)
-def test_help_leaves_numpy_unexecuted(monte_carlo, command):
-    assert facts(monte_carlo, f"{command} --help", "numpy") == {"code": 0, "numpy": False}
+    assert facts(reports[f"{variable}=2"], "import wva_sim", "environ_unchanged") == expected
 
 
 @pytest.mark.parametrize("command", MONTE_CARLO_COMMANDS)
-def test_monte_carlo_leaves_numpy_unexecuted(monte_carlo, workdir, command):
-    assert facts(monte_carlo, command, "numpy") == {"code": 0, "numpy": False}
-    assert (workdir / "monte_carlo" / f"{command}.out").is_file()
-
-
-def test_oracle_validate_executes_numpy(oracle):
-    assert facts(oracle, "oracle-validate", "numpy") == {"code": 0, "numpy": True}
-
-
-@pytest.mark.parametrize("command", MONTE_CARLO_COMMANDS)
-def test_monte_carlo_bytes_without_numpy(numpy_modes, workdir, command):
+def test_monte_carlo_bytes_without_numpy(reports, workdir, command):
     # snr writes one JSON file; fig3 and fig4 a CSV and its fit sidecar
     files = [f"{command}.out"] + ([] if command == "snr" else [f"{command}.fit.json"])
     outputs = {}
-    for name, report in numpy_modes.items():
-        assert facts(report, command, "scipy") == {"code": 0, "scipy": False}
+    for name in ("blocked", "loaded"):
+        assert facts(reports[name], command, "scipy") == {"code": 0, "scipy": False}
         outputs[name] = [(workdir / name / file).read_bytes() for file in files]
     assert outputs["blocked"] == outputs["loaded"]
 
 
-def test_oracle_validate_without_numpy_raises(numpy_modes, workdir):
+def test_oracle_validate_without_numpy_raises(reports, workdir):
     # a missing dependency is raised, not written as a row per point
-    assert facts(numpy_modes["blocked"], "oracle-validate") == {"code": "ModuleNotFoundError"}
+    assert facts(reports["blocked"], "oracle-validate") == {"code": "ModuleNotFoundError"}
     assert not (workdir / "blocked" / "oracle.csv").exists()

@@ -16,11 +16,8 @@ interpreter.
 
 import csv
 import math
-import os
 import re
 import shlex
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -95,16 +92,12 @@ def test_committed_oracle_results_are_current(run_cli, tmp_path):
                 assert x == y or abs(x - y) <= max(rel * abs(x), abs_), where
 
 
-def test_readme_python_blocks_run_as_written():
+def test_readme_python_blocks_run_as_written(run_python):
     blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.S | re.M)
     assert len(blocks) == 2
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     outputs = []
     for block in blocks:
-        run = subprocess.run(
-            [sys.executable, "-c", block], capture_output=True, text=True, env=env, timeout=120
-        )
+        run = run_python("-c", block, text=True)
         assert run.returncode == 0, block + run.stderr
         outputs.append(run.stdout)
     # the fock block's first print, which its comment states

@@ -210,11 +210,97 @@ def test_facts_at_every_step(reports, name):
     } == EXPECTED[name]
 
 
-def test_runtime_writes_every_output(reports, workdir):
-    for command in MONTE_CARLO_COMMANDS:
-        assert (workdir / "runtime" / f"{command}.out").is_file()
+# The tests from here to test_oracle_validate_executes_numpy each read
+# facts of ``runtime`` that the table also asserts, under the name of what
+# they hold, and check the files the steps write.
+HELPS = [f"{command} --help" for command in COMMANDS]
+NO_POOL = {"code": 0, "pool": False, "logging": False}
+ONE_THREAD_NO_SCIPY = {"code": 0, "scipy": False, **ONE_THREAD}
+
+
+@pytest.fixture(scope="module")
+def runtime(reports):
+    return reports["runtime"]
+
+
+@pytest.mark.parametrize("module", ["wva_sim", "wva_sim.cli"])
+def test_import_leaves_scipy_unloaded(runtime, module):
+    assert facts(runtime, f"import {module}", "scipy") == {"code": 0, "scipy": False}
+
+
+def test_help_leaves_scipy_unloaded(runtime):
+    for step in HELPS:
+        assert facts(runtime, step, "scipy") == {"code": 0, "scipy": False}
+
+
+def test_import_leaves_click_unloaded(runtime):
+    for step in ("import wva_sim", "import wva_sim.cli"):
+        assert facts(runtime, step, "click") == {"code": 0, "click": False}
+
+
+def test_help_leaves_click_unloaded(runtime):
+    for step in HELPS:
+        assert facts(runtime, step, "click") == {"code": 0, "click": False}
+
+
+def test_oracle_validate_leaves_scipy_unloaded(runtime, workdir):
+    assert facts(runtime, "oracle-validate", "scipy") == {"code": 0, "scipy": False}
     lines = (workdir / "runtime" / "oracle.csv").read_text().splitlines()
     assert len([line for line in lines if line[0].isdigit()]) == 1
+
+
+@pytest.mark.parametrize("module", ["wva_sim", "wva_sim.cli"])
+def test_import_leaves_thread_pool_unloaded(runtime, module):
+    assert facts(runtime, f"import {module}", "pool", "logging") == NO_POOL
+
+
+def test_help_leaves_thread_pool_unloaded(runtime):
+    for step in HELPS:
+        assert facts(runtime, step, "pool", "logging") == NO_POOL
+
+
+def test_oracle_validate_leaves_thread_pool_unloaded(runtime):
+    assert facts(runtime, "oracle-validate", "pool", "logging") == NO_POOL
+
+
+def test_simulate_trials_leaves_scipy_unloaded(runtime):
+    assert facts(runtime, "simulate_trials", "scipy") == {"code": 0, "scipy": False}
+
+
+def test_simulate_trials_with_workers_leaves_thread_pool_unloaded(runtime):
+    assert facts(runtime, "simulate_trials", "pool", "logging") == NO_POOL
+
+
+def test_one_thread_after_import(runtime):
+    assert facts(runtime, "import wva_sim.cli", "scipy", "threads") == ONE_THREAD_NO_SCIPY
+
+
+def test_one_thread_after_oracle_validate(runtime):
+    assert facts(runtime, "oracle-validate", "scipy", "threads") == ONE_THREAD_NO_SCIPY
+
+
+def test_one_thread_after_simulate_trials(runtime):
+    assert facts(runtime, "simulate_trials", "scipy", "threads") == ONE_THREAD_NO_SCIPY
+
+
+def test_one_thread_after_fig3_leaves_scipy_unloaded(runtime, workdir):
+    assert facts(runtime, "fig3", "scipy", "threads") == ONE_THREAD_NO_SCIPY
+    assert (workdir / "runtime" / "fig3.out").is_file()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_leaves_numpy_unexecuted(runtime, command):
+    assert facts(runtime, f"{command} --help", "numpy") == {"code": 0, "numpy": False}
+
+
+@pytest.mark.parametrize("command", MONTE_CARLO_COMMANDS)
+def test_monte_carlo_leaves_numpy_unexecuted(runtime, workdir, command):
+    assert facts(runtime, command, "numpy") == {"code": 0, "numpy": False}
+    assert (workdir / "runtime" / f"{command}.out").is_file()
+
+
+def test_oracle_validate_executes_numpy(runtime):
+    assert facts(runtime, "oracle-validate", "numpy") == {"code": 0, "numpy": True}
 
 
 def test_threaded_first_call_raises_nothing(reports):

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class FieldError(ValueError):
@@ -28,10 +28,6 @@ class TruncationError(RuntimeError):
 
 class BlockUnitarityError(RuntimeError):
     """A beam-splitter block departs from unitarity past the tolerance."""
-
-
-class TruncationWarning(UserWarning):
-    """An operation leaked norm past the mode cutoffs, below the failure tolerance."""
 
 
 class DegenerateStateError(ValueError):

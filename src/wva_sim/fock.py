@@ -33,7 +33,6 @@ evaluated.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -42,7 +41,6 @@ from .errors import (
     DegenerateStateError,
     RegisterBudgetError,
     TruncationError,
-    TruncationWarning,
 )
 
 # Amplitude-count ceiling for tensor products (~1 GiB of complex128) and for
@@ -50,10 +48,9 @@ from .errors import (
 # memory: a rotation holds two blocks at a time.
 DEFAULT_AMPLITUDE_BUDGET = 64_000_000
 
-# Beam-splitter leakage handling: the norm^2 one rotation loses past the
-# cutoffs, as measured from its input and output, warns past WARN_TOL and
-# fails past FAIL_TOL.
-LEAK_WARN_TOL = 1e-9
+# Largest norm^2 one beam-splitter rotation may lose past the cutoffs, as
+# measured from its input and output; below it the leak is the output's
+# norm^2 shortfall, past it the rotation fails.
 LEAK_FAIL_TOL = 1e-6
 
 # Largest max|B B^T - I| accepted for a beam-splitter multiplet block.
@@ -247,8 +244,8 @@ def apply_beam_splitter(
     built.
     Multiplets that do not fit inside the cutoffs lose their clipped part.
     That loss is the measured leak, the input's norm^2 less the output's:
-    warned past LEAK_WARN_TOL (a TruncationWarning naming the caller's
-    line), raised past LEAK_FAIL_TOL (a TruncationError).
+    up to LEAK_FAIL_TOL it is data, left in the output's ``norm_squared``;
+    past it the rotation raises TruncationError.
 
     Each multiplet is rotated where it lies: the levels (m, N - m) of the
     two modes that fit inside the cutoffs are gathered for all other modes
@@ -282,13 +279,6 @@ def apply_beam_splitter(
         raise TruncationError(
             f"beam splitter leaked norm^2 {leaked:.3e} past the cutoffs "
             f"(tolerance {LEAK_FAIL_TOL:.1e})"
-        )
-    if leaked > LEAK_WARN_TOL:
-        warnings.warn(
-            f"beam splitter leaked norm^2 {leaked:.3e} past the cutoffs "
-            f"(tolerance {LEAK_WARN_TOL:.1e})",
-            TruncationWarning,
-            stacklevel=2,
         )
     return FockRegister(out)
 

@@ -46,6 +46,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from . import fock
+from .errors import BlockUnitarityError, TruncationError
 from .model import InterferometerParams, PhasePrediction, check_validity, predict_phases
 
 # A branch below this squared norm is degenerate: its phase is nan.
@@ -155,8 +156,10 @@ def run_protocol(params: InterferometerParams) -> ProtocolResult:
     orthogonal across d), or nan below ``DEGENERATE_NORM2`` or where that
     sum is exactly 0 (a vacuum probe, beta = 0, has no phase).  The sum of
     P(d) is the register's norm^2: its shortfall from 1, floored at 0, is
-    the truncation deficit, and ``p_multi`` is what the two branches leave
-    of that sum, the sum less both branch probabilities, floored at 0.
+    the truncation deficit (the coherent states' tails past the cutoffs and
+    the recombiner's leak, below ``fock.LEAK_FAIL_TOL``), and ``p_multi``
+    is what the two branches leave of that sum, the sum less both branch
+    probabilities, floored at 0.
     """
     import numpy as np
     dark, fields = _optics_stage(replace(params, eta=1.0))
@@ -191,14 +194,15 @@ def differential_rel_error(result: ProtocolResult, prediction: PhasePrediction) 
 
 
 def _sweep_row(params: InterferometerParams) -> SweepRow:
-    """One point's row.  A point whose engine fails (over the amplitude
-    budget, a truncation leak past its tolerance, a non-unitary block) is
-    recorded in the row's note; any other exception propagates."""
+    """One point's row.  A point whose engine fails (a MemoryError, such as
+    RegisterBudgetError over the amplitude budget, a truncation leak past
+    its tolerance, a non-unitary block) is recorded in the row's note; any
+    other exception, such as a defect's ValueError, propagates."""
     prediction = predict_phases(params)
     verdict = check_validity(params).verdict
     try:
         result = run_protocol(params)
-    except (MemoryError, RuntimeError, ValueError) as exc:  # the bases of the engine's own errors
+    except (MemoryError, TruncationError, BlockUnitarityError) as exc:
         return SweepRow(params, prediction, None, math.nan, verdict, note=f"error: {exc}")
     # a degenerate branch (below DEGENERATE_NORM2, or a zero field) has a nan phase
     note = "degenerate branch" if math.isnan(result.differential_exact) else ""

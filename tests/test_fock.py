@@ -2,7 +2,6 @@ import itertools
 import math
 import sys
 import tracemalloc
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import hypothesis.strategies as st
@@ -18,7 +17,6 @@ from wva_sim.errors import (
     DegenerateStateError,
     RegisterBudgetError,
     TruncationError,
-    TruncationWarning,
 )
 
 
@@ -224,8 +222,8 @@ class TestBeamSplitter:
         assert after == pytest.approx(before, rel=1e-12)
 
     def test_leakage_raises_truncation_error(self):
-        # alpha = 2 crammed into cutoff 4 leaks 0.126 once rotated: an error
-        # and no warning (the pytest config turns any warning into an error)
+        # alpha = 2 crammed into cutoff 4 leaks 0.126 once rotated, past
+        # LEAK_FAIL_TOL
         reg = fock.tensor(fock.make_coherent(2.0, 4), fock.make_coherent(2.0, 4))
         with pytest.raises(TruncationError, match="leaked norm\\^2 1.258e-01"):
             fock.apply_beam_splitter(reg, 0, 1, math.pi / 4)
@@ -233,16 +231,15 @@ class TestBeamSplitter:
     def test_clipped_multiplets_match_enlarged_exponential(self):
         # cutoffs (5, 8) clip every multiplet of total >= 5 (and cut its low
         # levels from total 8 on); the last levels are empty and the angle is
-        # small, so the clipped norm, 2.0e-7, warns but stays below
-        # LEAK_FAIL_TOL
+        # small, so the clipped norm, 2.0e-7, stays below LEAK_FAIL_TOL and is
+        # left as the output's norm^2 shortfall
         da, db, spectator, theta = 5, 8, 3, 0.01
         rng = np.random.default_rng(3)
         amps = np.zeros((da, db, spectator), dtype=np.complex128)
         inner = (da - 1, db - 1, spectator)
         amps[: da - 1, : db - 1] = rng.normal(size=inner) + 1j * rng.normal(size=inner)
         amps /= np.linalg.norm(amps)
-        with pytest.warns(TruncationWarning, match="leaked norm\\^2 2.0"):
-            out = fock.apply_beam_splitter(fock.FockRegister(amps), 0, 1, theta)
+        out = fock.apply_beam_splitter(fock.FockRegister(amps), 0, 1, theta)
 
         # reference: exp(theta K), K = a2+ a1 - a1+ a2, on cutoffs that hold
         # every occupied multiplet whole, truncated back afterwards
@@ -255,13 +252,14 @@ class TestBeamSplitter:
         expected = rotated.reshape(big, big, spectator)[:da, :db]
         np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-13)
         leaked = 1.0 - fock.norm_squared(out)
-        assert fock.LEAK_WARN_TOL < leaked < fock.LEAK_FAIL_TOL
+        assert 0 < leaked < fock.LEAK_FAIL_TOL
+        assert leaked == pytest.approx(2.0367e-7, rel=1e-4)
 
     def test_mode_order_and_layout_agree(self):
         # the clipped register of the test above, rotated through other axis
         # orders and with its two modes named the other way round (b, a at
         # -theta is the same rotation), which puts the larger cutoff first;
-        # every rotation leaks the same 2.0e-7, so each one warns
+        # every rotation leaks the same 2.0e-7
         da, db, spectator, theta = 5, 8, 3, 0.01
         rng = np.random.default_rng(3)
         amps = np.zeros((da, db, spectator), dtype=np.complex128)
@@ -270,8 +268,9 @@ class TestBeamSplitter:
         amps /= np.linalg.norm(amps)
 
         def rotate(reg, *args):
-            with pytest.warns(TruncationWarning, match="leaked norm\\^2 2.0"):
-                return fock.apply_beam_splitter(reg, *args).amplitudes
+            out = fock.apply_beam_splitter(reg, *args)
+            assert 1.0 - fock.norm_squared(out) == pytest.approx(2.0367e-7, rel=1e-4)
+            return out.amplitudes
 
         out = rotate(fock.FockRegister(amps), 0, 1, theta)
         swapped = rotate(fock.FockRegister(amps.copy()), 1, 0, -theta)
@@ -316,13 +315,12 @@ class TestBeamSplitter:
             fock.apply_beam_splitter(reg, 1, 1, 0.1)
 
     @pytest.mark.parametrize(
-        "level,weight,warns",
-        [((2, 3), 1e-9, False), ((2, 0), 0.5, False), ((1, 3), 1e-8, True),
-         ((2, 3), 1e-8, True)],
+        "level,weight",
+        [((2, 3), 1e-9), ((2, 0), 0.5), ((1, 3), 1e-8), ((2, 3), 1e-8)],
         ids=["corner-below-tol", "first-mode-edge", "second-mode-edge", "corner-above-tol"],
     )
     @pytest.mark.parametrize("modes", [(0, 1), (1, 0)], ids=["small-first", "large-first"])
-    def test_edge_weight_counts_corner_once(self, level, weight, warns, modes):
+    def test_edge_weight_counts_corner_once(self, level, weight, modes):
         # the only last-level weight sits at ``level`` of a (3, 4) register;
         # the corner (2, 3) is on both modes' last level but is one amplitude,
         # so it leaks once: what its multiplet's rotation carries past the
@@ -335,43 +333,25 @@ class TestBeamSplitter:
         column = scipy.linalg.expm(0.2 * hopping_generator(total))[:, level[0]]
         clipped = [m >= 3 or total - m >= 4 for m in range(total + 1)]
         expected = weight * float(np.sum(np.abs(column[clipped]) ** 2))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            out = fock.apply_beam_splitter(fock.FockRegister(amps), *modes, 0.2)
-        raised = [w for w in caught if issubclass(w.category, TruncationWarning)]
+        out = fock.apply_beam_splitter(fock.FockRegister(amps), *modes, 0.2)
         leaked = 1.0 - fock.norm_squared(out)
         assert leaked == pytest.approx(expected, rel=0, abs=1e-15)
-        assert (expected > fock.LEAK_WARN_TOL) == warns
-        if not warns:
-            assert raised == []
-        else:
-            assert len(raised) == 1 and f"norm^2 {leaked:.3e} past" in str(raised[0].message)
-            assert raised[0].filename == __file__
 
     @pytest.mark.parametrize(
-        "levels,theta,warns",
-        [((3, 3), 0.005, True), ((3, 3), 0.001, False), ((4, 0), 0.3, False)],
+        "levels,theta,leak",
+        [((3, 3), 0.005, 3.7494e-8), ((3, 3), 0.001, 5.9999e-11), ((4, 0), 0.3, 0.0)],
         ids=["leak-above-warn-tol", "leak-below-warn-tol", "lossless-last-level"],
     )
     @pytest.mark.parametrize("modes", [(0, 1), (1, 0)], ids=["forward", "reversed"])
-    def test_warning_follows_measured_leak(self, levels, theta, warns, modes):
+    def test_measured_leak_follows_clipped_multiplet(self, levels, theta, leak, modes):
         # on cutoffs (5, 5), |3, 3> has no weight on a last level, yet its
         # multiplet N = 6 is clipped: it leaks 3.7e-8 at theta = 0.005 and
         # 6.0e-11 at 0.001 (the leak grows as theta^4); |4, 0> sits on a last
         # level, yet its multiplet N = 4 fits whole and it leaks only rounding
         reg = fock.tensor(fock.make_fock(levels[0], 5), fock.make_fock(levels[1], 5))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            out = fock.apply_beam_splitter(reg, *modes, theta)
-        raised = [w for w in caught if issubclass(w.category, TruncationWarning)]
+        out = fock.apply_beam_splitter(reg, *modes, theta)
         leaked = 1.0 - fock.norm_squared(out)
-        if not warns:
-            assert raised == [] and leaked < fock.LEAK_WARN_TOL
-        else:
-            assert leaked == pytest.approx(3.7494e-8, rel=1e-4)
-            assert len(raised) == 1 and f"norm^2 {leaked:.3e} past" in str(raised[0].message)
-            # in either mode order the warning names the caller's line
-            assert raised[0].filename == __file__
+        assert leaked == pytest.approx(leak, rel=1e-4, abs=1e-15)
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
     def test_non_finite_theta_rejected(self, theta):

@@ -363,8 +363,10 @@ class TestSweep:
         assert rows[0].note == f"error: {error}"
 
     @pytest.mark.parametrize(
-        "error", [ModuleNotFoundError("No module named 'numpy'"), TypeError("a defect")],
-        ids=["missing-numpy", "type-error"],
+        "error",
+        [ModuleNotFoundError("No module named 'numpy'"), TypeError("a defect"),
+         ValueError("a defect"), RuntimeError("a defect")],
+        ids=["missing-numpy", "type-error", "value-error", "runtime-error"],
     )
     def test_other_exception_propagates(self, monkeypatch, error):
         # only the engine's own failures become rows; a missing dependency
